@@ -1,29 +1,10 @@
-//! Control-flow and liveness analysis over BVRAM [`Program`]s.
+//! Register sets and the fault classification of BVRAM instructions.
 //!
-//! The optimizer in `nsc-compile` (and any other program-transformation
-//! client) builds on the primitives here: **basic blocks** (maximal
-//! straight-line runs), the **control-flow successors** of every
-//! instruction, **reachability**, the [`can_fault`] classification, and
-//! the [`RegSet`] bitset.
-//!
-//! [`Liveness`] additionally offers dense per-instruction liveness as
-//! the reference formulation of the dataflow problem.  Note that the
-//! optimizer's own passes do *not* use it: compiled programs reach
-//! millions of instructions with one fresh register per temporary, so
-//! dead-code elimination uses reference counting and move coalescing
-//! runs a block-level fixpoint over the move-related registers only.
-//! The dense version is right for small hand-built programs and for
-//! cross-checking those sparse analyses.
-//!
-//! Liveness models the program boundary conventions of
-//! [`crate::exec::Machine`]:
-//!
-//! * at entry, registers `0 .. r_in` hold the inputs and every other
-//!   register holds the empty vector (both count as *definitions*);
-//! * `Halt` *uses* registers `0 .. r_out` (they are the outputs).
+//! The primitives every program-transformation client shares that are
+//! *not* control flow (that is [`crate::cfg`]): the dense [`RegSet`]
+//! bitset and the [`can_fault`] classification.
 
 use crate::instr::Instr;
-use crate::program::Program;
 
 /// A dense bitset over register indices.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,124 +86,6 @@ impl RegSet {
     }
 }
 
-/// The control-flow successors of the instruction at `pc`.
-///
-/// `Halt` has none; `Goto` has exactly its target; `IfEmptyGoto` has the
-/// target and the fallthrough; everything else falls through.  A
-/// fallthrough off the end of the program is reported as no successor
-/// (the machine faults with `FellOffEnd` there, so nothing downstream
-/// executes).
-pub fn successors(prog: &Program, pc: usize) -> Vec<usize> {
-    let n = prog.instrs.len();
-    let fall = |p: usize| if p + 1 < n { vec![p + 1] } else { vec![] };
-    match &prog.instrs[pc] {
-        Instr::Halt => vec![],
-        Instr::Goto { target } => vec![*target as usize],
-        Instr::IfEmptyGoto { target, .. } => {
-            let mut s = vec![*target as usize];
-            s.extend(fall(pc));
-            s
-        }
-        _ => fall(pc),
-    }
-}
-
-/// Instruction indices that start a basic block: the entry, every jump
-/// target, and every instruction following a jump.
-pub fn block_leaders(prog: &Program) -> Vec<usize> {
-    let n = prog.instrs.len();
-    let mut leader = vec![false; n];
-    if n > 0 {
-        leader[0] = true;
-    }
-    for (pc, ins) in prog.instrs.iter().enumerate() {
-        match ins {
-            Instr::Goto { target } | Instr::IfEmptyGoto { target, .. } => {
-                if (*target as usize) < n {
-                    leader[*target as usize] = true;
-                }
-                if pc + 1 < n {
-                    leader[pc + 1] = true;
-                }
-            }
-            Instr::Halt if pc + 1 < n => leader[pc + 1] = true,
-            _ => {}
-        }
-    }
-    (0..n).filter(|&i| leader[i]).collect()
-}
-
-/// The set of instruction indices reachable from the entry.
-pub fn reachable(prog: &Program) -> Vec<bool> {
-    let n = prog.instrs.len();
-    let mut seen = vec![false; n];
-    let mut stack = if n > 0 { vec![0usize] } else { vec![] };
-    while let Some(pc) = stack.pop() {
-        if pc >= n || seen[pc] {
-            continue;
-        }
-        seen[pc] = true;
-        stack.extend(successors(prog, pc));
-    }
-    seen
-}
-
-/// Per-instruction liveness facts.
-#[derive(Debug, Clone)]
-pub struct Liveness {
-    /// Registers possibly read at or after instruction `i`, before being
-    /// overwritten (computed *before* `i` executes).
-    pub live_in: Vec<RegSet>,
-    /// Registers possibly read after instruction `i` completes.
-    pub live_out: Vec<RegSet>,
-}
-
-impl Liveness {
-    /// Computes liveness for `prog` with the machine's I/O conventions
-    /// (`Halt` uses registers `0 .. r_out`).
-    pub fn of(prog: &Program) -> Liveness {
-        let n = prog.instrs.len();
-        let nr = prog.n_regs;
-        let mut live_in = vec![RegSet::new(nr); n];
-        let mut live_out = vec![RegSet::new(nr); n];
-        // Backward fixpoint. Iterate in reverse index order: block bodies
-        // converge in one sweep, loops in a few.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for pc in (0..n).rev() {
-                let mut out = RegSet::new(nr);
-                for s in successors(prog, pc) {
-                    if s < n {
-                        out.union_with(&live_in[s]);
-                    }
-                }
-                let mut inn = out.clone();
-                if let Some(d) = prog.instrs[pc].output() {
-                    inn.remove(d);
-                }
-                for u in prog.instrs[pc].inputs() {
-                    inn.insert(u);
-                }
-                if let Instr::Halt = prog.instrs[pc] {
-                    for r in 0..prog.r_out {
-                        inn.insert(r as u32);
-                    }
-                }
-                if out != live_out[pc] {
-                    live_out[pc] = out;
-                    changed = true;
-                }
-                if inn != live_in[pc] {
-                    live_in[pc] = inn;
-                    changed = true;
-                }
-            }
-        }
-        Liveness { live_in, live_out }
-    }
-}
-
 /// Whether an instruction can fault at runtime (and therefore must never
 /// be removed even when its result is dead): elementwise arithmetic can
 /// overflow, divide by zero, or hit a length mismatch, and the routing
@@ -235,164 +98,10 @@ pub fn can_fault(ins: &Instr) -> bool {
     )
 }
 
-/// Input-independent summary of a program's `T'`/`W'` behaviour.
-///
-/// Exact `T'`/`W'` are data-dependent (loop trip counts, routed lengths),
-/// so this is deliberately a *shape* summary plus coarse predictors: the
-/// compiled-program cache stores one per cached program, and the batch
-/// runtime's pack-vs-lanes decision reads [`StaticCost::predict_work`]
-/// instead of executing anything.  The model:
-///
-/// * a loop-free program executes at most [`StaticCost::reachable_instrs`]
-///   instructions, each touching `O(n)` register elements;
-/// * a program with a back edge is a compiled `while` (the only loop the
-///   code generator emits), whose trip count the Theorem 7.1 pipeline
-///   keeps logarithmic in the balanced cases — so predictions multiply by
-///   `log₂ n + 1`.
-///
-/// The predictors are monotone in `n` and meant for *relative* decisions
-/// (is this request dispatch-bound or data-bound?), not absolute costs —
-/// the exact numbers come from [`crate::exec::Stats`] after the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StaticCost {
-    /// Instructions reachable from the entry.
-    pub reachable_instrs: u64,
-    /// Reachable instructions that move register *data* (everything but
-    /// jumps and `Halt`) — each costs work proportional to its operand
-    /// lengths.
-    pub vector_instrs: u64,
-    /// Whether any reachable control transfer goes backwards (the
-    /// compiled form of `while`).
-    pub has_loops: bool,
-    /// Register-file size (one allocation class per machine build).
-    pub n_regs: usize,
-}
-
-impl StaticCost {
-    /// Summarizes `prog`.
-    pub fn of(prog: &Program) -> StaticCost {
-        let reach = reachable(prog);
-        let mut reachable_instrs = 0u64;
-        let mut vector_instrs = 0u64;
-        let mut has_loops = false;
-        for (pc, ins) in prog.instrs.iter().enumerate() {
-            if !reach[pc] {
-                continue;
-            }
-            reachable_instrs += 1;
-            match ins {
-                Instr::Goto { target } | Instr::IfEmptyGoto { target, .. } => {
-                    if (*target as usize) <= pc {
-                        has_loops = true;
-                    }
-                }
-                Instr::Halt => {}
-                _ => vector_instrs += 1,
-            }
-        }
-        StaticCost {
-            reachable_instrs,
-            vector_instrs,
-            has_loops,
-            n_regs: prog.n_regs,
-        }
-    }
-
-    /// `log₂ n + 1`, the assumed trip-count factor of a compiled `while`.
-    fn loop_factor(self, n: u64) -> u64 {
-        if self.has_loops {
-            64 - n.max(1).leading_zeros() as u64 + 1
-        } else {
-            1
-        }
-    }
-
-    /// Predicted `T'` for an input of size `n`.
-    pub fn predict_time(&self, n: u64) -> u64 {
-        self.reachable_instrs.saturating_mul(self.loop_factor(n))
-    }
-
-    /// Predicted `W'` for an input of size `n`: every data-moving
-    /// instruction touches `O(n)` elements, times the loop factor.
-    pub fn predict_work(&self, n: u64) -> u64 {
-        self.vector_instrs
-            .saturating_mul(n.max(1))
-            .saturating_mul(self.loop_factor(n))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::instr::{Instr::*, Op};
-    use crate::program::Builder;
-
-    fn loop_prog() -> Program {
-        // 0: if_empty v0 goto 4
-        // 1: enumerate v1 <- v0
-        // 2: select v0 <- v1
-        // 3: goto 0
-        // 4: halt
-        let mut b = Builder::new(1, 1);
-        b.label("loop")
-            .if_empty_goto(0, "done")
-            .push(Enumerate { dst: 1, src: 0 })
-            .push(Select { dst: 0, src: 1 })
-            .goto("loop")
-            .label("done")
-            .push(Halt);
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn successors_follow_jumps() {
-        let p = loop_prog();
-        assert_eq!(successors(&p, 0), vec![4, 1]);
-        assert_eq!(successors(&p, 1), vec![2]);
-        assert_eq!(successors(&p, 3), vec![0]);
-        assert_eq!(successors(&p, 4), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn leaders_are_entry_targets_and_post_jumps() {
-        let p = loop_prog();
-        assert_eq!(block_leaders(&p), vec![0, 1, 4]);
-    }
-
-    #[test]
-    fn liveness_sees_loop_carried_registers() {
-        let p = loop_prog();
-        let l = Liveness::of(&p);
-        // v0 is live into the loop head (tested + enumerated + output).
-        assert!(l.live_in[0].contains(0));
-        // v1 is dead before the enumerate that defines it...
-        assert!(!l.live_in[1].contains(1));
-        // ...and live right after (the select reads it).
-        assert!(l.live_out[1].contains(1));
-        // At halt, the output register is live-in.
-        assert!(l.live_in[4].contains(0));
-    }
-
-    #[test]
-    fn dead_register_is_dead() {
-        let mut b = Builder::new(1, 1);
-        b.push(Length { dst: 5, src: 0 }).push(Halt);
-        let p = b.build().unwrap();
-        let l = Liveness::of(&p);
-        assert!(!l.live_out[0].contains(5), "v5 is never read");
-        assert!(l.live_out[0].contains(0), "v0 is the output");
-    }
-
-    #[test]
-    fn reachability_skips_jumped_over_code() {
-        let mut b = Builder::new(0, 0);
-        b.goto("end")
-            .push(Singleton { dst: 0, n: 1 })
-            .label("end")
-            .push(Halt);
-        let p = b.build().unwrap();
-        assert_eq!(reachable(&p), vec![true, false, true]);
-    }
 
     #[test]
     fn fault_classification() {
@@ -410,32 +119,6 @@ mod tests {
             counts: 2,
             values: 3
         }));
-    }
-
-    #[test]
-    fn static_cost_distinguishes_loops_and_ignores_unreachable() {
-        let p = loop_prog();
-        let s = StaticCost::of(&p);
-        assert!(s.has_loops);
-        assert_eq!(s.reachable_instrs, 5);
-        assert_eq!(s.vector_instrs, 2); // enumerate + select
-        assert!(s.predict_work(1024) > s.predict_work(4));
-        assert!(s.predict_time(1024) > s.reachable_instrs);
-
-        // Straight-line: no loop factor, time prediction is exact count.
-        let mut b = Builder::new(1, 1);
-        b.push(Enumerate { dst: 1, src: 0 })
-            .goto("end")
-            .push(Singleton { dst: 0, n: 1 }) // unreachable
-            .label("end")
-            .push(Halt);
-        let p = b.build().unwrap();
-        let s = StaticCost::of(&p);
-        assert!(!s.has_loops);
-        assert_eq!(s.reachable_instrs, 3);
-        assert_eq!(s.vector_instrs, 1);
-        assert_eq!(s.predict_time(4096), 3);
-        assert_eq!(s.predict_work(100), 100);
     }
 
     #[test]

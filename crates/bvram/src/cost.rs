@@ -12,9 +12,9 @@
 //!
 //! The analysis is an abstract interpretation on the verifier's
 //! [`ForwardAnalysis`]/[`run_forward`] framework: a register-length
-//! domain whose values are polynomials (`None` = unbounded), a CFG
-//! structure pass (dominators → back edges → natural loops), and
-//! per-loop trip counts taken from the compiler-emitted
+//! domain whose values are polynomials (`None` = unbounded), the
+//! natural loops of the shared [`Cfg`]'s back edges, and per-loop trip
+//! counts taken from the compiler-emitted
 //! [`TripHint`](crate::program::TripHint) certificates.  A loop with no
 //! certificate — or any other loss of precision — widens the result to
 //! [`CostBound::Top`], reported with the program counter and a reason,
@@ -25,10 +25,10 @@
 //! "unbounded" and is vacuously sound).  The suite-wide proptest in
 //! `tests/cost_soundness.rs` enforces this against both backends.
 
-use crate::analysis::block_leaders;
+use crate::cfg::Cfg;
 use crate::instr::{Instr, Reg};
 use crate::program::{Program, TripBound};
-use crate::verify::{check_structure, run_forward, BlockStates, ForwardAnalysis};
+use crate::verify::{check_structure, run_forward, ForwardAnalysis};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
@@ -562,90 +562,8 @@ impl ForwardAnalysis for LenPolys {
 }
 
 // ---------------------------------------------------------------------------
-// CFG structure: dominators, back edges, natural loops
+// Natural loops
 // ---------------------------------------------------------------------------
-
-struct Cfg {
-    leaders: Vec<usize>,
-    /// Successor *blocks* of each block.
-    succs: Vec<Vec<usize>>,
-    /// Predecessor blocks.
-    preds: Vec<Vec<usize>>,
-    /// Last pc of each block.
-    last: Vec<usize>,
-}
-
-fn block_of(leaders: &[usize], pc: usize) -> usize {
-    leaders.partition_point(|&l| l <= pc) - 1
-}
-
-impl Cfg {
-    fn of(prog: &Program) -> Cfg {
-        let leaders = block_leaders(prog);
-        let nb = leaders.len();
-        let n = prog.instrs.len();
-        let mut succs = vec![Vec::new(); nb];
-        let mut preds = vec![Vec::new(); nb];
-        let mut last = vec![0usize; nb];
-        for b in 0..nb {
-            let end = leaders.get(b + 1).copied().unwrap_or(n);
-            last[b] = end - 1;
-            let targets: Vec<usize> = match &prog.instrs[last[b]] {
-                Instr::Halt => vec![],
-                Instr::Goto { target } => vec![*target as usize],
-                Instr::IfEmptyGoto { target, .. } => vec![*target as usize, last[b] + 1],
-                _ => vec![last[b] + 1],
-            };
-            for t in targets {
-                if t < n {
-                    let tb = block_of(&leaders, t);
-                    succs[b].push(tb);
-                    preds[tb].push(b);
-                }
-            }
-        }
-        Cfg {
-            leaders,
-            succs,
-            preds,
-            last,
-        }
-    }
-
-    /// Immediate-dominator-free dominator sets via iterative bitsets
-    /// (blocks are few; compiled loops nest shallowly).
-    fn dominators(&self) -> Vec<Vec<bool>> {
-        let nb = self.leaders.len();
-        let all = vec![true; nb];
-        let mut dom: Vec<Vec<bool>> = vec![all; nb];
-        dom[0] = vec![false; nb];
-        dom[0][0] = true;
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for b in 1..nb {
-                let mut new: Option<Vec<bool>> = None;
-                for &p in &self.preds[b] {
-                    match &mut new {
-                        None => new = Some(dom[p].clone()),
-                        Some(acc) => {
-                            for (x, y) in acc.iter_mut().zip(&dom[p]) {
-                                *x = *x && *y;
-                            }
-                        }
-                    }
-                }
-                let mut new = new.unwrap_or_else(|| vec![false; nb]);
-                new[b] = true;
-                if new != dom[b] {
-                    dom[b] = new;
-                    changed = true;
-                }
-            }
-        }
-        dom
-    }
-}
 
 /// One natural loop: the back edge and its body blocks.
 struct Loop {
@@ -673,42 +591,42 @@ pub fn cost_program(prog: &Program) -> CostReport {
     if prog.instrs.is_empty() {
         return CostReport::top(0, "empty program (every run falls off the end)", n_syms);
     }
-    let cfg = Cfg::of(prog);
-    let nb = cfg.leaders.len();
+    let cfg = Cfg::build(prog);
+    let nb = cfg.n_blocks();
     if nb.saturating_mul(prog.n_regs) > COST_BUDGET {
         return CostReport::top(0, "over analysis budget", n_syms);
     }
     // --- structure: back edges and their natural loops -----------------
-    let dom = cfg.dominators();
-    let mut loops: Vec<Loop> = Vec::new();
-    for (b, dom_b) in dom.iter().enumerate() {
-        for &s in &cfg.succs[b] {
-            let retreating = s <= b;
-            if dom_b[s] {
-                // Back edge b → s: natural loop = s + reverse-reachable
-                // from b without passing through s.
-                let mut body = vec![false; nb];
-                body[s] = true;
-                let mut stack = vec![b];
-                while let Some(x) = stack.pop() {
-                    if body[x] {
-                        continue;
-                    }
-                    body[x] = true;
-                    stack.extend(cfg.preds[x].iter().copied());
-                }
-                loops.push(Loop {
-                    jump_pc: cfg.last[b],
-                    head: s,
-                    body,
-                });
-            } else if retreating {
-                // A retreating edge that is not a dominator back edge:
-                // irreducible control flow, outside this analysis.
-                return CostReport::top(cfg.last[b], "irreducible control flow", n_syms);
-            }
+    // A retreating edge that is not a dominator back edge is irreducible
+    // control flow, outside this analysis.
+    for b in 0..nb {
+        let retreats = |&s: &u32| s as usize <= b && !cfg.dominates(s as usize, b);
+        if cfg.succs(b).iter().any(retreats) {
+            return CostReport::top(cfg.last(b), "irreducible control flow", n_syms);
         }
     }
+    let loops: Vec<Loop> = cfg
+        .back_edges()
+        .map(|(b, s)| {
+            // Natural loop of b → s: s + reverse-reachable from b
+            // without passing through s.
+            let mut body = vec![false; nb];
+            body[s] = true;
+            let mut stack = vec![b];
+            while let Some(x) = stack.pop() {
+                if body[x] {
+                    continue;
+                }
+                body[x] = true;
+                stack.extend(cfg.preds(x).iter().map(|&p| p as usize));
+            }
+            Loop {
+                jump_pc: cfg.last(b),
+                head: s,
+                body,
+            }
+        })
+        .collect();
 
     let hints: BTreeMap<usize, TripBound> = prog
         .trip_hints
@@ -722,28 +640,23 @@ pub fn cost_program(prog: &Program) -> CostReport {
     let mut accel: BTreeMap<usize, u64> = BTreeMap::new();
     for l in &loops {
         if let Some(TripBound::Const(c)) = hints.get(&l.jump_pc) {
-            let e = accel.entry(cfg.leaders[l.head]).or_insert(1);
+            let e = accel.entry(cfg.leader(l.head)).or_insert(1);
             *e = e.saturating_mul(c.saturating_add(1));
         }
     }
 
     // --- the length fixpoint -------------------------------------------
     let analysis = LenPolys::new(n_syms, accel);
-    let states: BlockStates<LenState> = run_forward(prog, &analysis);
+    let states = run_forward(prog, &cfg, &analysis);
 
     // Exit state of block `b` along the edge to block `t`.
     let exit_state = |b: usize, t: usize| -> Option<LenState> {
-        let mut st = states.entry[b].clone()?;
-        let end = cfg.leaders.get(b + 1).copied().unwrap_or(prog.instrs.len());
-        for pc in cfg.leaders[b]..end {
+        let mut st = states[b].clone()?;
+        for pc in cfg.range(b) {
             analysis.transfer(pc, &prog.instrs[pc], &mut st);
         }
-        analysis.refine_edge(
-            cfg.last[b],
-            &prog.instrs[cfg.last[b]],
-            cfg.leaders[t],
-            &mut st,
-        );
+        let last = cfg.last(b);
+        analysis.refine_edge(last, &prog.instrs[last], cfg.leader(t), &mut st);
         Some(st)
     };
 
@@ -762,7 +675,8 @@ pub fn cost_program(prog: &Program) -> CostReport {
                     let e = analysis.entry_state(prog);
                     entry_len = e.regs[*reg as usize].as_deref().cloned();
                 }
-                for &p in &cfg.preds[l.head] {
+                for &p in cfg.preds(l.head) {
+                    let p = p as usize;
                     if l.body[p] {
                         continue; // edge from inside the loop
                     }
@@ -821,7 +735,7 @@ pub fn cost_program(prog: &Program) -> CostReport {
     let mut time = Poly::zero(n_syms);
     let mut work = Poly::zero(n_syms);
     for (b, block_mult) in mult.iter().enumerate() {
-        let Some(entry) = &states.entry[b] else {
+        let Some(entry) = &states[b] else {
             continue; // unreachable: executes zero times
         };
         let m = match block_mult {
@@ -829,8 +743,7 @@ pub fn cost_program(prog: &Program) -> CostReport {
             Err((pc, reason)) => return CostReport::top(*pc, reason, n_syms),
         };
         let mut st = entry.clone();
-        let end = cfg.leaders.get(b + 1).copied().unwrap_or(prog.instrs.len());
-        for pc in cfg.leaders[b]..end {
+        for pc in cfg.range(b) {
             let ins = &prog.instrs[pc];
             time.add_assign(m);
             let mut step = Poly::zero(n_syms);
@@ -920,11 +833,9 @@ mod tests {
         );
     }
 
-    /// The doubling-loop shape the code generator emits for scans: the
-    /// hinted constant trip yields a finite bound that dominates the
-    /// measured stats.
-    #[test]
-    fn hinted_const_loop_is_finite_and_sound() {
+    /// The doubling-loop shape the code generator emits for scans, up to
+    /// and including its `Halt`.
+    fn hinted_const_loop() -> Builder {
         let mut b = Builder::new(1, 1);
         b.push(Instr::Singleton { dst: 1, n: 1 });
         b.label("l");
@@ -947,15 +858,35 @@ mod tests {
             .goto("l")
             .label("done")
             .push(Instr::Halt);
-        let p = b.build().unwrap();
-        let r = cost_program(&p);
+        b
+    }
+
+    fn assert_finite_and_sound(p: &Program) {
+        let r = cost_program(p);
         assert!(r.is_finite(), "{r}");
         for n in [0usize, 1, 2, 7, 1000] {
-            let out = run_program(&p, &[vec_of(n)]).unwrap();
+            let out = run_program(p, &[vec_of(n)]).unwrap();
             let lens = [n as u64];
             assert!(out.stats.time <= r.time.eval(&lens).unwrap());
             assert!(out.stats.work <= r.work.eval(&lens).unwrap());
         }
+    }
+
+    /// The hinted constant trip yields a finite bound that dominates the
+    /// measured stats.
+    #[test]
+    fn hinted_const_loop_is_finite_and_sound() {
+        assert_finite_and_sound(&hinted_const_loop().build().unwrap());
+    }
+
+    /// Dead code jumping to the loop head is no predecessor of it: the
+    /// head still dominates its latch, the loop stays a natural loop,
+    /// and the certificate stays finite.
+    #[test]
+    fn dead_jump_to_a_loop_head_keeps_the_loop_certifiable() {
+        let mut b = hinted_const_loop();
+        b.push(Instr::Singleton { dst: 5, n: 0 }).goto("l");
+        assert_finite_and_sound(&b.build().unwrap());
     }
 
     /// A length-hinted loop: drop one element per iteration via select

@@ -19,6 +19,7 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
+pub mod cfg;
 pub mod cost;
 pub mod exec;
 pub mod fuzz;
@@ -28,7 +29,6 @@ pub mod par;
 pub mod program;
 pub mod verify;
 
-pub use analysis::StaticCost;
 pub use cost::{cost_program, CostBound, CostReport, Poly};
 pub use exec::{run_program, Machine, MachineError, RunOutcome, Stats, Vector};
 pub use instr::{Instr, Label, Op, Reg};

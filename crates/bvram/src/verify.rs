@@ -26,15 +26,15 @@
 //!
 //! # The dataflow framework
 //!
-//! [`ForwardAnalysis`] + [`run_forward`] generalize the ad-hoc worklist
-//! in [`crate::analysis::Liveness`] to arbitrary forward problems: an
-//! analysis supplies an entry state, a per-instruction transfer
-//! function, an optional per-edge refinement (how `if_empty` branch
-//! facts enter the taken block), and a join.  States are kept only at
-//! basic-block entries (compiled programs reach millions of
-//! instructions but only a handful of blocks), and [`replay`] walks a
-//! converged solution through each reachable block to visit the state
-//! *before* every instruction.
+//! [`ForwardAnalysis`] + [`run_forward`] solve arbitrary forward
+//! problems over the program's shared block graph ([`crate::cfg::Cfg`],
+//! built once by the caller): an analysis supplies an entry state, a
+//! per-instruction transfer function, an optional per-edge refinement
+//! (how `if_empty` branch facts enter the taken block), and a join.
+//! States are kept only at basic-block entries (compiled programs reach
+//! millions of instructions but only a handful of blocks), and
+//! [`replay`] walks a converged solution through each reachable block
+//! to visit the state *before* every instruction.
 //!
 //! # The length domain
 //!
@@ -48,7 +48,8 @@
 //! Joins intersect equality classes (partition join), so the domain has
 //! finite height and the worklist terminates.
 
-use crate::analysis::{block_leaders, can_fault, RegSet};
+use crate::analysis::{can_fault, RegSet};
+use crate::cfg::Cfg;
 use crate::instr::{Instr, Op, Reg};
 use crate::program::Program;
 use std::cell::Cell;
@@ -427,54 +428,18 @@ pub trait ForwardAnalysis {
 /// block) would otherwise make the fixpoint quadratic in `n_regs`.
 const WIDEN_LIMIT: u32 = 4;
 
-/// A converged forward solution: one state per basic-block entry.
-#[derive(Debug, Clone)]
-pub struct BlockStates<S> {
-    /// Block leaders, ascending (see [`block_leaders`]).
-    pub leaders: Vec<usize>,
-    /// State at each block's entry; `None` for unreachable blocks.
-    pub entry: Vec<Option<S>>,
-}
-
-impl<S> BlockStates<S> {
-    /// The block containing `pc`.
-    pub fn block_of(&self, pc: usize) -> usize {
-        self.leaders.partition_point(|&l| l <= pc) - 1
-    }
-
-    /// Whether `pc` is reachable from the entry.
-    pub fn reachable(&self, pc: usize) -> bool {
-        self.entry[self.block_of(pc)].is_some()
-    }
-}
-
-/// Successor pcs of the instruction at `pc`, *including* targets one
-/// past the end (unlike [`crate::analysis::successors`], which hides
-/// them); callers filter `>= len` as the `FellOffEnd` edge.
-fn succ_edges(prog: &Program, pc: usize) -> Vec<usize> {
-    match &prog.instrs[pc] {
-        Instr::Halt => vec![],
-        Instr::Goto { target } => vec![*target as usize],
-        Instr::IfEmptyGoto { target, .. } => vec![*target as usize, pc + 1],
-        _ => vec![pc + 1],
-    }
-}
-
-/// Runs `analysis` to fixpoint over `prog`'s basic blocks.
+/// Runs `analysis` to fixpoint over the blocks of `cfg` (the CFG of
+/// `prog`), returning the state at each block's entry — `None` for
+/// blocks unreachable from the program entry.
 ///
 /// The program must be structurally valid ([`check_structure`] empty):
 /// transfer functions index registers without bounds checks.
-pub fn run_forward<A: ForwardAnalysis>(prog: &Program, analysis: &A) -> BlockStates<A::State> {
-    let n = prog.instrs.len();
-    let leaders = block_leaders(prog);
-    let nb = leaders.len();
-    let mut block_of = vec![0usize; n];
-    for (b, &l) in leaders.iter().enumerate() {
-        let end = leaders.get(b + 1).copied().unwrap_or(n);
-        for slot in &mut block_of[l..end] {
-            *slot = b;
-        }
-    }
+pub fn run_forward<A: ForwardAnalysis>(
+    prog: &Program,
+    cfg: &Cfg,
+    analysis: &A,
+) -> Vec<Option<A::State>> {
+    let nb = cfg.n_blocks();
     let mut entry: Vec<Option<A::State>> = (0..nb).map(|_| None).collect();
     let mut changes = vec![0u32; nb];
     // Lowest block first: codegen emits blocks in program order, so this
@@ -487,26 +452,21 @@ pub fn run_forward<A: ForwardAnalysis>(prog: &Program, analysis: &A) -> BlockSta
         work.insert(0);
     }
     while let Some(b) = work.pop_first() {
-        let st0 = entry[b].clone().expect("queued blocks have entry states");
-        let mut st = Some(st0);
-        let end = leaders.get(b + 1).copied().unwrap_or(n);
-        for pc in leaders[b]..end {
+        let mut st = entry[b].clone();
+        for pc in cfg.range(b) {
             analysis.transfer(pc, &prog.instrs[pc], st.as_mut().expect("state present"));
         }
-        let last = end - 1;
-        let succs: Vec<usize> = succ_edges(prog, last)
-            .into_iter()
-            .filter(|s| *s < n) // FellOffEnd: nothing downstream executes
-            .collect();
-        for (k, &s) in succs.iter().enumerate() {
+        let last = cfg.last(b);
+        let succs = cfg.succs(b);
+        for (k, &tb) in succs.iter().enumerate() {
+            let tb = tb as usize;
             // The last edge takes the state by move; earlier edges clone.
             let mut es = if k + 1 == succs.len() {
                 st.take().expect("state present")
             } else {
                 st.as_ref().expect("state present").clone()
             };
-            analysis.refine_edge(last, &prog.instrs[last], s, &mut es);
-            let tb = block_of[s];
+            analysis.refine_edge(last, &prog.instrs[last], cfg.leader(tb), &mut es);
             let changed = match &mut entry[tb] {
                 Some(cur) => analysis.join(cur, &es),
                 slot @ None => {
@@ -524,25 +484,24 @@ pub fn run_forward<A: ForwardAnalysis>(prog: &Program, analysis: &A) -> BlockSta
             }
         }
     }
-    BlockStates { leaders, entry }
+    entry
 }
 
 /// Walks a converged solution through every reachable block, calling
 /// `visit(pc, instr, state)` with the state *before* each instruction.
 pub fn replay<A: ForwardAnalysis>(
     prog: &Program,
+    cfg: &Cfg,
     analysis: &A,
-    states: &BlockStates<A::State>,
+    states: &[Option<A::State>],
     mut visit: impl FnMut(usize, &Instr, &A::State),
 ) {
-    let n = prog.instrs.len();
-    for (b, &l) in states.leaders.iter().enumerate() {
-        let Some(st0) = &states.entry[b] else {
+    for (b, st0) in states.iter().enumerate() {
+        let Some(st0) = st0 else {
             continue;
         };
         let mut st = st0.clone();
-        let end = states.leaders.get(b + 1).copied().unwrap_or(n);
-        for pc in l..end {
+        for pc in cfg.range(b) {
             visit(pc, &prog.instrs[pc], &st);
             analysis.transfer(pc, &prog.instrs[pc], &mut st);
         }
@@ -984,23 +943,6 @@ const LEN_BUDGET: usize = 1 << 18;
 /// need no per-register state.
 const INIT_BUDGET: usize = 1 << 25;
 
-/// Pure reachability as a degenerate dataflow (`State = ()`): blocks
-/// reached from the entry get `Some(())`.  O(edges), no per-register
-/// cost — usable at any program size.
-struct Reachability;
-
-impl ForwardAnalysis for Reachability {
-    type State = ();
-
-    fn entry_state(&self, _prog: &Program) {}
-
-    fn transfer(&self, _pc: usize, _ins: &Instr, _state: &mut ()) {}
-
-    fn join(&self, _state: &mut (), _incoming: &()) -> bool {
-        false // first touch marks the block; nothing to refine after
-    }
-}
-
 /// Verifies `prog`: structural checks, then (if structurally valid)
 /// definite initialization, reachability/fall-off, and fault-site
 /// classification under the abstract length domain.
@@ -1029,17 +971,16 @@ fn verify_with(prog: &Program, lengths: bool) -> Report {
         return report; // dataflow would index out of bounds
     }
 
-    // Reachability first: O(edges), meaningful at any size, and the
-    // budgeted analyses below reuse it.
-    let reach = run_forward(prog, &Reachability);
-    let nb = reach.leaders.len();
-    let work = nb.saturating_mul(prog.n_regs);
+    // The block graph first: O(edges), meaningful at any size, and
+    // every analysis below runs on it.
+    let cfg = Cfg::build(prog);
+    let work = cfg.n_blocks().saturating_mul(prog.n_regs);
 
     // Definite initialization.
     report.init_analysis_skipped = work > INIT_BUDGET;
     if !report.init_analysis_skipped {
-        let init = run_forward(prog, &DefiniteInit);
-        replay(prog, &DefiniteInit, &init, |pc, ins, st| {
+        let init = run_forward(prog, &cfg, &DefiniteInit);
+        replay(prog, &cfg, &DefiniteInit, &init, |pc, ins, st| {
             for r in ins.inputs() {
                 if !st.contains(r) {
                     report.uninit_reads.push((pc, r));
@@ -1057,7 +998,7 @@ fn verify_with(prog: &Program, lengths: bool) -> Report {
 
     // Reachability-derived findings.
     for pc in 0..n {
-        if !reach.reachable(pc) {
+        if !cfg.reachable(pc) {
             report.unreachable.push(pc);
             continue;
         }
@@ -1076,14 +1017,14 @@ fn verify_with(prog: &Program, lengths: bool) -> Report {
     report.length_analysis_skipped = !lengths || work > LEN_BUDGET;
     if report.length_analysis_skipped {
         for pc in 0..n {
-            if reach.reachable(pc) && can_fault(&prog.instrs[pc]) {
+            if cfg.reachable(pc) && can_fault(&prog.instrs[pc]) {
                 record_fault(&mut report, pc, &prog.instrs[pc], None);
             }
         }
     } else {
         let analysis = LengthAnalysis::new();
-        let lens = run_forward(prog, &analysis);
-        replay(prog, &analysis, &lens, |pc, ins, st| {
+        let lens = run_forward(prog, &cfg, &analysis);
+        replay(prog, &cfg, &analysis, &lens, |pc, ins, st| {
             if can_fault(ins) {
                 record_fault(&mut report, pc, ins, Some(st));
             }

@@ -420,8 +420,8 @@ pub fn exp_fusion() {
 /// analysis finishes under 2 s; every pack kernel *within the analyzer's
 /// own budget* ([`bvram::cost::COST_BUDGET`], blocks × registers — the
 /// scalar-map kernels pack actually wins on all qualify) must
-/// additionally carry a finite (non-`⊤`) bound, or plan selection
-/// degrades to the size heuristic.
+/// additionally carry a finite (non-`⊤`) bound, or the planner can only
+/// ever pick lanes for them.
 pub fn exp_cost() {
     println!("\n## EXP-COST: symbolic cost analyzer budget\n");
     println!("claim: analyzing the largest cached pack kernel stays under 2s\n");
@@ -458,10 +458,9 @@ pub fn exp_cost() {
             }
             // The finite-bound requirement applies to kernels the
             // analyzer actually analyzes: past COST_BUDGET it returns ⊤
-            // without running (and plan selection falls back to the
-            // size heuristic by design).
-            let analyzable = bvram::analysis::block_leaders(&art.program)
-                .len()
+            // without running (and the planner then picks lanes).
+            let analyzable = bvram::cfg::Cfg::build(&art.program)
+                .n_blocks()
                 .saturating_mul(art.program.n_regs)
                 <= bvram::cost::COST_BUDGET;
             if what == "pack" && analyzable {

@@ -21,7 +21,8 @@
 //! never merge.
 
 use super::remove_marked;
-use bvram::analysis::{block_leaders, successors, RegSet};
+use bvram::analysis::RegSet;
+use bvram::cfg::Cfg;
 use bvram::{Instr, Program, Reg};
 
 /// Pass name used by translation-validation diagnostics.
@@ -91,19 +92,14 @@ pub fn coalesce_moves(prog: &mut Program) -> bool {
     };
 
     // 2. Block structure.
-    let mut leaders = block_leaders(prog);
-    leaders.push(n);
-    let nblocks = leaders.len() - 1;
-    let mut block_of = vec![0usize; n];
-    for b in 0..nblocks {
-        block_of[leaders[b]..leaders[b + 1]].fill(b);
-    }
+    let cfg = Cfg::build(prog);
+    let nblocks = cfg.n_blocks();
 
     // 3. Block-level backward liveness over the candidate universe.
     let mut gen = vec![RegSet::new(ncand); nblocks];
     let mut kill = vec![RegSet::new(ncand); nblocks];
     for b in 0..nblocks {
-        for pc in leaders[b]..leaders[b + 1] {
+        for pc in cfg.range(b) {
             let ins = &prog.instrs[pc];
             for u in uses_of(ins, prog.r_out) {
                 if let Some(c) = cand(u) {
@@ -131,24 +127,16 @@ pub fn coalesce_moves(prog: &mut Program) -> bool {
                 {
                     let t = *target as usize;
                     if t < n {
-                        gen[block_of[t]].insert(c);
+                        gen[cfg.block_of(t)].insert(c);
                     }
                 }
             }
         }
     }
     // Predecessor-driven worklist fixpoint: a block is revisited only
-    // when a successor's live-in grows.
-    // A jump target may legally point one past the end (the run faults
-    // FellOffEnd there), so successor indices must be bounds-checked.
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); nblocks];
-    for b in 0..nblocks {
-        for s in successors(prog, leaders[b + 1] - 1) {
-            if s < n {
-                preds[block_of[s]].push(b);
-            }
-        }
-    }
+    // when a successor's live-in grows.  (The CFG has no edge for a jump
+    // one past the end, and none out of unreachable blocks: nothing a
+    // dead block reads stays live on its account.)
     let mut live_in = vec![RegSet::new(ncand); nblocks];
     let mut live_out = vec![RegSet::new(ncand); nblocks];
     let mut on_list = vec![true; nblocks];
@@ -157,10 +145,8 @@ pub fn coalesce_moves(prog: &mut Program) -> bool {
     while let Some(b) = worklist.pop() {
         on_list[b] = false;
         let mut out = std::mem::replace(&mut live_out[b], RegSet::new(0));
-        for s in successors(prog, leaders[b + 1] - 1) {
-            if s < n {
-                out.union_with(&live_in[block_of[s]]);
-            }
+        for &s in cfg.succs(b) {
+            out.union_with(&live_in[s as usize]);
         }
         inn.clone_from_set(&out);
         live_out[b] = out;
@@ -168,10 +154,10 @@ pub fn coalesce_moves(prog: &mut Program) -> bool {
         inn.union_with(&gen[b]);
         if inn != live_in[b] {
             live_in[b].clone_from_set(&inn);
-            for &p in &preds[b] {
-                if !on_list[p] {
-                    on_list[p] = true;
-                    worklist.push(p);
+            for &p in cfg.preds(b) {
+                if !on_list[p as usize] {
+                    on_list[p as usize] = true;
+                    worklist.push(p as usize);
                 }
             }
         }
@@ -204,9 +190,9 @@ pub fn coalesce_moves(prog: &mut Program) -> bool {
             adj[b as usize].insert(a);
         }
     }
-    for b in 0..nblocks {
-        let mut live = live_out[b].clone();
-        for pc in (leaders[b]..leaders[b + 1]).rev() {
+    for (b, out) in live_out.iter().enumerate() {
+        let mut live = out.clone();
+        for pc in cfg.range(b).rev() {
             let ins = &prog.instrs[pc];
             if let Some(d) = ins.output() {
                 if let Some(cd) = cand(d) {

@@ -1,5 +1,6 @@
-//! Block-level CFG + dominator scaffolding for the cross-block passes
-//! ([`super::gcse`], [`super::strength`]).
+//! Single-definition register facts for the cross-block passes
+//! ([`super::gcse`], [`super::strength`]), on top of the shared block
+//! graph and dominator tree of [`bvram::cfg::Cfg`].
 //!
 //! Both passes reason about *single-definition* registers — the code
 //! generator allocates one fresh register per temporary, so almost every
@@ -7,212 +8,36 @@
 //! facts fast:
 //!
 //! * does the (unique) definition of a register dominate a given use, so
-//!   the use can never observe the register's initial empty value;
+//!   the use can never observe the register's initial empty value
+//!   ([`Cfg::pc_dominates`] on the defining pc recorded here);
 //! * is a register an untouched input (defined at machine entry, never
 //!   written), which dominates everything trivially.
-//!
-//! Dominators are computed per *block* with the Cooper–Harvey–Kennedy
-//! iterative algorithm, then flattened to an Euler interval (`tin`/
-//! `tout`) on the dominator tree so instruction-level dominance queries
-//! are O(1) — the compiled kernels these passes run on reach hundreds of
-//! thousands of instructions across thousands of blocks.
 
-use bvram::analysis::{block_leaders, reachable, successors};
+use bvram::cfg::Cfg;
 use bvram::{Program, Reg};
-
-/// Block-level control-flow facts with O(1) dominance queries.
-pub(crate) struct Cfg {
-    /// `block_of[pc]` = index of the block containing `pc`.
-    block_of: Vec<u32>,
-    /// Entry-reachability per instruction.
-    pub reach: Vec<bool>,
-    /// Euler-tour entry time per block on the dominator tree
-    /// (`u32::MAX` for unreachable blocks).
-    tin: Vec<u32>,
-    /// Euler-tour exit time per block.
-    tout: Vec<u32>,
-}
-
-impl Cfg {
-    /// Builds the CFG and dominator tree of `prog`.
-    pub fn build(prog: &Program) -> Cfg {
-        let n = prog.instrs.len();
-        let mut leaders = block_leaders(prog);
-        let nb = leaders.len();
-        leaders.push(n);
-        let mut block_of = vec![0u32; n];
-        for b in 0..nb {
-            block_of[leaders[b]..leaders[b + 1]].fill(b as u32);
-        }
-        let reach = reachable(prog);
-        // A block is reachable iff its leader is (blocks are straight-line).
-        let block_reach: Vec<bool> = (0..nb).map(|b| reach[leaders[b]]).collect();
-        let block_succs: Vec<Vec<u32>> = (0..nb)
-            .map(|b| {
-                if !block_reach[b] {
-                    return vec![];
-                }
-                successors(prog, leaders[b + 1] - 1)
-                    .into_iter()
-                    .filter(|&s| s < n)
-                    .map(|s| block_of[s])
-                    .collect()
-            })
-            .collect();
-        let mut preds: Vec<Vec<u32>> = vec![vec![]; nb];
-        for (b, succs) in block_succs.iter().enumerate() {
-            for &s in succs {
-                preds[s as usize].push(b as u32);
-            }
-        }
-        // Reverse postorder over reachable blocks (entry = block 0).
-        let mut rpo = Vec::with_capacity(nb);
-        if nb > 0 && block_reach[0] {
-            let mut state = vec![0u8; nb]; // 0 unvisited, 1 on stack, 2 done
-            let mut stack: Vec<(u32, usize)> = vec![(0, 0)];
-            state[0] = 1;
-            while let Some((b, i)) = stack.last_mut() {
-                let succs = &block_succs[*b as usize];
-                if *i < succs.len() {
-                    let s = succs[*i];
-                    *i += 1;
-                    if state[s as usize] == 0 {
-                        state[s as usize] = 1;
-                        stack.push((s, 0));
-                    }
-                } else {
-                    state[*b as usize] = 2;
-                    rpo.push(*b);
-                    stack.pop();
-                }
-            }
-            rpo.reverse();
-        }
-        let mut rpo_num = vec![u32::MAX; nb];
-        for (i, &b) in rpo.iter().enumerate() {
-            rpo_num[b as usize] = i as u32;
-        }
-        // Cooper–Harvey–Kennedy iterative idoms.
-        let mut idom = vec![u32::MAX; nb];
-        if !rpo.is_empty() {
-            idom[rpo[0] as usize] = rpo[0];
-        }
-        let intersect = |idom: &[u32], mut a: u32, mut b: u32| -> u32 {
-            while a != b {
-                while rpo_num[a as usize] > rpo_num[b as usize] {
-                    a = idom[a as usize];
-                }
-                while rpo_num[b as usize] > rpo_num[a as usize] {
-                    b = idom[b as usize];
-                }
-            }
-            a
-        };
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new = u32::MAX;
-                for &p in &preds[b as usize] {
-                    if idom[p as usize] == u32::MAX {
-                        continue;
-                    }
-                    new = if new == u32::MAX {
-                        p
-                    } else {
-                        intersect(&idom, new, p)
-                    };
-                }
-                if new != u32::MAX && idom[b as usize] != new {
-                    idom[b as usize] = new;
-                    changed = true;
-                }
-            }
-        }
-        // Dominator-tree children, then an Euler tour for O(1) queries.
-        let mut children: Vec<Vec<u32>> = vec![vec![]; nb];
-        for &b in rpo.iter().skip(1) {
-            children[idom[b as usize] as usize].push(b);
-        }
-        let mut tin = vec![u32::MAX; nb];
-        let mut tout = vec![u32::MAX; nb];
-        let mut clock = 0u32;
-        if !rpo.is_empty() {
-            let mut stack: Vec<(u32, usize)> = vec![(rpo[0], 0)];
-            tin[rpo[0] as usize] = clock;
-            clock += 1;
-            while let Some((b, i)) = stack.last_mut() {
-                let kids = &children[*b as usize];
-                if *i < kids.len() {
-                    let k = kids[*i];
-                    *i += 1;
-                    tin[k as usize] = clock;
-                    clock += 1;
-                    stack.push((k, 0));
-                } else {
-                    tout[*b as usize] = clock;
-                    clock += 1;
-                    stack.pop();
-                }
-            }
-        }
-        Cfg {
-            block_of,
-            reach,
-            tin,
-            tout,
-        }
-    }
-
-    /// Whether block `a` dominates block `b` (reflexive).
-    fn block_dominates(&self, a: u32, b: u32) -> bool {
-        let (a, b) = (a as usize, b as usize);
-        self.tin[a] != u32::MAX
-            && self.tin[b] != u32::MAX
-            && self.tin[a] <= self.tin[b]
-            && self.tout[b] <= self.tout[a]
-    }
-
-    /// Whether the definition at `d` dominates the use at `u`: every
-    /// execution reaching `u` has already executed `d`.  Within a block
-    /// this is program order; across blocks it is block dominance
-    /// (blocks are straight-line, so entering a block executes all of it
-    /// or faults before reaching anything it dominates).
-    pub fn def_dominates_use(&self, d: usize, u: usize) -> bool {
-        if !self.reach[d] || !self.reach[u] {
-            return false;
-        }
-        let (bd, bu) = (self.block_of[d], self.block_of[u]);
-        if bd == bu {
-            d < u
-        } else {
-            self.block_dominates(bd, bu)
-        }
-    }
-}
 
 /// Definition counts over the reachable instructions, classifying the
 /// single-definition registers the cross-block passes track.
-pub(crate) struct Defs {
+pub(crate) struct Defs<'a> {
+    cfg: &'a Cfg,
     count: Vec<u32>,
     /// Defining pc for single-def registers (last seen otherwise).
     pub pc: Vec<usize>,
     r_in: usize,
     /// For input registers with exactly one instruction definition
     /// (output staging typically rewrites the low registers at the very
-    /// end): the pcs reachable *after* that definition executes, where
-    /// the entry value may already be gone.
+    /// end): the blocks enterable *after* that definition executes,
+    /// where the entry value may already be gone.
     post_def: Vec<Option<Box<[bool]>>>,
 }
 
-impl Defs {
+impl<'a> Defs<'a> {
     /// Counts reachable definitions of every register.
-    pub fn build(prog: &Program, cfg: &Cfg) -> Defs {
-        let n = prog.instrs.len();
+    pub fn build(prog: &Program, cfg: &'a Cfg) -> Defs<'a> {
         let mut count = vec![0u32; prog.n_regs];
         let mut pc = vec![usize::MAX; prog.n_regs];
         for (i, ins) in prog.instrs.iter().enumerate() {
-            if !cfg.reach[i] {
+            if !cfg.reachable(i) {
                 continue;
             }
             if let Some(d) = ins.output() {
@@ -225,18 +50,17 @@ impl Defs {
             if count[r] != 1 {
                 continue;
             }
-            let mut seen = vec![false; n].into_boxed_slice();
-            let mut stack = successors(prog, pc[r]);
-            while let Some(q) = stack.pop() {
-                if q >= n || seen[q] {
-                    continue;
+            let mut seen = vec![false; cfg.n_blocks()].into_boxed_slice();
+            let mut stack = cfg.succs(cfg.block_of(pc[r])).to_vec();
+            while let Some(b) = stack.pop() {
+                if !std::mem::replace(&mut seen[b as usize], true) {
+                    stack.extend(cfg.succs(b as usize));
                 }
-                seen[q] = true;
-                stack.extend(successors(prog, q));
             }
             post_def[r] = Some(seen);
         }
         Defs {
+            cfg,
             count,
             pc,
             r_in: prog.r_in,
@@ -254,7 +78,12 @@ impl Defs {
         }
         match (self.count[i], &self.post_def[i]) {
             (0, _) => true,
-            (1, Some(post)) => !post[use_pc],
+            (1, Some(post)) => {
+                // After the definition: the rest of its own block, and
+                // every block enterable from there.
+                let (bd, bu) = (self.cfg.block_of(self.pc[i]), self.cfg.block_of(use_pc));
+                !(post[bu] || (bd == bu && use_pc > self.pc[i]))
+            }
             _ => false,
         }
     }
@@ -263,5 +92,11 @@ impl Defs {
     /// definition shadowing it.
     pub fn is_single_def(&self, r: Reg) -> bool {
         (r as usize) >= self.r_in && self.count[r as usize] == 1
+    }
+
+    /// Whether `r` is single-definition and that definition dominates
+    /// the use at `use_pc`, so the use reads one run-invariant value.
+    pub fn def_dominates(&self, r: Reg, use_pc: usize) -> bool {
+        self.is_single_def(r) && self.cfg.pc_dominates(self.pc[r as usize], use_pc)
     }
 }

@@ -35,7 +35,8 @@
 //! Every rewrite preserves values, lengths, and fault behavior exactly,
 //! so per-input `T'`/`W'` never increase.
 
-use super::dom::{Cfg, Defs};
+use super::dom::Defs;
+use bvram::cfg::Cfg;
 use bvram::{Instr, Op, Program, Reg};
 use std::collections::HashMap;
 
@@ -86,7 +87,7 @@ pub fn eliminate(prog: &mut Program) -> bool {
     let mut changed = false;
 
     for pc in 0..n {
-        if !cfg.reach[pc] {
+        if !cfg.reachable(pc) {
             continue;
         }
         let ins = prog.instrs[pc].clone();
@@ -103,7 +104,7 @@ pub fn eliminate(prog: &mut Program) -> bool {
                 return Some(leaf_vn[r as usize]);
             }
             let v = vn[r as usize]?;
-            (defs.is_single_def(r) && cfg.def_dominates_use(defs.pc[r as usize], pc)).then_some(v)
+            defs.def_dominates(r, pc).then_some(v)
         };
         if let Instr::Move { src, .. } = &ins {
             vn[dst as usize] = operand(*src, &vn);
@@ -168,7 +169,7 @@ pub fn eliminate(prog: &mut Program) -> bool {
                 // additionally needs the representative's definition to
                 // dominate the duplicate's.
                 vn[dst as usize] = Some(v);
-                if cfg.def_dominates_use(rep_pc, pc) {
+                if cfg.pc_dominates(rep_pc, pc) {
                     match ins {
                         Instr::Arith { .. } | Instr::BmRoute { .. } => {
                             prog.instrs[pc] = Instr::Move { dst, src: rep };
@@ -193,7 +194,7 @@ pub fn eliminate(prog: &mut Program) -> bool {
     // use sites the duplicate's definition dominates.
     if !replace.is_empty() {
         for pc in 0..n {
-            if !cfg.reach[pc] {
+            if !cfg.reachable(pc) {
                 continue;
             }
             let ins = &mut prog.instrs[pc];
@@ -203,7 +204,7 @@ pub fn eliminate(prog: &mut Program) -> bool {
                     return r;
                 }
                 match replace.get(&r) {
-                    Some(&(rep, def_pc)) if cfg.def_dominates_use(def_pc, pc) => {
+                    Some(&(rep, def_pc)) if cfg.pc_dominates(def_pc, pc) => {
                         changed = true;
                         rep
                     }

@@ -7,7 +7,7 @@
 //! * instructions unreachable from the entry are deleted.
 
 use super::remove_marked;
-use bvram::analysis::reachable;
+use bvram::cfg::Cfg;
 use bvram::{Instr, Program};
 
 /// Pass name used by translation-validation diagnostics.
@@ -51,13 +51,14 @@ pub fn thread_jumps(prog: &mut Program) -> bool {
         }
     }
     // 2. Delete fallthrough gotos and unreachable instructions.
-    let seen = reachable(prog);
+    let cfg = Cfg::build(prog);
     let delete: Vec<bool> = prog
         .instrs
         .iter()
         .enumerate()
         .map(|(pc, ins)| {
-            !seen[pc] || matches!(ins, Instr::Goto { target } if *target as usize == pc + 1)
+            !cfg.reachable(pc)
+                || matches!(ins, Instr::Goto { target } if *target as usize == pc + 1)
         })
         .collect();
     remove_marked(prog, &delete) | changed

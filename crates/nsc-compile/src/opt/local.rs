@@ -24,7 +24,7 @@
 //!   output can exceed the route's own cost, e.g. for cartesian products.)
 
 use super::remove_marked;
-use bvram::analysis::block_leaders;
+use bvram::cfg::Cfg;
 use bvram::{Instr, Op, Program, Reg};
 use std::collections::HashMap;
 
@@ -154,18 +154,14 @@ pub fn propagate_and_number(prog: &mut Program) -> bool {
     if n == 0 {
         return false;
     }
-    let mut leaders = block_leaders(prog);
-    leaders.push(n);
+    let cfg = Cfg::build(prog);
     let mut delete = vec![false; n];
     let mut changed = false;
 
     let mut st = BlockState::new(prog.n_regs);
-    for w in leaders.windows(2) {
-        let (start, end) = (w[0], w[1]);
+    for b in 0..cfg.n_blocks() {
         st.reset_block();
-        // `pc` indexes both `prog.instrs` and `delete`.
-        #[allow(clippy::needless_range_loop)]
-        for pc in start..end {
+        for pc in cfg.range(b) {
             let ins = &mut prog.instrs[pc];
             // 1. Rewrite uses through the copy map.
             let out = ins.output();

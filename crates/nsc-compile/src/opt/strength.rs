@@ -33,7 +33,8 @@
 //! fault-free instruction, so per-input `T'` is unchanged and `W'` never
 //! increases.
 
-use super::dom::{Cfg, Defs};
+use super::dom::Defs;
+use bvram::cfg::Cfg;
 use bvram::{Instr, Op, Program, Reg};
 use std::collections::HashMap;
 
@@ -100,7 +101,7 @@ pub fn reduce(prog: &mut Program) -> bool {
     // registers, so later rewrites can rely on them anywhere (fills) or
     // under dominance (lengths).
     for pc in 0..n {
-        if !cfg.reach[pc] {
+        if !cfg.reachable(pc) {
             continue;
         }
         let ins = prog.instrs[pc].clone();
@@ -117,7 +118,7 @@ pub fn reduce(prog: &mut Program) -> bool {
                 return Some(leaf_len[r as usize]);
             }
             let v = f.len[r as usize]?;
-            (defs.is_single_def(r) && cfg.def_dominates_use(defs.pc[r as usize], pc)).then_some(v)
+            defs.def_dominates(r, pc).then_some(v)
         };
         match ins {
             Instr::Move { src, .. } => {
@@ -207,7 +208,7 @@ pub fn reduce(prog: &mut Program) -> bool {
     // the facts stay valid as instructions change under them.
     let mut changed = false;
     for pc in 0..n {
-        if !cfg.reach[pc] {
+        if !cfg.reachable(pc) {
             continue;
         }
         // Length number of `r` as observed at this pc, if fixed here.
@@ -216,7 +217,7 @@ pub fn reduce(prog: &mut Program) -> bool {
                 return Some(leaf_len[r as usize]);
             }
             let v = f.len[r as usize]?;
-            (defs.is_single_def(r) && cfg.def_dominates_use(defs.pc[r as usize], pc)).then_some(v)
+            defs.def_dominates(r, pc).then_some(v)
         };
         let same_len = |x: Reg, y: Reg, f: &Facts| -> bool {
             match (lv_at(x, f), lv_at(y, f)) {

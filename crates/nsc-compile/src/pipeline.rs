@@ -14,7 +14,7 @@
 use crate::codegen::compile_sa;
 use crate::layout::{regs_to_value, value_to_regs};
 use crate::opt::{optimize_checked, OptLevel, VerifyLevel};
-use bvram::{Machine, MachineError, ParMachine, Program, RunOutcome, StaticCost, Vector};
+use bvram::{Machine, MachineError, ParMachine, Program, RunOutcome, Vector};
 use nsc_algebra::nsa::from_nsc::func_to_nsa;
 use nsc_algebra::sa::flatten::{compile, compile_type, decode, encode};
 use nsc_core::cost::Cost;
@@ -32,10 +32,6 @@ pub struct Compiled {
     pub dom: Type,
     /// NSC codomain type.
     pub cod: Type,
-    /// Input-independent `T'`/`W'` summary of the optimized program (what
-    /// the compiled-program cache stores and the batch runtime's
-    /// pack-vs-lanes decision reads).
-    pub stat: StaticCost,
     /// Number of `map ∘ map` stages source-level fusion collapsed before
     /// translation ([`nsc_algebra::fuse`]); `0` at [`OptLevel::O0`] and
     /// for programs with no chained maps.
@@ -43,14 +39,12 @@ pub struct Compiled {
 }
 
 impl Compiled {
-    /// Wraps an already-built program, computing its static analysis.
+    /// Wraps an already-built program.
     pub fn from_parts(program: Program, dom: Type, cod: Type) -> Compiled {
-        let stat = StaticCost::of(&program);
         Compiled {
             program,
             dom,
             cod,
-            stat,
             fused_stages: 0,
         }
     }

@@ -21,13 +21,13 @@
 use crate::types::Type;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
 
 /// An interned identifier.
-pub type Ident = Rc<str>;
+pub type Ident = Arc<str>;
 
 /// A set of free variables, shared across nodes.
-pub type FvSet = Rc<BTreeSet<Ident>>;
+pub type FvSet = Arc<BTreeSet<Ident>>;
 
 /// Binary arithmetic operations from the paper's parameter set `Σ`.
 ///
@@ -187,7 +187,7 @@ struct TermNode {
 
 /// A term of NSC, with cached free variables.
 #[derive(Clone)]
-pub struct Term(Rc<TermNode>);
+pub struct Term(Arc<TermNode>);
 
 /// The shape of a function.
 #[derive(Debug)]
@@ -211,39 +211,37 @@ struct FuncNode {
 
 /// A function of NSC, with cached free variables.
 #[derive(Clone)]
-pub struct Func(Rc<FuncNode>);
+pub struct Func(Arc<FuncNode>);
 
 fn empty_fv() -> FvSet {
-    thread_local! {
-        static EMPTY: FvSet = Rc::new(BTreeSet::new());
-    }
-    EMPTY.with(Rc::clone)
+    static EMPTY: OnceLock<FvSet> = OnceLock::new();
+    Arc::clone(EMPTY.get_or_init(FvSet::default))
 }
 
 fn union(sets: &[&FvSet]) -> FvSet {
     let nonempty: Vec<&&FvSet> = sets.iter().filter(|s| !s.is_empty()).collect();
     match nonempty.len() {
         0 => empty_fv(),
-        1 => Rc::clone(nonempty[0]),
+        1 => Arc::clone(nonempty[0]),
         _ => {
             let mut out = BTreeSet::new();
             for s in nonempty {
                 out.extend(s.iter().cloned());
             }
-            Rc::new(out)
+            Arc::new(out)
         }
     }
 }
 
 fn minus(set: &FvSet, bound: &[&Ident]) -> FvSet {
     if bound.iter().all(|x| !set.contains(*x)) {
-        return Rc::clone(set);
+        return Arc::clone(set);
     }
     let mut out = (**set).clone();
     for x in bound {
         out.remove(*x);
     }
-    Rc::new(out)
+    Arc::new(out)
 }
 
 impl Term {
@@ -251,8 +249,8 @@ impl Term {
         let fv = match &kind {
             TermK::Var(x) => {
                 let mut s = BTreeSet::new();
-                s.insert(Rc::clone(x));
-                Rc::new(s)
+                s.insert(Arc::clone(x));
+                Arc::new(s)
             }
             TermK::Error(_) | TermK::Const(_) | TermK::Unit | TermK::Empty(_) => empty_fv(),
             TermK::Arith(_, a, b)
@@ -269,7 +267,7 @@ impl Term {
             | TermK::Flatten(a)
             | TermK::Length(a)
             | TermK::Get(a)
-            | TermK::Enumerate(a) => Rc::clone(a.fv()),
+            | TermK::Enumerate(a) => Arc::clone(a.fv()),
             TermK::Case(m, x, n, y, p) => {
                 let n_fv = minus(n.fv(), &[x]);
                 let p_fv = minus(p.fv(), &[y]);
@@ -277,7 +275,7 @@ impl Term {
             }
             TermK::Apply(f, m) => union(&[f.fv(), m.fv()]),
         };
-        Term(Rc::new(TermNode { kind, fv }))
+        Term(Arc::new(TermNode { kind, fv }))
     }
 
     /// The shape of this term.
@@ -295,11 +293,11 @@ impl Func {
     fn mk(kind: FuncK) -> Func {
         let fv = match &kind {
             FuncK::Lambda(x, _, body) => minus(body.fv(), &[x]),
-            FuncK::Map(f) => Rc::clone(f.fv()),
+            FuncK::Map(f) => Arc::clone(f.fv()),
             FuncK::While(p, f) => union(&[p.fv(), f.fv()]),
             FuncK::Named(_) => empty_fv(),
         };
-        Func(Rc::new(FuncNode { kind, fv }))
+        Func(Arc::new(FuncNode { kind, fv }))
     }
 
     /// The shape of this function.
@@ -320,7 +318,7 @@ impl Func {
 
 /// Interns an identifier.
 pub fn ident(name: &str) -> Ident {
-    Rc::from(name)
+    Arc::from(name)
 }
 
 /// Variable reference.
@@ -539,12 +537,12 @@ pub fn named(name: &str) -> Func {
 // identical (same binder names, same annotations) — this is the relation the
 // round-trip law `parse(pretty(f)) == f` is stated in.  Pointer-equal nodes
 // short-circuit, so comparing a term against a rebuilt copy of itself stays
-// linear in the tree size despite shared `Rc` subtrees.
+// linear in the tree size despite shared `Arc` subtrees.
 // ---------------------------------------------------------------------------
 
 impl PartialEq for Term {
     fn eq(&self, other: &Term) -> bool {
-        if Rc::ptr_eq(&self.0, &other.0) {
+        if Arc::ptr_eq(&self.0, &other.0) {
             return true;
         }
         match (self.kind(), other.kind()) {
@@ -583,7 +581,7 @@ impl Eq for Term {}
 
 impl PartialEq for Func {
     fn eq(&self, other: &Func) -> bool {
-        if Rc::ptr_eq(&self.0, &other.0) {
+        if Arc::ptr_eq(&self.0, &other.0) {
             return true;
         }
         match (self.kind(), other.kind()) {
@@ -701,6 +699,6 @@ mod tests {
         // Singleton wrapping should share the child's set, not rebuild it.
         let x = var("x");
         let s = singleton(x.clone());
-        assert!(Rc::ptr_eq(x.fv(), s.fv()));
+        assert!(Arc::ptr_eq(x.fv(), s.fv()));
     }
 }

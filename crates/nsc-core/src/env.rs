@@ -83,7 +83,7 @@ mod tests {
     use std::collections::BTreeSet;
 
     fn fv(names: &[&str]) -> FvSet {
-        Rc::new(names.iter().map(|n| ident(n)).collect::<BTreeSet<_>>())
+        FvSet::new(names.iter().map(|n| ident(n)).collect::<BTreeSet<_>>())
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::value::{Kind, Value};
 use std::fmt;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// An NSC type.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -18,27 +18,27 @@ pub enum Type {
     /// `N`, nonnegative integers.
     Nat,
     /// Product `s × t`.
-    Prod(Rc<Type>, Rc<Type>),
+    Prod(Arc<Type>, Arc<Type>),
     /// Disjoint union `s + t`.
-    Sum(Rc<Type>, Rc<Type>),
+    Sum(Arc<Type>, Arc<Type>),
     /// Finite sequences `[t]`.
-    Seq(Rc<Type>),
+    Seq(Arc<Type>),
 }
 
 impl Type {
     /// Product type `a × b`.
     pub fn prod(a: Type, b: Type) -> Type {
-        Type::Prod(Rc::new(a), Rc::new(b))
+        Type::Prod(Arc::new(a), Arc::new(b))
     }
 
     /// Sum type `a + b`.
     pub fn sum(a: Type, b: Type) -> Type {
-        Type::Sum(Rc::new(a), Rc::new(b))
+        Type::Sum(Arc::new(a), Arc::new(b))
     }
 
     /// Sequence type `[t]`.
     pub fn seq(t: Type) -> Type {
-        Type::Seq(Rc::new(t))
+        Type::Seq(Arc::new(t))
     }
 
     /// The paper's boolean type `B = unit + unit`.

@@ -19,16 +19,15 @@
 //! **Decision rule** (see [`BatchRunner::plan`]): evaluate the cached
 //! program's *symbolic* work bound ([`bvram::CostReport`], derived once
 //! at cache insert) at each request's actual register lengths, and pack
-//! when the mean predicted per-request `W'` is at most the cutoff
-//! ([`PACK_WORK_CUTOFF`], overridable via the [`PACK_CUTOFF_ENV`]
-//! environment escape hatch) — such requests are dispatch-bound, and
-//! fusing amortizes the instruction stream across the batch — otherwise
-//! lanes, because data-bound requests saturate the hardware on their own
-//! and pack's fused control flow would couple every request to the
-//! slowest one (a compiled `while` runs all lanes until the deepest lane
-//! finishes).  When the bound is `⊤` (the analyzer could not certify a
-//! finite polynomial), the decision falls back to the input-size
-//! heuristic of [`bvram::StaticCost`].
+//! when the mean predicted per-request `W'` is at most
+//! [`PACK_WORK_CUTOFF`] — such requests are dispatch-bound, and fusing
+//! amortizes the instruction stream across the batch — otherwise lanes,
+//! because data-bound requests saturate the hardware on their own and
+//! pack's fused control flow would couple every request to the slowest
+//! one (a compiled `while` runs all lanes until the deepest lane
+//! finishes).  The certificate is the only cost model: when the bound is
+//! `⊤` (the analyzer could not certify a finite polynomial) nothing
+//! says the requests are small, so the batch runs as lanes.
 //!
 //! **Fault semantics.** Results are per request and bit-identical to a
 //! loop of single runs, including error classification (`Ω` vs compiler
@@ -79,18 +78,6 @@ impl BatchMode {
 /// thousands of register elements) matters, the exact value does not.
 pub const PACK_WORK_CUTOFF: u64 = 1 << 17;
 
-/// Environment variable overriding [`PACK_WORK_CUTOFF`] — the operator
-/// escape hatch when the symbolic cost model picks badly for a workload
-/// (set it to `0` to force lanes, to a huge value to force pack).
-pub const PACK_CUTOFF_ENV: &str = "NSC_PACK_CUTOFF";
-
-fn pack_cutoff() -> u64 {
-    std::env::var(PACK_CUTOFF_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(PACK_WORK_CUTOFF)
-}
-
 /// The cost model's decision for one batch (see [`BatchRunner::plan`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Plan {
@@ -99,7 +86,7 @@ pub struct Plan {
     /// Mean predicted per-request `W'` — the symbolic work bound
     /// evaluated at each request's actual register lengths.  `None` when
     /// the bound is `⊤` (or a request does not fit the domain), in which
-    /// case the scalar [`bvram::StaticCost`] heuristic made the call.
+    /// case the mode is [`BatchMode::Lanes`].
     pub predicted_work: Option<u64>,
 }
 
@@ -126,32 +113,18 @@ pub struct BatchOutcome {
     pub cost: Cost,
 }
 
-/// A per-thread handle running batches against one [`CachedProgram`].
-///
-/// The cached entry is `Send + Sync` and shared; the runner itself holds
-/// thread-local rebuilt [`Type`]s (which are `Rc`-based), so build one
-/// runner per serving thread — construction is `O(|type|)`.
+/// A handle running batches against one shared [`CachedProgram`] on one
+/// backend (`Send + Sync`; building one is an `Arc` clone).
 #[derive(Debug)]
 pub struct BatchRunner {
     cached: Arc<CachedProgram>,
     backend: Backend,
-    dom: Type,
-    cod: Type,
-    batch_dom: Type,
-    batch_cod: Type,
 }
 
 impl BatchRunner {
-    /// Wraps a cache entry for use on the calling thread.
+    /// Wraps a cache entry.
     pub fn new(cached: Arc<CachedProgram>, backend: Backend) -> BatchRunner {
-        BatchRunner {
-            dom: cached.single.dom(),
-            cod: cached.single.cod(),
-            batch_dom: cached.batch.dom(),
-            batch_cod: cached.batch.cod(),
-            backend,
-            cached,
-        }
+        BatchRunner { cached, backend }
     }
 
     /// Compiles (or fetches) `f : dom → …` from `cache` and wraps it.
@@ -178,24 +151,24 @@ impl BatchRunner {
         self.backend
     }
 
-    /// The NSC domain type of the single-request program (rebuilt on
-    /// this runner's thread).  Serving layers admission-check each
-    /// submitted request against this before batching it.
+    /// The NSC domain type of the single-request program.  Serving
+    /// layers admission-check each submitted request against this before
+    /// batching it.
     pub fn dom(&self) -> &Type {
-        &self.dom
+        &self.cached.single.dom
     }
 
     /// The NSC codomain type of the single-request program.
     pub fn cod(&self) -> &Type {
-        &self.cod
+        &self.cached.single.cod
     }
 
     /// Runs one request on the single-request program (the baseline every
     /// batch mode is measured against and must agree with).
     pub fn run_single(&self, arg: &Value) -> Result<(Value, Cost), EvalError> {
-        let regs = encode_arg(arg, &self.dom)?;
+        let regs = encode_arg(arg, self.dom())?;
         let out = run_program_on(&self.cached.single.program, regs, self.backend)?;
-        let val = decode_result(&out.outputs, &self.cod)?;
+        let val = decode_result(&out.outputs, self.cod())?;
         Ok((val, Cost::new(out.stats.time, out.stats.work)))
     }
 
@@ -204,50 +177,37 @@ impl BatchRunner {
     /// lengths.  `None` when the bound is `⊤` or the value does not fit
     /// the domain.
     pub fn predict_work(&self, input: &Value) -> Option<u64> {
-        let lens = arg_register_lengths(input, &self.dom).ok()?;
+        let lens = arg_register_lengths(input, self.dom()).ok()?;
         self.cached.single.cost.work.eval(&lens)
     }
 
     /// The cost model's pick for this batch: pack iff the mean predicted
     /// per-request `W'` — the symbolic bound evaluated at each request's
-    /// actual register lengths — is at most the cutoff
-    /// ([`PACK_WORK_CUTOFF`], or [`PACK_CUTOFF_ENV`] if set).  A `⊤`
-    /// bound falls back to the input-size heuristic of
-    /// [`bvram::StaticCost`].  See the module docs for why.
+    /// actual register lengths — is at most [`PACK_WORK_CUTOFF`].  A `⊤`
+    /// bound (or a request outside the domain) certifies nothing, so it
+    /// means lanes.  See the module docs for why.
     pub fn plan(&self, inputs: &[Value]) -> Plan {
-        let cutoff = pack_cutoff();
-        let b = inputs.len().max(1) as u64;
         let mut sum: u128 = 0;
-        let mut bounded = true;
         for v in inputs {
             match self.predict_work(v) {
                 Some(w) => sum += u128::from(w),
                 None => {
-                    bounded = false;
-                    break;
+                    return Plan {
+                        mode: BatchMode::Lanes,
+                        predicted_work: None,
+                    }
                 }
             }
         }
-        if bounded {
-            let mean = u64::try_from(sum / u128::from(b)).unwrap_or(u64::MAX);
-            Plan {
-                mode: if mean <= cutoff {
-                    BatchMode::Pack
-                } else {
-                    BatchMode::Lanes
-                },
-                predicted_work: Some(mean),
-            }
-        } else {
-            let mean_size = inputs.iter().map(Value::size).sum::<u64>() / b;
-            Plan {
-                mode: if self.cached.single.stat.predict_work(mean_size) <= cutoff {
-                    BatchMode::Pack
-                } else {
-                    BatchMode::Lanes
-                },
-                predicted_work: None,
-            }
+        let b = inputs.len().max(1) as u128;
+        let mean = u64::try_from(sum / b).unwrap_or(u64::MAX);
+        Plan {
+            mode: if mean <= PACK_WORK_CUTOFF {
+                BatchMode::Pack
+            } else {
+                BatchMode::Lanes
+            },
+            predicted_work: Some(mean),
         }
     }
 
@@ -277,9 +237,9 @@ impl BatchRunner {
     fn run_pack(&self, inputs: &[Value]) -> BatchOutcome {
         let fused = (|| -> Result<(Vec<Value>, Cost), EvalError> {
             let seqv = Value::seq(inputs.to_vec());
-            let regs = encode_arg(&seqv, &self.batch_dom)?;
+            let regs = encode_arg(&seqv, &self.cached.batch.dom)?;
             let out = run_program_on(&self.cached.batch.program, regs, self.backend)?;
-            let val = decode_result(&out.outputs, &self.batch_cod)?;
+            let val = decode_result(&out.outputs, &self.cached.batch.cod)?;
             let items = val
                 .as_seq()
                 .ok_or(EvalError::Stuck("batch kernel returned a non-sequence"))?
@@ -316,7 +276,7 @@ impl BatchRunner {
         let mut idx = Vec::with_capacity(b);
         let mut lanes = Vec::with_capacity(b);
         for (i, v) in inputs.iter().enumerate() {
-            match encode_arg(v, &self.dom) {
+            match encode_arg(v, self.dom()) {
                 Ok(regs) => {
                     idx.push(i);
                     lanes.push(regs);
@@ -334,7 +294,7 @@ impl BatchRunner {
             results[i] = Some(match out {
                 Ok(out) => {
                     cost = cost.par(Cost::new(out.stats.time, out.stats.work));
-                    decode_result(&out.outputs, &self.cod)
+                    decode_result(&out.outputs, self.cod())
                 }
                 Err(e) => Err(eval_error_of(e)),
             });
@@ -456,6 +416,51 @@ mod tests {
         let plan = r.plan(&big);
         assert_eq!(plan.mode, BatchMode::Lanes);
         assert!(plan.predicted_work.unwrap() > PACK_WORK_CUTOFF);
+    }
+
+    /// The certificate is the only cost model: a `⊤` bound plans lanes
+    /// whatever the batch looks like, and lanes still agrees with single
+    /// runs.
+    #[test]
+    fn top_certificate_plans_lanes_for_tiny_and_huge_batches_alike() {
+        let halve = a::while_(
+            a::lam("x", a::lt(a::nat(0), a::var("x"))),
+            a::lam("x", a::rshift(a::var("x"), a::nat(1))),
+        );
+        let hinted = runner(halve, Type::Nat, Backend::Seq);
+        // Strip the trip certificates: the compiled `while` is then an
+        // unhinted loop, which the analyzer cannot bound.
+        let entry = hinted.cached();
+        let mut single = entry.single.clone();
+        single.program.trip_hints.clear();
+        single.cost = bvram::cost_program(&single.program);
+        assert!(single.cost.work.is_top(), "{}", single.cost);
+        let r = BatchRunner::new(
+            Arc::new(CachedProgram {
+                key: entry.key.clone(),
+                single,
+                batch: entry.batch.clone(),
+            }),
+            Backend::Seq,
+        );
+        let tiny: Vec<Value> = vec![Value::nat(1), Value::nat(2)];
+        let huge: Vec<Value> = (0..512u64)
+            .map(|i| Value::nat(u64::MAX >> (i % 64)))
+            .collect();
+        for inputs in [tiny, huge] {
+            let lanes = Plan {
+                mode: BatchMode::Lanes,
+                predicted_work: None,
+            };
+            assert_eq!(r.plan(&inputs), lanes);
+            let out = r.run_batch(&inputs);
+            assert_eq!((out.mode, out.predicted_work), (BatchMode::Lanes, None));
+            let singles: Vec<_> = inputs
+                .iter()
+                .map(|v| r.run_single(v).map(|p| p.0))
+                .collect();
+            assert_eq!(out.results, singles);
+        }
     }
 
     #[test]

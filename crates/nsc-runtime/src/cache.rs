@@ -36,9 +36,8 @@
 //! distinct keys — callers that generate fresh names per request should
 //! normalize first or reuse the built AST.
 
-use crate::repr::{ErrorRepr, TypeRepr};
 use bvram::verify::verify_program_basic;
-use bvram::{cost_program, CostReport, Program, StaticCost};
+use bvram::{cost_program, CostReport, Program};
 use nsc_compile::{
     compile_nsc_opts, compile_nsc_with, optimize_checked, Backend, Compiled, OptLevel, VerifyLevel,
 };
@@ -75,50 +74,35 @@ impl CacheKey {
 }
 
 /// One compiled program plus everything needed to run it from any thread.
-///
-/// [`Type`] is `Rc`-based, so the domain/codomain travel as [`TypeRepr`]
-/// mirrors; [`Artifact::dom`]/[`Artifact::cod`] rebuild real types on the
-/// calling thread.
 #[derive(Debug, Clone)]
 pub struct Artifact {
     /// The optimized BVRAM program.
     pub program: Program,
-    /// Its input-independent `T'`/`W'` analysis.
-    pub stat: StaticCost,
     /// Its symbolic cost certificate: parametric `T'`/`W'` bounds over
     /// the input-register lengths, derived once at cache insert.  The
     /// batch runner evaluates this at actual request lengths to pick a
-    /// batching mode; `⊤` bounds fall back to [`Artifact::stat`].
+    /// batching mode; a `⊤` bound means lanes.
     pub cost: CostReport,
     /// `map ∘ map` stages source-level fusion collapsed before this
     /// program was translated (see `nsc_algebra::fuse`); `0` at `O0`
     /// and for programs with no chained maps.  Surfaced in `nsc bench
     /// --explain` and the serving metrics snapshot.
     pub fused_stages: usize,
-    dom: TypeRepr,
-    cod: TypeRepr,
+    /// The NSC domain type.
+    pub dom: Type,
+    /// The NSC codomain type.
+    pub cod: Type,
 }
 
 impl Artifact {
     fn of(c: Compiled) -> Artifact {
         Artifact {
-            stat: c.stat,
             cost: cost_program(&c.program),
             fused_stages: c.fused_stages,
-            dom: TypeRepr::of(&c.dom),
-            cod: TypeRepr::of(&c.cod),
+            dom: c.dom,
+            cod: c.cod,
             program: c.program,
         }
-    }
-
-    /// The NSC domain type, rebuilt on the calling thread.
-    pub fn dom(&self) -> Type {
-        self.dom.to_type()
-    }
-
-    /// The NSC codomain type, rebuilt on the calling thread.
-    pub fn cod(&self) -> Type {
-        self.cod.to_type()
     }
 }
 
@@ -175,9 +159,7 @@ fn verify_artifact(what: &str, program: &Program) -> Result<(), EvalError> {
     Ok(())
 }
 
-// Failures are stored as the Send-safe [`ErrorRepr`] mirror (the real
-// [`EvalError`] embeds `Rc`-based types) and rebuilt per requester.
-type Entry = Arc<OnceLock<Result<Arc<CachedProgram>, ErrorRepr>>>;
+type Entry = Arc<OnceLock<Result<Arc<CachedProgram>, EvalError>>>;
 
 /// A thread-safe compile-once cache over the Theorem 7.1 pipeline.
 #[derive(Default)]
@@ -275,17 +257,15 @@ impl CompiledCache {
                 verify_artifact("batch kernel", &kernel.program)?;
                 Ok((single, kernel))
             })();
-            match compiled {
-                Ok((single, kernel)) => Ok(Arc::new(CachedProgram {
+            compiled.map(|(single, kernel)| {
+                Arc::new(CachedProgram {
                     key: key.clone(),
                     single: Artifact::of(single),
                     batch: Artifact::of(kernel),
-                })),
-                Err(e) => Err(ErrorRepr::of(&e)),
-            }
+                })
+            })
         })
         .clone()
-        .map_err(|e| e.to_error())
     }
 }
 
@@ -414,10 +394,20 @@ mod tests {
         assert!(e.single.cost.work.eval(&[0, 0]).is_some());
     }
 
+    /// The core types are `Arc`-based, so everything the serving layers
+    /// share or hand across threads is `Send + Sync` as it is — no
+    /// thread-portable mirror types.  (`ServeError` is covered next to
+    /// its definition in `nsc-serve`.)
     #[test]
     fn entry_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Type>();
+        assert_send_sync::<ast::Term>();
+        assert_send_sync::<Func>();
+        assert_send_sync::<EvalError>();
+        assert_send_sync::<Compiled>();
         assert_send_sync::<CachedProgram>();
         assert_send_sync::<CompiledCache>();
+        assert_send_sync::<crate::BatchRunner>();
     }
 }

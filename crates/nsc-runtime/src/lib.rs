@@ -6,15 +6,15 @@
 //!
 //! * [`cache::CompiledCache`] — a thread-safe compile-once cache keyed by
 //!   `(function, opt level, backend)`.  Each entry holds the optimized
-//!   program, its static `T'`/`W'` analysis
-//!   ([`bvram::StaticCost`]), **and** the function's Map-Lemma batch
+//!   program, its symbolic `T'`/`W'` cost certificate
+//!   ([`bvram::CostReport`]), **and** the function's Map-Lemma batch
 //!   kernel `map(f)`, compiled alongside it.
 //! * [`batch::BatchRunner`] — executes `B` independent requests against
 //!   one cached entry, either *packed* (one fused BVRAM run of `map(f)`
 //!   over lane-offset registers — the paper's flattening aggregation
 //!   applied to request batching) or as *lanes* (rayon-parallel
-//!   per-request runs), choosing between them with the cost model's
-//!   predicted `W'`.
+//!   per-request runs), choosing between them with the certificate's
+//!   predicted `W'` at the requests' actual register lengths.
 //! * [`workloads`] — the shared program builders every bench and
 //!   experiment constructs its subjects from.
 //! * [`bench`](mod@bench) — wall-clock measurement records and the
@@ -29,7 +29,6 @@
 pub mod batch;
 pub mod bench;
 pub mod cache;
-pub mod repr;
 pub mod workloads;
 
 pub use batch::{BatchMode, BatchOutcome, BatchRunner, PACK_WORK_CUTOFF};

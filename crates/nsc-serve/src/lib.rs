@@ -37,13 +37,13 @@
 //!
 //! ### Threading
 //!
-//! `Func`, `Type`, and `Value` are `Rc`-based and cannot cross threads,
-//! so everything that crosses a thread boundary is *text*: functions are
-//! registered as their pretty-printed source (faithful by the parser
-//! round-trip property), inputs travel as value literals, outputs travel
-//! pretty-printed.  Each batcher thread parses and compiles on its own
-//! big stack and owns its `BatchRunner`; the compiled programs themselves
-//! are shared through the `Send + Sync` [`nsc_runtime::CompiledCache`].
+//! `Func` and `Type` are `Arc`-based, so a registered function is handed
+//! to its shard's batcher thread as it is; the batcher compiles it on its
+//! own big stack through the shared [`nsc_runtime::CompiledCache`] and
+//! owns the resulting `BatchRunner`.  `Value`s stay `Rc`-based and never
+//! cross a thread: inputs travel as value-literal *text* (parsed on the
+//! batcher thread), outputs travel pretty-printed, and the lanes pool is
+//! fed plain `u64` registers.
 #![warn(missing_docs)]
 
 pub mod front;
@@ -57,7 +57,7 @@ pub use metrics::Snapshot;
 pub use server::{ServeConfig, Server};
 pub use shard::Reply;
 
-use nsc_runtime::repr::ErrorRepr;
+use nsc_core::error::EvalError;
 use std::fmt;
 
 /// Why a request was not answered with an output.
@@ -91,7 +91,7 @@ pub enum ServeError {
     /// The compiled program's verdict for this request — `Ω` divergence,
     /// a machine fault, or another evaluation error, exactly as a single
     /// run would classify it.
-    Eval(ErrorRepr),
+    Eval(EvalError),
 }
 
 impl ServeError {
@@ -105,8 +105,8 @@ impl ServeError {
             ServeError::InvalidInput(_) => "parse",
             ServeError::Domain { .. } => "domain",
             ServeError::Compile(_) => "compile",
-            ServeError::Eval(ErrorRepr::Omega) => "omega",
-            ServeError::Eval(ErrorRepr::MachineFault(_)) => "fault",
+            ServeError::Eval(EvalError::Omega) => "omega",
+            ServeError::Eval(EvalError::MachineFault(_)) => "fault",
             ServeError::Eval(_) => "eval",
         }
     }
@@ -124,7 +124,7 @@ impl fmt::Display for ServeError {
                 write!(f, "input {value} does not inhabit the domain {dom}")
             }
             ServeError::Compile(msg) => write!(f, "compilation failed: {msg}"),
-            ServeError::Eval(e) => write!(f, "{}", e.to_error()),
+            ServeError::Eval(e) => write!(f, "{e}"),
         }
     }
 }
@@ -137,12 +137,12 @@ mod tests {
 
     #[test]
     fn kinds_classify_omega_vs_fault() {
-        assert_eq!(ServeError::Eval(ErrorRepr::Omega).kind(), "omega");
+        assert_eq!(ServeError::Eval(EvalError::Omega).kind(), "omega");
         assert_eq!(
-            ServeError::Eval(ErrorRepr::MachineFault("bad route".into())).kind(),
+            ServeError::Eval(EvalError::MachineFault("bad route".into())).kind(),
             "fault"
         );
-        assert_eq!(ServeError::Eval(ErrorRepr::DivisionByZero).kind(), "eval");
+        assert_eq!(ServeError::Eval(EvalError::DivisionByZero).kind(), "eval");
         assert_eq!(ServeError::Overloaded.kind(), "overloaded");
     }
 

@@ -267,8 +267,7 @@ pub struct Snapshot {
     /// the per-request fallback (paying for both disciplines), or it
     /// completed with more measured machine work than the predicted
     /// per-request `W'` × batch size budgeted.  A rising count says the
-    /// symbolic cost model is picking badly for this shard's workload —
-    /// the `NSC_PACK_CUTOFF` escape hatch is the operator's lever.
+    /// cost certificate is loose for this shard's workload.
     pub pack_slower: u64,
     /// Median request latency (admission → reply), nanoseconds.
     pub p50_latency_ns: u64,

@@ -63,15 +63,6 @@ impl std::fmt::Debug for ServeConfig {
     }
 }
 
-/// A registered function: pretty-printed sources, because ASTs are
-/// `Rc`-based and the shard re-parses on its own thread (faithful by the
-/// `parse(pretty(f)) == f` round-trip property).
-#[derive(Debug, Clone)]
-struct FnSpec {
-    fn_source: String,
-    dom_source: String,
-}
-
 /// The micro-batching request server.
 ///
 /// Register functions while you hold it exclusively, then share it
@@ -80,7 +71,7 @@ struct FnSpec {
 pub struct Server {
     cfg: ServeConfig,
     cache: Arc<CompiledCache>,
-    fns: HashMap<String, FnSpec>,
+    fns: HashMap<String, (Func, Type)>,
     shards: Mutex<HashMap<(String, Backend), Arc<Shard>>>,
     draining: AtomicBool,
 }
@@ -119,13 +110,7 @@ impl Server {
     /// registration of that name (existing shards keep serving the old
     /// definition; new shards see the new one — register before serving).
     pub fn register(&mut self, name: &str, f: &Func, dom: &Type) {
-        self.fns.insert(
-            name.to_string(),
-            FnSpec {
-                fn_source: f.to_string(),
-                dom_source: dom.to_string(),
-            },
-        );
+        self.fns.insert(name.to_string(), (f.clone(), dom.clone()));
     }
 
     /// Registers every definition of a parsed `.nsc` module that can be
@@ -179,7 +164,7 @@ impl Server {
         if self.draining.load(Ordering::SeqCst) {
             return Err(ServeError::ShuttingDown);
         }
-        let spec = self
+        let (f, dom) = self
             .fns
             .get(fn_name)
             .ok_or_else(|| ServeError::UnknownFunction(fn_name.to_string()))?;
@@ -199,8 +184,8 @@ impl Server {
                 cfg.backend = backend;
                 Arc::new(Shard::spawn(
                     fn_name,
-                    spec.fn_source.clone(),
-                    spec.dom_source.clone(),
+                    f.clone(),
+                    dom.clone(),
                     &cfg,
                     Arc::clone(&self.cache),
                 ))
@@ -283,6 +268,46 @@ mod tests {
         assert_eq!(snaps.len(), 1);
         assert_eq!(snaps[0].completed, 1);
         assert_eq!(snaps[0].queue_depth, 0);
+    }
+
+    /// A registered function reaches its shard as the AST itself, never
+    /// as source text: a hand-built function whose binder (`map`, a
+    /// keyword of the surface syntax) does not survive print-and-reparse
+    /// is served from another thread with exactly the answer a direct
+    /// single run gives.
+    #[test]
+    fn hand_built_function_is_served_across_threads_without_reparsing() {
+        let x = || a::var("map");
+        let f = a::map(a::lam("map", a::add(a::mul(x(), x()), a::nat(1))));
+        let dom = Type::seq(Type::Nat);
+        assert!(nsc_core::parse::parse_func(&f.to_string()).is_err());
+        let mut server = Server::new(ServeConfig::default());
+        server.register("sq1", &f, &dom);
+        let server = Arc::new(server);
+        let remote = Arc::clone(&server);
+        let served = std::thread::spawn(move || collect_submit(&remote, "sq1", "[0, 1, 2, 3]"))
+            .join()
+            .expect("submitting thread")
+            .expect("admitted")
+            .expect("answered");
+        let runner = nsc_runtime::BatchRunner::from_cache(
+            server.cache(),
+            &f,
+            &dom,
+            server.config().opt,
+            server.config().backend,
+        )
+        .unwrap();
+        let (direct, _) = runner
+            .run_single(&nsc_core::value::Value::nat_seq(0..4))
+            .unwrap();
+        assert_eq!(served, direct.to_string());
+        assert_eq!(
+            server.cache().compiles(),
+            1,
+            "the shard's compile was shared"
+        );
+        server.drain();
     }
 
     #[test]

@@ -35,8 +35,8 @@
 //!
 //! ### Lifecycle
 //!
-//! The batcher thread parses the shard's function source and compiles it
-//! through the shared [`CompiledCache`] when it starts (requests arriving
+//! The batcher thread compiles the shard's function through the shared
+//! [`CompiledCache`] when it starts (requests arriving
 //! meanwhile queue up behind the compilation; a failed compilation is
 //! answered — and negatively cached — per request).  Dropping the sender
 //! side ([`Shard::drain`]) lets the batcher drain every queued request,
@@ -44,8 +44,9 @@
 
 use crate::metrics::Metrics;
 use crate::{ServeConfig, ServeError};
-use nsc_core::parse::{parse_func, parse_type, parse_value};
-use nsc_runtime::repr::ErrorRepr;
+use nsc_core::parse::parse_value;
+use nsc_core::types::Type;
+use nsc_core::Func;
 use nsc_runtime::{BatchRunner, CompiledCache};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -104,14 +105,12 @@ impl std::fmt::Debug for Shard {
 const BATCHER_STACK: usize = 256 * 1024 * 1024;
 
 impl Shard {
-    /// Spawns the batcher thread for `function_name`, whose definition
-    /// travels as pretty-printed source (`fn_source`, with its domain as
-    /// `dom_source`) because ASTs are not `Send`; the batcher re-parses
-    /// and compiles through `cache` on its own stack.
+    /// Spawns the batcher thread for `function_name`, which compiles
+    /// `f : dom → …` through `cache` on its own (big) stack.
     pub fn spawn(
         function_name: &str,
-        fn_source: String,
-        dom_source: String,
+        f: Func,
+        dom: Type,
         cfg: &ServeConfig,
         cache: Arc<CompiledCache>,
     ) -> Shard {
@@ -124,17 +123,7 @@ impl Shard {
         let handle = std::thread::Builder::new()
             .name(format!("nsc-serve/{function_name}:{}", cfg.backend.name()))
             .stack_size(BATCHER_STACK)
-            .spawn(move || {
-                batcher(
-                    rx,
-                    fn_source,
-                    dom_source,
-                    thread_cfg,
-                    cache,
-                    thread_metrics,
-                    thread_fused,
-                )
-            })
+            .spawn(move || batcher(rx, f, dom, thread_cfg, cache, thread_metrics, thread_fused))
             .expect("spawn batcher thread");
         Shard {
             tx: Mutex::new(Some(tx)),
@@ -205,21 +194,15 @@ impl Shard {
 
 fn batcher(
     rx: Receiver<Job>,
-    fn_source: String,
-    dom_source: String,
+    f: Func,
+    dom: Type,
     cfg: ServeConfig,
     cache: Arc<CompiledCache>,
     metrics: Arc<Metrics>,
     fused_stages: Arc<AtomicUsize>,
 ) {
-    let runner = (|| -> Result<BatchRunner, ServeError> {
-        let f = parse_func(&fn_source)
-            .map_err(|e| ServeError::Compile(format!("re-parsing registered function: {e}")))?;
-        let dom = parse_type(&dom_source)
-            .map_err(|e| ServeError::Compile(format!("re-parsing registered domain: {e}")))?;
-        BatchRunner::from_cache(&cache, &f, &dom, cfg.opt, cfg.backend)
-            .map_err(|e| ServeError::Compile(e.to_string()))
-    })();
+    let runner = BatchRunner::from_cache(&cache, &f, &dom, cfg.opt, cfg.backend)
+        .map_err(|e| ServeError::Compile(e.to_string()));
     let runner = match runner {
         Ok(r) => {
             fused_stages.store(r.cached().batch.fused_stages, Ordering::Relaxed);
@@ -340,7 +323,7 @@ fn execute(batch: Vec<Job>, runner: &BatchRunner, cfg: &ServeConfig, metrics: &A
             Err(e) => Err(e),
             Ok(_) => match results.next().expect("one result per valid request") {
                 Ok(v) => Ok(v.to_string()),
-                Err(e) => Err(ServeError::Eval(ErrorRepr::of(&e))),
+                Err(e) => Err(ServeError::Eval(e)),
             },
         };
         finish(job, result, metrics);

@@ -714,7 +714,7 @@ fn cmd_bench(opts: &Opts, module: &Module) -> Result<(), String> {
     for (backend, b, plan, fused_stages) in &plans {
         let predicted = match plan.predicted_work {
             Some(w) => w.to_string(),
-            None => "⊤ (size heuristic)".to_string(),
+            None => "⊤ (lanes)".to_string(),
         };
         // The measured W' of the discipline the model chose, per request.
         let measured = records
