@@ -1,11 +1,22 @@
-//! The sequential BVRAM interpreter with exact cost accounting.
+//! The BVRAM interpreter with exact cost accounting — the only code in
+//! the workspace that fetches, dispatches and costs instructions.
 //!
 //! Per section 2: the **parallel time complexity** `T` is the number of
 //! instructions executed (each instruction is one parallel step), and the
 //! **work complexity** `W` is the sum over executed instructions of the
 //! lengths of their input and output registers.
+//!
+//! One loop serves both backends.  [`Machine::par`]`(_, true)` differs in
+//! one respect: a destination whose length is known up front (`Arith`,
+//! `Enumerate`, `BmRoute`, `SbmRoute`) and is at least [`GRAIN`] is filled
+//! in `GRAIN`-sized chunks on worker threads ([`crate::par`]) — same
+//! recycled buffer, aliasing analysis, invariant checks and `Stats`.
+//! Below `GRAIN` it runs literally the sequential code.  `Select`'s output
+//! length is data-dependent, so both backends run its sequential body
+//! (rayon's `filter().collect()` is sequential in the vendored shim).
 
-use crate::instr::{Instr, Reg};
+use crate::instr::{Instr, Op};
+use crate::par::{self, GRAIN};
 use crate::program::Program;
 use std::fmt;
 
@@ -95,30 +106,40 @@ pub struct RunOutcome {
     pub stats: Stats,
 }
 
-/// The sequential reference interpreter.
+/// The BVRAM interpreter (sequential reference; optionally with threaded
+/// fills of long destinations, see the module docs).
 #[derive(Debug)]
 pub struct Machine {
     regs: Vec<Vector>,
     step_limit: u64,
+    /// Fill destinations of length ≥ [`GRAIN`] on worker threads.
+    par: bool,
 }
 
-/// Computes `bm_route` (shared by the sequential and rayon backends and by
-/// the butterfly lowering).
+/// Computes `bm_route`.
 pub fn bm_route(bound_len: usize, counts: &[u64], values: &[u64]) -> Result<Vector, &'static str> {
     let mut out = Vec::new();
-    bm_route_into(&mut out, bound_len, counts, values)?;
+    bm_route_into(&mut out, false, bound_len, counts, values)?;
     Ok(out)
 }
 
-/// Like [`bm_route`], but writes into a caller-supplied buffer (cleared
-/// first) so the interpreter hot path can recycle allocations.
-pub fn bm_route_into(
+/// [`bm_route`] into a caller-supplied buffer so the interpreter hot path
+/// can recycle allocations; with `par`, an output of at least [`GRAIN`]
+/// elements is filled in chunks on worker threads.
+fn bm_route_into(
     out: &mut Vector,
+    par: bool,
     bound_len: usize,
     counts: &[u64],
     values: &[u64],
 ) -> Result<(), &'static str> {
     validate_bm(bound_len, counts, values)?;
+    if par && bound_len >= GRAIN {
+        out.resize(bound_len, 0);
+        let offs = par::offsets(counts.iter().copied());
+        par::route_fill(out, &offs, |src, _| values[src]);
+        return Ok(());
+    }
     out.clear();
     out.reserve(bound_len);
     for (c, v) in counts.iter().zip(values) {
@@ -138,20 +159,32 @@ pub fn sbm_route(
     segs: &[u64],
 ) -> Result<Vector, &'static str> {
     let mut out = Vec::new();
-    sbm_route_into(&mut out, bound_len, counts, data, segs)?;
+    sbm_route_into(&mut out, false, bound_len, counts, data, segs)?;
     Ok(out)
 }
 
-/// Like [`sbm_route`], but writes into a caller-supplied buffer (cleared
-/// first) so the interpreter hot path can recycle allocations.
-pub fn sbm_route_into(
+/// [`sbm_route`] into a caller-supplied buffer; `par` as for
+/// [`bm_route_into`] (the output length `Σ counts[i]·segs[i]` is summed
+/// first, which is the one extra pass a `par` machine pays below `GRAIN`).
+fn sbm_route_into(
     out: &mut Vector,
+    par: bool,
     bound_len: usize,
     counts: &[u64],
     data: &[u64],
     segs: &[u64],
 ) -> Result<(), &'static str> {
     validate_sbm(bound_len, counts, data, segs)?;
+    let reps = || counts.iter().zip(segs).map(|(c, s)| c * s);
+    if par && reps().sum::<u64>() >= GRAIN as u64 {
+        let out_offs = par::offsets(reps());
+        let data_offs = par::offsets(segs.iter().copied());
+        out.resize(out_offs[counts.len()] as usize, 0);
+        par::route_fill(out, &out_offs, |seg, rel| {
+            data[(data_offs[seg] + rel % segs[seg]) as usize]
+        });
+        return Ok(());
+    }
     out.clear();
     let mut pos = 0usize;
     for (c, s) in counts.iter().zip(segs) {
@@ -167,11 +200,7 @@ pub fn sbm_route_into(
 
 /// The `bm_route` invariants, checked in a fixed order so every backend
 /// reports the identical fault message.
-pub(crate) fn validate_bm(
-    bound_len: usize,
-    counts: &[u64],
-    values: &[u64],
-) -> Result<(), &'static str> {
+fn validate_bm(bound_len: usize, counts: &[u64], values: &[u64]) -> Result<(), &'static str> {
     if counts.len() != values.len() {
         return Err("bm_route: |counts| != |values|");
     }
@@ -184,7 +213,7 @@ pub(crate) fn validate_bm(
 
 /// The `sbm_route` invariants, checked in a fixed order so every backend
 /// reports the identical fault message.
-pub(crate) fn validate_sbm(
+fn validate_sbm(
     bound_len: usize,
     counts: &[u64],
     data: &[u64],
@@ -205,7 +234,7 @@ pub(crate) fn validate_sbm(
 }
 
 /// Splits mutable access: `(&mut regs[i], &regs[j])` for `i != j`.
-pub(crate) fn reg_pair_mut(regs: &mut [Vector], i: usize, j: usize) -> (&mut Vector, &Vector) {
+fn reg_pair_mut(regs: &mut [Vector], i: usize, j: usize) -> (&mut Vector, &Vector) {
     debug_assert_ne!(i, j);
     if i < j {
         let (lo, hi) = regs.split_at_mut(j);
@@ -216,13 +245,43 @@ pub(crate) fn reg_pair_mut(regs: &mut [Vector], i: usize, j: usize) -> (&mut Vec
     }
 }
 
-// Aliasing-aware instruction bodies shared verbatim by [`Machine`] and
-// [`crate::par::ParMachine`] (whose results must stay bit-for-bit
-// identical): each recycles the destination buffer instead of allocating.
+// Aliasing-aware instruction bodies: each recycles the destination buffer
+// instead of allocating.
+
+/// `dst[i] ← op(a[i], b[i])`, sequentially; `dst` is the destination's
+/// own buffer and a `None` operand aliases it (updated in place).  `None`
+/// on an arithmetic fault.
+fn arith_fill(op: Op, dst: &mut Vector, a: Option<&[u64]>, b: Option<&[u64]>) -> Option<()> {
+    match (a, b) {
+        (None, None) => {
+            for x in dst.iter_mut() {
+                *x = op.apply(*x, *x)?;
+            }
+        }
+        (None, Some(b)) => {
+            for (x, y) in dst.iter_mut().zip(b) {
+                *x = op.apply(*x, *y)?;
+            }
+        }
+        (Some(a), None) => {
+            for (y, x) in dst.iter_mut().zip(a) {
+                *y = op.apply(*x, *y)?;
+            }
+        }
+        (Some(a), Some(b)) => {
+            dst.clear();
+            dst.reserve(a.len());
+            for (x, y) in a.iter().zip(b) {
+                dst.push(op.apply(*x, *y)?);
+            }
+        }
+    }
+    Some(())
+}
 
 /// `Vdst ← Vsrc` (no-op when `dst == src`; the cost is still charged by
 /// the caller).
-pub(crate) fn exec_move(regs: &mut [Vector], dst: usize, src: usize) {
+fn exec_move(regs: &mut [Vector], dst: usize, src: usize) {
     if dst != src {
         let (d, s) = reg_pair_mut(regs, dst, src);
         d.clear();
@@ -231,7 +290,7 @@ pub(crate) fn exec_move(regs: &mut [Vector], dst: usize, src: usize) {
 }
 
 /// `Vdst ← Va @ Vb`.
-pub(crate) fn exec_append(regs: &mut [Vector], dst: usize, a: usize, b: usize) {
+fn exec_append(regs: &mut [Vector], dst: usize, a: usize, b: usize) {
     if dst == a && dst == b {
         let d = &mut regs[dst];
         d.extend_from_within(..);
@@ -250,31 +309,8 @@ pub(crate) fn exec_append(regs: &mut [Vector], dst: usize, a: usize, b: usize) {
     }
 }
 
-/// `Vdst ← [n]`.
-pub(crate) fn exec_singleton(regs: &mut [Vector], dst: usize, n: u64) {
-    let d = &mut regs[dst];
-    d.clear();
-    d.push(n);
-}
-
-/// `Vdst ← [length(Vsrc)]`.
-pub(crate) fn exec_length(regs: &mut [Vector], dst: usize, src: usize) {
-    let n = regs[src].len() as u64;
-    let d = &mut regs[dst];
-    d.clear();
-    d.push(n);
-}
-
-/// `Vdst ← [0, …, length(Vsrc) − 1]`, sequentially.
-pub(crate) fn exec_enumerate(regs: &mut [Vector], dst: usize, src: usize) {
-    let n = regs[src].len() as u64;
-    let d = &mut regs[dst];
-    d.clear();
-    d.extend(0..n);
-}
-
 /// `Vdst ← σ(Vsrc)`, sequentially (in-place `retain` when aliased).
-pub(crate) fn exec_select(regs: &mut [Vector], dst: usize, src: usize) {
+fn exec_select(regs: &mut [Vector], dst: usize, src: usize) {
     if dst == src {
         regs[dst].retain(|x| *x != 0);
     } else {
@@ -286,11 +322,20 @@ pub(crate) fn exec_select(regs: &mut [Vector], dst: usize, src: usize) {
 }
 
 impl Machine {
-    /// A machine sized for the program, with a default step limit.
+    /// A sequential machine sized for the program, with no step limit.
     pub fn new(n_regs: usize) -> Self {
+        Machine::par(n_regs, false)
+    }
+
+    /// [`Machine::new`], choosing whether destinations of length ≥
+    /// [`GRAIN`] are filled on worker threads (`par = true`, the `par`
+    /// backend) or by the sequential bodies.  Outputs, `Stats` and faults
+    /// are bit-for-bit the same either way.
+    pub fn par(n_regs: usize, par: bool) -> Self {
         Machine {
             regs: vec![Vec::new(); n_regs],
             step_limit: u64::MAX,
+            par,
         }
     }
 
@@ -306,44 +351,48 @@ impl Machine {
         self
     }
 
-    /// Reads a register (for tests/debugging of machine state *between*
-    /// runs).
-    ///
-    /// The in-place execution engine consumes register contents: after a
-    /// successful run the output registers have been moved into the
-    /// returned [`RunOutcome`] (and read back empty here), and after a
-    /// faulting run the faulting destination may hold partial state.
-    /// The next `run`/`run_owned` resets every register.
-    pub fn reg(&self, r: Reg) -> &Vector {
-        &self.regs[r as usize]
-    }
-
-    /// Resizes and clears the register file (capacity is retained, so a
-    /// reused machine does not reallocate).
-    fn prepare(&mut self, prog: &Program) {
+    /// Checks the input arity, then resizes and clears the register file
+    /// (capacity is retained, so a reused machine does not reallocate).
+    fn prepare(&mut self, prog: &Program, got: usize) -> Result<(), MachineError> {
+        if got != prog.r_in {
+            return Err(MachineError::BadInputArity {
+                expected: prog.r_in,
+                got,
+            });
+        }
         if self.regs.len() < prog.n_regs {
             self.regs.resize(prog.n_regs, Vec::new());
         }
         for r in self.regs.iter_mut() {
             r.clear();
         }
+        Ok(())
     }
 
     /// Runs a program on borrowed inputs (copied into the register file,
     /// reusing its buffers).  Prefer [`Machine::run_owned`] when the
     /// caller owns the input vectors — it skips the copy entirely.
     pub fn run(&mut self, prog: &Program, inputs: &[Vector]) -> Result<RunOutcome, MachineError> {
-        if inputs.len() != prog.r_in {
-            return Err(MachineError::BadInputArity {
-                expected: prog.r_in,
-                got: inputs.len(),
-            });
-        }
-        self.prepare(prog);
+        self.run_observed(prog, inputs, |_, _, _| {})
+    }
+
+    /// [`Machine::run`] with a per-step observer: `observe(pc, instr,
+    /// work)` is called once per executed instruction, after it executed,
+    /// with exactly the work the step added to [`Stats::work`] — so an
+    /// observer sees `stats.time` calls whose works sum to `stats.work`.
+    /// The observer is a type parameter: `run`/`run_owned` pass an empty
+    /// closure and compile to the unobserved loop.
+    pub fn run_observed(
+        &mut self,
+        prog: &Program,
+        inputs: &[Vector],
+        observe: impl FnMut(usize, &Instr, u64),
+    ) -> Result<RunOutcome, MachineError> {
+        self.prepare(prog, inputs.len())?;
         for (i, v) in inputs.iter().enumerate() {
             self.regs[i].extend_from_slice(v);
         }
-        self.exec_loop(prog)
+        self.exec_loop(prog, observe)
     }
 
     /// Runs a program taking ownership of the inputs: the vectors are
@@ -353,20 +402,18 @@ impl Machine {
         prog: &Program,
         inputs: Vec<Vector>,
     ) -> Result<RunOutcome, MachineError> {
-        if inputs.len() != prog.r_in {
-            return Err(MachineError::BadInputArity {
-                expected: prog.r_in,
-                got: inputs.len(),
-            });
-        }
-        self.prepare(prog);
+        self.prepare(prog, inputs.len())?;
         for (i, v) in inputs.into_iter().enumerate() {
             self.regs[i] = v;
         }
-        self.exec_loop(prog)
+        self.exec_loop(prog, |_, _, _| {})
     }
 
-    fn exec_loop(&mut self, prog: &Program) -> Result<RunOutcome, MachineError> {
+    fn exec_loop(
+        &mut self,
+        prog: &Program,
+        mut observe: impl FnMut(usize, &Instr, u64),
+    ) -> Result<RunOutcome, MachineError> {
         let mut stats = Stats::default();
         let mut pc = 0usize;
         loop {
@@ -384,13 +431,13 @@ impl Machine {
                 .map(|r| self.regs[*r as usize].len() as u64)
                 .sum();
 
-            let mut jumped = false;
+            let mut next = pc + 1;
             match ins {
                 Instr::Move { dst, src } => {
                     exec_move(&mut self.regs, *dst as usize, *src as usize);
                 }
                 Instr::Arith { dst, op, a, b } => {
-                    let (dst, a, b) = (*dst as usize, *a as usize, *b as usize);
+                    let [dst, a, b] = [*dst, *a, *b].map(|r| r as usize);
                     let (la, lb) = (self.regs[a].len(), self.regs[b].len());
                     if la != lb {
                         return Err(MachineError::LengthMismatch {
@@ -399,44 +446,46 @@ impl Machine {
                             b: lb,
                         });
                     }
-                    let fault = MachineError::Arithmetic { at: pc };
-                    if dst == a && dst == b {
-                        for x in self.regs[dst].iter_mut() {
-                            *x = op.apply(*x, *x).ok_or_else(|| fault.clone())?;
-                        }
-                    } else if dst == a {
-                        let (d, vb) = reg_pair_mut(&mut self.regs, dst, b);
-                        for (x, y) in d.iter_mut().zip(vb) {
-                            *x = op.apply(*x, *y).ok_or_else(|| fault.clone())?;
-                        }
-                    } else if dst == b {
-                        let (d, va) = reg_pair_mut(&mut self.regs, dst, a);
-                        for (y, x) in d.iter_mut().zip(va) {
-                            *y = op.apply(*x, *y).ok_or_else(|| fault.clone())?;
-                        }
+                    // dst's own buffer is the destination; an operand
+                    // aliasing it (`None`) is read from the slot about to
+                    // be overwritten.
+                    let mut out = std::mem::take(&mut self.regs[dst]);
+                    let va = (a != dst).then(|| &self.regs[a][..]);
+                    let vb = (b != dst).then(|| &self.regs[b][..]);
+                    let done = if self.par && la >= GRAIN {
+                        out.resize(la, 0);
+                        par::arith_fill(*op, &mut out, va, vb)
                     } else {
-                        // Reuse dst's buffer for the fresh result.
-                        let mut out = std::mem::take(&mut self.regs[dst]);
-                        out.clear();
-                        out.reserve(la);
-                        for (x, y) in self.regs[a].iter().zip(&self.regs[b]) {
-                            out.push(op.apply(*x, *y).ok_or_else(|| fault.clone())?);
-                        }
-                        self.regs[dst] = out;
-                    }
+                        arith_fill(*op, &mut out, va, vb)
+                    };
+                    self.regs[dst] = out;
+                    done.ok_or(MachineError::Arithmetic { at: pc })?;
                 }
                 Instr::Empty { dst } => self.regs[*dst as usize].clear(),
                 Instr::Singleton { dst, n } => {
-                    exec_singleton(&mut self.regs, *dst as usize, *n);
+                    let d = &mut self.regs[*dst as usize];
+                    d.clear();
+                    d.push(*n);
                 }
                 Instr::Append { dst, a, b } => {
                     exec_append(&mut self.regs, *dst as usize, *a as usize, *b as usize);
                 }
                 Instr::Length { dst, src } => {
-                    exec_length(&mut self.regs, *dst as usize, *src as usize);
+                    let n = self.regs[*src as usize].len() as u64;
+                    let d = &mut self.regs[*dst as usize];
+                    d.clear();
+                    d.push(n);
                 }
                 Instr::Enumerate { dst, src } => {
-                    exec_enumerate(&mut self.regs, *dst as usize, *src as usize);
+                    let n = self.regs[*src as usize].len();
+                    let d = &mut self.regs[*dst as usize];
+                    if self.par && n >= GRAIN {
+                        d.resize(n, 0);
+                        par::enumerate_fill(d);
+                    } else {
+                        d.clear();
+                        d.extend(0..n as u64);
+                    }
                 }
                 Instr::BmRoute {
                     dst,
@@ -444,26 +493,21 @@ impl Machine {
                     counts,
                     values,
                 } => {
-                    let (dst, bound, counts, values) = (
-                        *dst as usize,
-                        *bound as usize,
-                        *counts as usize,
-                        *values as usize,
-                    );
+                    let [dst, bound, counts, values] =
+                        [*dst, *bound, *counts, *values].map(|r| r as usize);
                     // Only the *length* of bound matters, so read it before
-                    // recycling dst's buffer (dst may alias bound).
+                    // recycling dst's buffer (dst may alias bound).  A dst
+                    // aliasing a data operand routes into a fresh buffer.
                     let bound_len = self.regs[bound].len();
-                    if dst == counts || dst == values {
-                        // dst aliases a data operand: route into a fresh buffer.
-                        let out = bm_route(bound_len, &self.regs[counts], &self.regs[values])
-                            .map_err(|what| MachineError::RouteInvariant { at: pc, what })?;
-                        self.regs[dst] = out;
+                    let mut out = if dst == counts || dst == values {
+                        Vec::new()
                     } else {
-                        let mut out = std::mem::take(&mut self.regs[dst]);
-                        bm_route_into(&mut out, bound_len, &self.regs[counts], &self.regs[values])
-                            .map_err(|what| MachineError::RouteInvariant { at: pc, what })?;
-                        self.regs[dst] = out;
-                    }
+                        std::mem::take(&mut self.regs[dst])
+                    };
+                    let (counts, values) = (&self.regs[counts], &self.regs[values]);
+                    bm_route_into(&mut out, self.par, bound_len, counts, values)
+                        .map_err(|what| MachineError::RouteInvariant { at: pc, what })?;
+                    self.regs[dst] = out;
                 }
                 Instr::SbmRoute {
                     dst,
@@ -472,51 +516,32 @@ impl Machine {
                     data,
                     segs,
                 } => {
-                    let (dst, bound, counts, data, segs) = (
-                        *dst as usize,
-                        *bound as usize,
-                        *counts as usize,
-                        *data as usize,
-                        *segs as usize,
-                    );
+                    let [dst, bound, counts, data, segs] =
+                        [*dst, *bound, *counts, *data, *segs].map(|r| r as usize);
                     let bound_len = self.regs[bound].len();
-                    if dst == counts || dst == data || dst == segs {
-                        let out = sbm_route(
-                            bound_len,
-                            &self.regs[counts],
-                            &self.regs[data],
-                            &self.regs[segs],
-                        )
-                        .map_err(|what| MachineError::RouteInvariant { at: pc, what })?;
-                        self.regs[dst] = out;
+                    let mut out = if dst == counts || dst == data || dst == segs {
+                        Vec::new()
                     } else {
-                        let mut out = std::mem::take(&mut self.regs[dst]);
-                        sbm_route_into(
-                            &mut out,
-                            bound_len,
-                            &self.regs[counts],
-                            &self.regs[data],
-                            &self.regs[segs],
-                        )
+                        std::mem::take(&mut self.regs[dst])
+                    };
+                    let (counts, data, segs) =
+                        (&self.regs[counts], &self.regs[data], &self.regs[segs]);
+                    sbm_route_into(&mut out, self.par, bound_len, counts, data, segs)
                         .map_err(|what| MachineError::RouteInvariant { at: pc, what })?;
-                        self.regs[dst] = out;
-                    }
+                    self.regs[dst] = out;
                 }
                 Instr::Select { dst, src } => {
                     exec_select(&mut self.regs, *dst as usize, *src as usize);
                 }
-                Instr::Goto { target } => {
-                    pc = *target as usize;
-                    jumped = true;
-                }
+                Instr::Goto { target } => next = *target as usize,
                 Instr::IfEmptyGoto { reg, target } => {
                     if self.regs[*reg as usize].is_empty() {
-                        pc = *target as usize;
-                        jumped = true;
+                        next = *target as usize;
                     }
                 }
                 Instr::Halt => {
                     stats.work += in_work;
+                    observe(pc, ins, in_work);
                     let outputs = self.regs[..prog.r_out]
                         .iter_mut()
                         .map(std::mem::take)
@@ -524,17 +549,12 @@ impl Machine {
                     return Ok(RunOutcome { outputs, stats });
                 }
             }
-            let out_work = ins
-                .output()
-                .map(|r| self.regs[r as usize].len() as u64)
-                .unwrap_or(0);
-            stats.work += in_work + out_work;
-            if let Some(r) = ins.output() {
-                stats.max_len = stats.max_len.max(self.regs[r as usize].len());
-            }
-            if !jumped {
-                pc += 1;
-            }
+            let out_len = ins.output().map_or(0, |r| self.regs[r as usize].len());
+            let work = in_work + out_len as u64;
+            stats.work += work;
+            stats.max_len = stats.max_len.max(out_len);
+            observe(pc, ins, work);
+            pc = next;
         }
     }
 }

@@ -307,6 +307,19 @@ impl Instr {
             Instr::Goto { .. } | Instr::IfEmptyGoto { .. } | Instr::Halt => None,
         }
     }
+
+    /// Whether this is a routing/packing instruction (`bm_route`,
+    /// `sbm_route`, `select`, `append`) — the ones whose element offsets
+    /// come from a prefix scan rather than from the element's own index.
+    pub fn is_routing(&self) -> bool {
+        matches!(
+            self,
+            Instr::BmRoute { .. }
+                | Instr::SbmRoute { .. }
+                | Instr::Select { .. }
+                | Instr::Append { .. }
+        )
+    }
 }
 
 impl fmt::Display for Instr {

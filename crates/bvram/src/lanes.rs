@@ -12,11 +12,10 @@
 //!   lanes, so per-lane allocation drops to near zero.  This is the
 //!   sequential baseline every batching mode is measured against.
 //! * [`run_lanes_rayon`] — distribute the lanes over worker threads
-//!   (rayon), **one machine per worker**, optionally running each lane on
-//!   the rayon-parallel [`ParMachine`] instead of the sequential
-//!   [`Machine`].  Results are returned in lane order and are bit-for-bit
-//!   identical to [`run_lanes_seq`] — including per-lane faults, which
-//!   never abort the other lanes.
+//!   (rayon), **one machine per worker**, optionally with threaded fills
+//!   inside each lane ([`Machine::par`]).  Results are returned in lane
+//!   order and are bit-for-bit identical to [`run_lanes_seq`] — including
+//!   per-lane faults, which never abort the other lanes.
 //!
 //! The *pack* alternative — fusing the lanes into a single program run
 //! over lane-offset registers — is not expressible at this level for an
@@ -25,7 +24,6 @@
 //! `nsc-runtime` crate builds it from the source-level Map Lemma.
 
 use crate::exec::{Machine, MachineError, RunOutcome, Vector};
-use crate::par::ParMachine;
 use crate::program::Program;
 use rayon::prelude::*;
 
@@ -47,9 +45,9 @@ pub fn run_lanes_seq(
 }
 
 /// Runs the lanes in parallel across worker threads, one machine per
-/// worker; with `inner_par` each lane additionally executes on the
-/// rayon-parallel [`ParMachine`] (nested parallelism — worth it only when
-/// individual lanes are large).
+/// worker; with `inner_par` each lane's machine additionally fills long
+/// destinations on worker threads ([`Machine::par`]; nested parallelism —
+/// worth it only when individual lanes are large).
 ///
 /// Semantics are identical to [`run_lanes_seq`]: results come back in
 /// lane order and a faulting lane never disturbs its neighbours.
@@ -76,18 +74,10 @@ pub fn run_lanes_rayon(
     slots.par_chunks_mut(chunk).for_each(|chunk_slots| {
         // One machine per worker chunk, reused across its lanes (warm
         // buffers), mirroring run_lanes_seq within the chunk.
-        if inner_par {
-            let mut m = ParMachine::new(prog.n_regs);
-            for s in chunk_slots {
-                let inputs = s.0.take().expect("lane inputs present");
-                s.1 = Some(m.run_owned(prog, inputs));
-            }
-        } else {
-            let mut m = Machine::new(prog.n_regs);
-            for s in chunk_slots {
-                let inputs = s.0.take().expect("lane inputs present");
-                s.1 = Some(m.run_owned(prog, inputs));
-            }
+        let mut m = Machine::par(prog.n_regs, inner_par);
+        for s in chunk_slots {
+            let inputs = s.0.take().expect("lane inputs present");
+            s.1 = Some(m.run_owned(prog, inputs));
         }
     });
     slots

@@ -14,8 +14,11 @@
 //! Cost model: `T` = instructions executed, `W` = Σ lengths of the input
 //! and output registers of each executed instruction.
 //!
-//! Backends: [`exec::Machine`] (sequential reference) and
-//! [`par::ParMachine`] (rayon, bit-for-bit identical results).
+//! Backends: one interpreter, [`exec::Machine`].  `Machine::new` is the
+//! sequential reference; `Machine::par(_, true)` additionally fills
+//! destinations of at least [`par::GRAIN`] elements in chunks on worker
+//! threads ([`par`]) — same loop, same accounting, bit-for-bit identical
+//! results, and below `GRAIN` literally the same code.
 #![warn(missing_docs)]
 
 pub mod analysis;
@@ -33,6 +36,5 @@ pub use cost::{cost_program, CostBound, CostReport, Poly};
 pub use exec::{run_program, Machine, MachineError, RunOutcome, Stats, Vector};
 pub use instr::{Instr, Label, Op, Reg};
 pub use lanes::{run_lanes_rayon, run_lanes_seq};
-pub use par::ParMachine;
 pub use program::{BuildError, Builder, Program, TripBound, TripHint};
 pub use verify::{verify_program, verify_program_basic, FaultReason, FaultSite, Report, Violation};

@@ -1,321 +1,107 @@
-//! A rayon-parallel execution backend for BVRAM programs.
+//! Threaded fills for the `par` backend.
 //!
-//! The BVRAM is an abstract SIMD machine; this backend demonstrates that
-//! compiled programs run with real parallel speedup on today's
-//! shared-memory hardware (the paper: "this needs to be tested in
-//! practice").  Elementwise arithmetic, `enumerate`, and the routing
-//! expansions are parallelised with rayon once registers exceed a grain
-//! size; results are bit-for-bit identical to [`crate::exec::Machine`].
+//! The BVRAM is an abstract SIMD machine; these kernels are how
+//! [`crate::exec::Machine`] (built with `Machine::par(_, true)`) runs one
+//! instruction's elementwise pass on real cores (the paper: "this needs
+//! to be tested in practice").  Each fills an already-sized destination
+//! slice in [`GRAIN`]-sized chunks over rayon's `par_chunks_mut`; chunks
+//! are disjoint, so results are bit-for-bit those of the sequential
+//! bodies.  Everything else — fetch, costing, aliasing, invariant checks,
+//! control flow — is the one loop in [`crate::exec`].
 
-use crate::exec::{MachineError, RunOutcome, Stats, Vector};
-use crate::instr::Instr;
-use crate::program::Program;
+use crate::instr::Op;
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Below this register length the sequential path is used (avoids rayon
-/// overhead dominating small vectors).
+/// Destinations shorter than this are filled by the sequential bodies
+/// (avoids thread overhead dominating small vectors).
 pub const GRAIN: usize = 4096;
 
-/// `sbm_route` with the expansion parallelised over output chunks once
-/// the output reaches [`GRAIN`] elements (the same exclusive-prefix +
-/// chunk-fill strategy `bm_route` uses).  Invariants are checked in the
-/// same order as [`crate::exec::sbm_route`] so both backends report
-/// identical faults.
-fn sbm_route_par(
-    bound_len: usize,
-    counts: &[u64],
-    data: &[u64],
-    segs: &[u64],
-) -> Result<Vector, &'static str> {
-    crate::exec::validate_sbm(bound_len, counts, data, segs)?;
-    let out_len: usize = counts.iter().zip(segs).map(|(c, s)| (c * s) as usize).sum();
-    if out_len < GRAIN {
-        return crate::exec::sbm_route(bound_len, counts, data, segs);
-    }
-    // Exclusive prefix offsets into the output and into the data.
-    let mut out_offs = Vec::with_capacity(counts.len() + 1);
-    let mut data_offs = Vec::with_capacity(counts.len() + 1);
-    let (mut oacc, mut dacc) = (0u64, 0u64);
-    out_offs.push(0);
-    data_offs.push(0);
-    for (c, s) in counts.iter().zip(segs) {
-        oacc += c * s;
-        dacc += s;
-        out_offs.push(oacc);
-        data_offs.push(dacc);
-    }
-    let mut out = vec![0u64; out_len];
-    out.par_chunks_mut(GRAIN)
+/// `dst[i] ← op(a[i], b[i])`; a `None` operand aliases `dst` itself and
+/// is read from the slot about to be overwritten.  `None` if any element
+/// faulted (`dst` is then partially written).
+pub(crate) fn arith_fill(
+    op: Op,
+    dst: &mut [u64],
+    a: Option<&[u64]>,
+    b: Option<&[u64]>,
+) -> Option<()> {
+    let ok = AtomicBool::new(true);
+    dst.par_chunks_mut(GRAIN)
         .enumerate()
-        .for_each(|(chunk_idx, chunk)| {
-            let base = (chunk_idx * GRAIN) as u64;
-            // Locate the source segment for the first slot by binary
-            // search, then walk forward.
-            let mut seg = out_offs.partition_point(|o| *o <= base).saturating_sub(1);
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                let pos = base + i as u64;
-                while out_offs[seg + 1] <= pos {
-                    seg += 1;
+        .for_each(|(i, chunk)| {
+            let span = i * GRAIN..i * GRAIN + chunk.len();
+            let (a, b) = (a.map(|a| &a[span.clone()]), b.map(|b| &b[span]));
+            for (j, slot) in chunk.iter_mut().enumerate() {
+                let (x, y) = (a.map_or(*slot, |a| a[j]), b.map_or(*slot, |b| b[j]));
+                match op.apply(x, y) {
+                    Some(v) => *slot = v,
+                    None => return ok.store(false, Ordering::Relaxed),
                 }
-                let rel = pos - out_offs[seg];
-                *slot = data[(data_offs[seg] + rel % segs[seg]) as usize];
             }
         });
-    Ok(out)
+    ok.into_inner().then_some(())
 }
 
-/// The rayon-parallel interpreter.
-#[derive(Debug)]
-pub struct ParMachine {
-    regs: Vec<Vector>,
-    step_limit: u64,
+/// `dst[i] ← i`.
+pub(crate) fn enumerate_fill(dst: &mut [u64]) {
+    dst.par_chunks_mut(GRAIN)
+        .enumerate()
+        .for_each(|(i, chunk)| {
+            for (slot, n) in chunk.iter_mut().zip((i * GRAIN) as u64..) {
+                *slot = n;
+            }
+        });
 }
 
-impl ParMachine {
-    /// A machine sized for a program.
-    pub fn new(n_regs: usize) -> Self {
-        ParMachine {
-            regs: vec![Vec::new(); n_regs],
-            step_limit: u64::MAX,
-        }
+/// Exclusive prefix sums `[0, x₀, x₀+x₁, …]` (one entry more than `xs`).
+pub(crate) fn offsets(xs: impl Iterator<Item = u64>) -> Vec<u64> {
+    let mut offs = vec![0];
+    let mut acc = 0u64;
+    for x in xs {
+        acc += x;
+        offs.push(acc);
     }
+    offs
+}
 
-    /// Caps the number of executed instructions.
-    ///
-    /// Same inclusive contract as [`crate::exec::Machine::with_step_limit`]:
-    /// at most `limit` instructions execute, and a program halting in
-    /// exactly `limit` steps succeeds.
-    pub fn with_step_limit(mut self, limit: u64) -> Self {
-        self.step_limit = limit;
-        self
-    }
-
-    fn prepare(&mut self, prog: &Program) {
-        if self.regs.len() < prog.n_regs {
-            self.regs.resize(prog.n_regs, Vec::new());
-        }
-        for r in self.regs.iter_mut() {
-            r.clear();
-        }
-    }
-
-    /// Runs a program; semantics identical to the sequential machine.
-    pub fn run(&mut self, prog: &Program, inputs: &[Vector]) -> Result<RunOutcome, MachineError> {
-        if inputs.len() != prog.r_in {
-            return Err(MachineError::BadInputArity {
-                expected: prog.r_in,
-                got: inputs.len(),
-            });
-        }
-        self.prepare(prog);
-        for (i, v) in inputs.iter().enumerate() {
-            self.regs[i].extend_from_slice(v);
-        }
-        self.exec_loop(prog)
-    }
-
-    /// Runs a program taking ownership of the inputs (no copy).
-    pub fn run_owned(
-        &mut self,
-        prog: &Program,
-        inputs: Vec<Vector>,
-    ) -> Result<RunOutcome, MachineError> {
-        if inputs.len() != prog.r_in {
-            return Err(MachineError::BadInputArity {
-                expected: prog.r_in,
-                got: inputs.len(),
-            });
-        }
-        self.prepare(prog);
-        for (i, v) in inputs.into_iter().enumerate() {
-            self.regs[i] = v;
-        }
-        self.exec_loop(prog)
-    }
-
-    fn exec_loop(&mut self, prog: &Program) -> Result<RunOutcome, MachineError> {
-        let mut stats = Stats::default();
-        let mut pc = 0usize;
-        loop {
-            if stats.time >= self.step_limit {
-                return Err(MachineError::StepLimit);
-            }
-            let Some(ins) = prog.instrs.get(pc) else {
-                return Err(MachineError::FellOffEnd);
-            };
-            stats.time += 1;
-            let in_work: u64 = ins
-                .inputs()
-                .iter()
-                .map(|r| self.regs[*r as usize].len() as u64)
-                .sum();
-
-            let mut jumped = false;
-            match ins {
-                Instr::Arith { dst, op, a, b } => {
-                    let (va, vb) = (&self.regs[*a as usize], &self.regs[*b as usize]);
-                    if va.len() != vb.len() {
-                        return Err(MachineError::LengthMismatch {
-                            at: pc,
-                            a: va.len(),
-                            b: vb.len(),
-                        });
-                    }
-                    let op = *op;
-                    let out: Result<Vector, ()> = if va.len() >= GRAIN {
-                        va.par_iter()
-                            .zip(vb.par_iter())
-                            .map(|(x, y)| op.apply(*x, *y).ok_or(()))
-                            .collect()
-                    } else {
-                        va.iter()
-                            .zip(vb)
-                            .map(|(x, y)| op.apply(*x, *y).ok_or(()))
-                            .collect()
-                    };
-                    match out {
-                        Ok(v) => self.regs[*dst as usize] = v,
-                        Err(()) => return Err(MachineError::Arithmetic { at: pc }),
-                    }
+/// The routing expansion shared by `bm_route` and `sbm_route`: output
+/// slot `pos` belongs to the source segment `seg` with `offs[seg] <= pos
+/// < offs[seg + 1]` and receives `src(seg, pos - offs[seg])`.  Each chunk
+/// locates the segment of its first slot by binary search, then walks
+/// forward.  `offs` must end at `out.len()`.
+pub(crate) fn route_fill(out: &mut [u64], offs: &[u64], src: impl Fn(usize, u64) -> u64 + Sync) {
+    out.par_chunks_mut(GRAIN)
+        .enumerate()
+        .for_each(|(i, chunk)| {
+            let base = (i * GRAIN) as u64;
+            let mut seg = offs.partition_point(|o| *o <= base).saturating_sub(1);
+            for (slot, pos) in chunk.iter_mut().zip(base..) {
+                while offs[seg + 1] <= pos {
+                    seg += 1;
                 }
-                Instr::Enumerate { dst, src } => {
-                    let n = self.regs[*src as usize].len();
-                    if n >= GRAIN {
-                        self.regs[*dst as usize] = (0..n as u64).into_par_iter().collect();
-                    } else {
-                        crate::exec::exec_enumerate(&mut self.regs, *dst as usize, *src as usize);
-                    }
-                }
-                Instr::BmRoute {
-                    dst,
-                    bound,
-                    counts,
-                    values,
-                } => {
-                    let counts = &self.regs[*counts as usize];
-                    let values = &self.regs[*values as usize];
-                    let bound_len = self.regs[*bound as usize].len();
-                    crate::exec::validate_bm(bound_len, counts, values)
-                        .map_err(|what| MachineError::RouteInvariant { at: pc, what })?;
-                    // Parallel expansion: exclusive prefix offsets, then
-                    // fill each output slot independently.
-                    let out = if bound_len >= GRAIN {
-                        let mut offs = Vec::with_capacity(counts.len() + 1);
-                        let mut acc = 0u64;
-                        offs.push(0);
-                        for c in counts {
-                            acc += c;
-                            offs.push(acc);
-                        }
-                        let mut out = vec![0u64; bound_len];
-                        out.par_chunks_mut(GRAIN)
-                            .enumerate()
-                            .for_each(|(chunk_idx, chunk)| {
-                                let base = (chunk_idx * GRAIN) as u64;
-                                // Locate the source for the first slot by
-                                // binary search, then walk forward.
-                                let mut src =
-                                    offs.partition_point(|o| *o <= base).saturating_sub(1);
-                                for (i, slot) in chunk.iter_mut().enumerate() {
-                                    let pos = base + i as u64;
-                                    while offs[src + 1] <= pos {
-                                        src += 1;
-                                    }
-                                    *slot = values[src];
-                                }
-                            });
-                        out
-                    } else {
-                        crate::exec::bm_route(bound_len, counts, values)
-                            .map_err(|what| MachineError::RouteInvariant { at: pc, what })?
-                    };
-                    self.regs[*dst as usize] = out;
-                }
-                Instr::SbmRoute {
-                    dst,
-                    bound,
-                    counts,
-                    data,
-                    segs,
-                } => {
-                    let out = sbm_route_par(
-                        self.regs[*bound as usize].len(),
-                        &self.regs[*counts as usize],
-                        &self.regs[*data as usize],
-                        &self.regs[*segs as usize],
-                    )
-                    .map_err(|what| MachineError::RouteInvariant { at: pc, what })?;
-                    self.regs[*dst as usize] = out;
-                }
-                // The remaining instructions are cheap or inherently
-                // sequential control; share the scalar implementations.
-                other => match other {
-                    Instr::Move { dst, src } => {
-                        crate::exec::exec_move(&mut self.regs, *dst as usize, *src as usize);
-                    }
-                    Instr::Empty { dst } => self.regs[*dst as usize].clear(),
-                    Instr::Singleton { dst, n } => {
-                        crate::exec::exec_singleton(&mut self.regs, *dst as usize, *n);
-                    }
-                    Instr::Append { dst, a, b } => {
-                        crate::exec::exec_append(
-                            &mut self.regs,
-                            *dst as usize,
-                            *a as usize,
-                            *b as usize,
-                        );
-                    }
-                    Instr::Length { dst, src } => {
-                        crate::exec::exec_length(&mut self.regs, *dst as usize, *src as usize);
-                    }
-                    Instr::Select { dst, src } => {
-                        let src_v = &self.regs[*src as usize];
-                        if src_v.len() >= GRAIN {
-                            let out: Vector =
-                                src_v.par_iter().copied().filter(|x| *x != 0).collect();
-                            self.regs[*dst as usize] = out;
-                        } else {
-                            crate::exec::exec_select(&mut self.regs, *dst as usize, *src as usize);
-                        }
-                    }
-                    Instr::Goto { target } => {
-                        pc = *target as usize;
-                        jumped = true;
-                    }
-                    Instr::IfEmptyGoto { reg, target } => {
-                        if self.regs[*reg as usize].is_empty() {
-                            pc = *target as usize;
-                            jumped = true;
-                        }
-                    }
-                    Instr::Halt => {
-                        stats.work += in_work;
-                        let outputs = self.regs[..prog.r_out].to_vec();
-                        return Ok(RunOutcome { outputs, stats });
-                    }
-                    _ => unreachable!("handled above"),
-                },
+                *slot = src(seg, pos - offs[seg]);
             }
-            let out_work = ins
-                .output()
-                .map(|r| self.regs[r as usize].len() as u64)
-                .unwrap_or(0);
-            stats.work += in_work + out_work;
-            if let Some(r) = ins.output() {
-                stats.max_len = stats.max_len.max(self.regs[r as usize].len());
-            }
-            if !jumped {
-                pc += 1;
-            }
-        }
-    }
+        });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instr::{Instr::*, Op};
-    use crate::program::Builder;
+    use crate::exec::{run_program, Machine, MachineError, RunOutcome, Vector};
+    use crate::instr::Instr::*;
+    use crate::program::{Builder, Program};
+
+    fn run_par(p: &Program, inputs: &[Vector]) -> Result<RunOutcome, MachineError> {
+        Machine::par(p.n_regs, true).run(p, inputs)
+    }
+
+    /// Both backends succeed with identical outputs and `Stats`.
+    fn assert_agree(p: &Program, inputs: &[Vector]) {
+        let (seq, par) = (run_program(p, inputs).unwrap(), run_par(p, inputs).unwrap());
+        assert_eq!(seq.outputs, par.outputs);
+        assert_eq!(seq.stats, par.stats);
+    }
 
     fn demo_program() -> Program {
         let mut b = Builder::new(2, 1);
@@ -339,11 +125,7 @@ mod tests {
     #[test]
     fn par_matches_sequential_small() {
         let p = demo_program();
-        let inputs = vec![vec![1, 2, 3, 4], vec![5, 6, 7, 8]];
-        let seq = crate::exec::run_program(&p, &inputs).unwrap();
-        let par = ParMachine::new(p.n_regs).run(&p, &inputs).unwrap();
-        assert_eq!(seq.outputs, par.outputs);
-        assert_eq!(seq.stats, par.stats);
+        assert_agree(&p, &[vec![1, 2, 3, 4], vec![5, 6, 7, 8]]);
     }
 
     #[test]
@@ -352,15 +134,10 @@ mod tests {
         let n = 3 * GRAIN + 17;
         let a: Vec<u64> = (0..n as u64).collect();
         let b: Vec<u64> = (0..n as u64).map(|x| x % 97).collect();
-        let inputs = vec![a, b];
-        let seq = crate::exec::run_program(&p, &inputs).unwrap();
-        let par = ParMachine::new(p.n_regs).run(&p, &inputs).unwrap();
-        assert_eq!(seq.outputs, par.outputs);
-        assert_eq!(seq.stats, par.stats);
+        assert_agree(&p, &[a, b]);
     }
 
-    #[test]
-    fn par_bm_route_matches_sequential() {
+    fn bm_prog() -> Program {
         let mut b = Builder::new(3, 1);
         b.push(BmRoute {
             dst: 0,
@@ -369,37 +146,28 @@ mod tests {
             values: 2,
         })
         .push(Halt);
-        let p = b.build().unwrap();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn par_bm_route_matches_sequential() {
+        let p = bm_prog();
         // large: n values each replicated twice
         let n = 2 * GRAIN as u64;
         let counts: Vec<u64> = (0..n).map(|_| 2).collect();
         let values: Vec<u64> = (0..n).collect();
         let bound: Vec<u64> = vec![0; 2 * n as usize];
-        let inputs = vec![bound, counts, values];
-        let seq = crate::exec::run_program(&p, &inputs).unwrap();
-        let par = ParMachine::new(p.n_regs).run(&p, &inputs).unwrap();
-        assert_eq!(seq.outputs, par.outputs);
+        assert_agree(&p, &[bound, counts, values]);
     }
 
     #[test]
     fn par_bm_route_uneven_counts() {
-        let mut bld = Builder::new(3, 1);
-        bld.push(BmRoute {
-            dst: 0,
-            bound: 0,
-            counts: 1,
-            values: 2,
-        })
-        .push(Halt);
-        let p = bld.build().unwrap();
+        let p = bm_prog();
         // Uneven counts incl. zeros, crossing the GRAIN boundary.
         let counts: Vec<u64> = (0..3000u64).map(|i| i % 5).collect();
         let total: u64 = counts.iter().sum();
         let values: Vec<u64> = (0..3000u64).map(|i| i * 7).collect();
-        let inputs = vec![vec![0; total as usize], counts, values];
-        let seq = crate::exec::run_program(&p, &inputs).unwrap();
-        let par = ParMachine::new(p.n_regs).run(&p, &inputs).unwrap();
-        assert_eq!(seq.outputs, par.outputs);
+        assert_agree(&p, &[vec![0; total as usize], counts, values]);
     }
 
     #[test]
@@ -407,12 +175,12 @@ mod tests {
         let mut b = Builder::new(0, 1);
         b.push(Singleton { dst: 0, n: 7 }).push(Halt);
         let p = b.build().unwrap();
-        let out = ParMachine::new(p.n_regs)
+        let out = Machine::par(p.n_regs, true)
             .with_step_limit(2)
             .run(&p, &[])
             .unwrap();
         assert_eq!(out.stats.time, 2);
-        let err = ParMachine::new(p.n_regs)
+        let err = Machine::par(p.n_regs, true)
             .with_step_limit(1)
             .run(&p, &[])
             .unwrap_err();
@@ -441,11 +209,7 @@ mod tests {
         let segs = vec![3u64; k as usize];
         let data: Vec<u64> = (0..3 * k).collect();
         let bound = vec![0u64; 2 * k as usize];
-        let inputs = vec![bound, counts, data, segs];
-        let seq = crate::exec::run_program(&p, &inputs).unwrap();
-        let par = ParMachine::new(p.n_regs).run(&p, &inputs).unwrap();
-        assert_eq!(seq.outputs, par.outputs);
-        assert_eq!(seq.stats, par.stats);
+        assert_agree(&p, &[bound, counts, data, segs]);
     }
 
     #[test]
@@ -458,11 +222,7 @@ mod tests {
         let total_s: u64 = segs.iter().sum();
         let data: Vec<u64> = (0..total_s).map(|i| i * 13).collect();
         let bound = vec![0u64; total_c as usize];
-        let inputs = vec![bound, counts, data, segs];
-        let seq = crate::exec::run_program(&p, &inputs).unwrap();
-        let par = ParMachine::new(p.n_regs).run(&p, &inputs).unwrap();
-        assert_eq!(seq.outputs, par.outputs);
-        assert_eq!(seq.stats, par.stats);
+        assert_agree(&p, &[bound, counts, data, segs]);
     }
 
     #[test]
@@ -470,8 +230,8 @@ mod tests {
         let p = sbm_prog();
         // sum(segs) != |data|
         let inputs = vec![vec![0; 2], vec![2], vec![1, 2, 3], vec![2]];
-        let seq = crate::exec::run_program(&p, &inputs).unwrap_err();
-        let par = ParMachine::new(p.n_regs).run(&p, &inputs).unwrap_err();
+        let seq = run_program(&p, &inputs).unwrap_err();
+        let par = run_par(&p, &inputs).unwrap_err();
         assert_eq!(seq, par);
         assert!(matches!(seq, MachineError::RouteInvariant { .. }));
     }
@@ -491,7 +251,7 @@ mod tests {
         let a = vec![1u64; n];
         let mut bb = vec![1u64; n];
         bb[n - 1] = 0; // one divide-by-zero deep in the vector
-        let err = ParMachine::new(p.n_regs).run(&p, &[a, bb]).unwrap_err();
-        assert!(matches!(err, MachineError::Arithmetic { .. }));
+        let err = run_par(&p, &[a, bb]).unwrap_err();
+        assert_eq!(err, MachineError::Arithmetic { at: 0 });
     }
 }

@@ -9,7 +9,7 @@
 //! buffers, the serving runtime's steady state.  Nothing here measures
 //! cold-start machine construction.
 
-use bvram::{Machine, ParMachine};
+use bvram::Machine;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nsc_runtime::workloads;
 
@@ -25,7 +25,7 @@ fn bench_backends(c: &mut Criterion) {
             b.iter(|| m.run(&prog, inp).unwrap());
         });
         g.bench_with_input(BenchmarkId::new("rayon", n), &inputs, |b, inp| {
-            let mut m = ParMachine::new(prog.n_regs);
+            let mut m = Machine::par(prog.n_regs, true);
             b.iter(|| m.run(&prog, inp).unwrap());
         });
     }

@@ -2,7 +2,7 @@
 //!
 //! One function per evaluation artifact of the paper; each prints a
 //! markdown table of paper-claim vs measured shape.  The `exp_all` binary
-//! runs everything (and is what `EXPERIMENTS.md` records).
+//! runs everything (see the README's "Building and testing").
 
 #![warn(missing_docs)]
 #![allow(clippy::type_complexity)]
@@ -534,13 +534,7 @@ pub fn exp_p32() {
         nsc_core::stdlib::numeric::prefix_sum(nsc_core::ast::var("x")),
     );
     let c = nsc_compile::compile_nsc(&f, &Type::seq(Type::Nat)).unwrap();
-    let arg = Value::nat_seq(0..2048);
-    let enc = nsc_algebra::sa::flatten::encode(&arg, &Type::seq(Type::Nat)).unwrap();
-    let regs = nsc_compile::layout::value_to_regs(
-        &enc,
-        &nsc_algebra::sa::flatten::compile_type(&Type::seq(Type::Nat)),
-    )
-    .unwrap();
+    let regs = nsc_compile::encode_arg(&Value::nat_seq(0..2048), &c.dom).unwrap();
     header(&["p", "cycles", "T", "W", "T + W/p", "ratio"]);
     for p in [1u64, 4, 16, 64, 256, 1024, 1 << 16] {
         let s = pram::run_brent(&c.program, &regs, p).unwrap();

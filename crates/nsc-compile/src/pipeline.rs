@@ -14,7 +14,7 @@
 use crate::codegen::compile_sa;
 use crate::layout::{regs_to_value, value_to_regs};
 use crate::opt::{optimize_checked, OptLevel, VerifyLevel};
-use bvram::{Machine, MachineError, ParMachine, Program, RunOutcome, Vector};
+use bvram::{Machine, MachineError, Program, RunOutcome, Vector};
 use nsc_algebra::nsa::from_nsc::func_to_nsa;
 use nsc_algebra::sa::flatten::{compile, compile_type, decode, encode};
 use nsc_core::cost::Cost;
@@ -161,14 +161,16 @@ pub fn eval_error_of(e: MachineError) -> E {
     }
 }
 
-/// Which BVRAM interpreter executes a compiled program.
+/// How the one BVRAM interpreter ([`Machine`]) fills long destination
+/// registers; outputs, `Stats` and faults are bit-for-bit the same.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
-    /// The sequential reference interpreter ([`Machine`]).
+    /// Sequential fills — the reference machine.
     #[default]
     Seq,
-    /// The rayon-parallel interpreter ([`ParMachine`]) — bit-for-bit the
-    /// same semantics and `Stats`.
+    /// Destinations of at least [`bvram::par::GRAIN`] elements are filled
+    /// in chunks on rayon worker threads; below that, literally the
+    /// sequential code.
     Par,
 }
 
@@ -179,6 +181,11 @@ impl Backend {
             Backend::Seq => "seq",
             Backend::Par => "par",
         }
+    }
+
+    /// A machine for this backend.
+    pub fn machine(self, n_regs: usize) -> Machine {
+        Machine::par(n_regs, self == Backend::Par)
     }
 }
 
@@ -234,11 +241,10 @@ pub fn run_program_on(
     regs: Vec<Vector>,
     backend: Backend,
 ) -> Result<RunOutcome, E> {
-    match backend {
-        Backend::Seq => Machine::new(prog.n_regs).run_owned(prog, regs),
-        Backend::Par => ParMachine::new(prog.n_regs).run_owned(prog, regs),
-    }
-    .map_err(eval_error_of)
+    backend
+        .machine(prog.n_regs)
+        .run_owned(prog, regs)
+        .map_err(eval_error_of)
 }
 
 /// Differential run: NSC evaluator vs compiled BVRAM; returns

@@ -11,8 +11,9 @@
 //!   to serving — the same flattening that batches the iterations of a
 //!   `while` under `map` (Lemma 7.2) batches independent requests.
 //! * **Lanes** — run the single-request program over the `B` requests in
-//!   parallel worker threads ([`bvram::run_lanes_rayon`]), optionally on
-//!   the rayon [`ParMachine`](bvram::ParMachine) per lane.  No encoding
+//!   parallel worker threads ([`bvram::run_lanes_rayon`]), on the `par`
+//!   backend additionally with threaded fills inside each lane
+//!   ([`bvram::Machine::par`]).  No encoding
 //!   overhead and no cross-request coupling, but every request pays the
 //!   full per-run `T'`.
 //!

@@ -14,7 +14,7 @@
 //!   multi-lane entry points (pack is source-level — the Map Lemma — so
 //!   raw programs batch via lanes; see `nsc_runtime::batch` docs);
 //! * batches whose packed register lengths straddle the rayon `GRAIN`,
-//!   so the `ParMachine`'s parallel and sequential code paths both serve
+//!   so the `par` machine's threaded and sequential fills both serve
 //!   batched traffic.
 //!
 //! The suite (18 compiled functions, each with its `map(f)` pack kernel,

@@ -44,34 +44,22 @@ impl PramStats {
 /// Per executed instruction of work `w` (sum of operand/result register
 /// lengths): `⌈w/p⌉` cycles of striped elementwise/copy work, plus one
 /// dispatch cycle, plus one scan cycle for the routing/packing
-/// instructions (`bm_route`, `sbm_route`, `select`, `append`) whose
-/// offsets come from the scan primitive.
+/// instructions ([`bvram::Instr::is_routing`]) whose offsets come from
+/// the scan primitive.
 pub fn run_brent(prog: &Program, inputs: &[Vector], p: u64) -> Result<PramStats, MachineError> {
     assert!(p >= 1);
-    // Reference execution gives the exact per-instruction trace costs.
-    let mut machine = Machine::new(prog.n_regs);
-    let trace = machine.run_traced(prog, inputs)?;
-    let mut cycles = 0u64;
-    for (instr_kind_is_routing, w) in &trace.per_instr {
-        cycles += 1; // dispatch
-        cycles += w.div_ceil(p);
-        if *instr_kind_is_routing {
-            cycles += 1; // scan primitive
-        }
-    }
+    let trace = run_traced(prog, inputs)?;
+    let cycles = trace
+        .per_instr
+        .iter()
+        .map(|(routing, w)| 1 + w.div_ceil(p) + u64::from(*routing))
+        .sum();
     Ok(PramStats {
         cycles,
         p,
         time: trace.stats.time,
         work: trace.stats.work,
     })
-}
-
-/// Extension trait adding a per-instruction trace to the BVRAM machine.
-pub trait Traced {
-    /// Runs and records, per executed instruction, whether it is a
-    /// routing/packing instruction and its work.
-    fn run_traced(&mut self, prog: &Program, inputs: &[Vector]) -> Result<Trace, MachineError>;
 }
 
 /// A per-instruction execution trace.
@@ -83,91 +71,18 @@ pub struct Trace {
     pub stats: bvram::Stats,
 }
 
-impl Traced for Machine {
-    fn run_traced(&mut self, prog: &Program, inputs: &[Vector]) -> Result<Trace, MachineError> {
-        // Re-execute step by step using a step-limited sub-run per
-        // instruction would be quadratic; instead we reconstruct the trace
-        // from a single instrumented pass.
-        run_instrumented(prog, inputs)
-    }
-}
-
-fn run_instrumented(prog: &Program, inputs: &[Vector]) -> Result<Trace, MachineError> {
-    use bvram::Instr;
-    let mut m = Machine::new(prog.n_regs);
-    // A faithful re-implementation would duplicate the interpreter; we run
-    // the program once per prefix... far too slow. Instead: replay the
-    // interpreter logic here, mirroring `bvram::exec`.
-    let outcome = m.run(prog, inputs)?;
-    // Second pass: simulate the control flow again, tracking lengths only.
-    // Lengths evolve deterministically, so this mirrors the real run.
-    let mut lens: Vec<u64> = vec![0; prog.n_regs];
-    for (i, v) in inputs.iter().enumerate() {
-        lens[i] = v.len() as u64;
-    }
-    // We must follow the same branch decisions; emptiness of a register is
-    // determined by its length, which we track exactly.
+/// Runs `prog` on the reference machine, recording each executed
+/// instruction through the machine's per-step observer — the trace is
+/// the real run's, so `per_instr.len() == stats.time` and the works sum
+/// to `stats.work` exactly.
+pub fn run_traced(prog: &Program, inputs: &[Vector]) -> Result<Trace, MachineError> {
     let mut per_instr = Vec::new();
-    let mut pc = 0usize;
-    let mut steps = 0u64;
-    loop {
-        steps += 1;
-        if steps > outcome.stats.time + 1 {
-            break; // defensive: should not happen
-        }
-        let Some(ins) = prog.instrs.get(pc) else {
-            break;
-        };
-        let in_w: u64 = ins.inputs().iter().map(|r| lens[*r as usize]).sum();
-        let mut jumped = false;
-        let routing = matches!(
-            ins,
-            Instr::BmRoute { .. }
-                | Instr::SbmRoute { .. }
-                | Instr::Select { .. }
-                | Instr::Append { .. }
-        );
-        match ins {
-            Instr::Move { dst, src } => lens[*dst as usize] = lens[*src as usize],
-            Instr::Arith { dst, a, .. } => lens[*dst as usize] = lens[*a as usize],
-            Instr::Empty { dst } => lens[*dst as usize] = 0,
-            Instr::Singleton { dst, .. } | Instr::Length { dst, .. } => lens[*dst as usize] = 1,
-            Instr::Append { dst, a, b } => {
-                lens[*dst as usize] = lens[*a as usize] + lens[*b as usize]
-            }
-            Instr::Enumerate { dst, src } => lens[*dst as usize] = lens[*src as usize],
-            Instr::BmRoute { dst, bound, .. } => lens[*dst as usize] = lens[*bound as usize],
-            // Output lengths of sbm_route/select depend on the data, which
-            // the length-only replay cannot see; fall back to the real
-            // machine for those registers by re-running... instead, mark
-            // them with the bound length (sbm) and input length (select) as
-            // safe overestimates for cycle accounting.
-            Instr::SbmRoute { dst, data, .. } => lens[*dst as usize] = lens[*data as usize],
-            Instr::Select { dst, src } => lens[*dst as usize] = lens[*src as usize],
-            Instr::Goto { target } => {
-                pc = *target as usize;
-                jumped = true;
-            }
-            Instr::IfEmptyGoto { reg, target } => {
-                if lens[*reg as usize] == 0 {
-                    pc = *target as usize;
-                    jumped = true;
-                }
-            }
-            Instr::Halt => {
-                per_instr.push((false, in_w));
-                break;
-            }
-        }
-        let out_w = ins.output().map(|r| lens[r as usize]).unwrap_or(0);
-        per_instr.push((routing, in_w + out_w));
-        if !jumped {
-            pc += 1;
-        }
-    }
+    let out = Machine::new(prog.n_regs).run_observed(prog, inputs, |_, ins, work| {
+        per_instr.push((ins.is_routing(), work));
+    })?;
     Ok(Trace {
         per_instr,
-        stats: outcome.stats,
+        stats: out.stats,
     })
 }
 
@@ -193,6 +108,32 @@ mod tests {
         })
         .push(Halt);
         b.build().unwrap()
+    }
+
+    #[test]
+    fn trace_is_the_real_run_on_a_select_loop() {
+        // `select` shrinks v0 by a data-dependent amount each round, so
+        // only the real run knows when `if_empty_goto` leaves the loop.
+        let mut b = Builder::new(1, 1);
+        b.label("loop")
+            .if_empty_goto(0, "done")
+            .push(Enumerate { dst: 1, src: 0 })
+            .push(Select { dst: 0, src: 1 })
+            .goto("loop")
+            .label("done")
+            .push(Halt);
+        let p = b.build().unwrap();
+        let t = run_traced(&p, &[vec![7; 5]]).unwrap();
+        assert_eq!((t.stats.time, t.stats.work), (22, 70));
+        assert_eq!(t.per_instr.len() as u64, t.stats.time);
+        assert_eq!(
+            t.per_instr.iter().map(|(_, w)| w).sum::<u64>(),
+            t.stats.work
+        );
+        assert_eq!(t.per_instr.iter().filter(|(r, _)| *r).count(), 5);
+        // p = 1: one dispatch per step, one scan per select, all the work.
+        let s = run_brent(&p, &[vec![7; 5]], 1).unwrap();
+        assert_eq!(s.cycles, 22 + 5 + 70);
     }
 
     #[test]

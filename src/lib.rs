@@ -19,16 +19,16 @@
 //! * [`serve`] — the adaptive micro-batching request server
 //!   (`nsc serve`): bounded admission queues, dual-threshold batcher
 //!   shards, per-shard metrics, and the newline-delimited JSON fronts;
-//! * [`machine`] — the Bounded Vector Random Access Machine with
-//!   sequential and rayon backends;
+//! * [`machine`] — the Bounded Vector Random Access Machine: one
+//!   interpreter, sequential or with rayon-threaded fills;
 //! * [`net`] — the Proposition 2.1 butterfly-network bound;
 //! * [`sched`] — the Proposition 3.2 CREW-with-scan Brent
 //!   simulation;
 //! * [`algorithms`] — Valiant's `O(log n log log n)`
 //!   mergesort (Figures 1–3) and friends.
 //!
-//! See `README.md` for a tour and `EXPERIMENTS.md` for the paper-vs-
-//! measured record.
+//! See `README.md` for a tour; `cargo run --release -p nsc-bench --bin
+//! exp_all` prints the paper-vs-measured record.
 
 pub use butterfly as net;
 pub use bvram as machine;

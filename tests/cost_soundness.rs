@@ -295,7 +295,7 @@ fn fuzz_bounds_are_sound() {
             .collect();
         let lens: Vec<u64> = input_lens.iter().map(|&l| l as u64).collect();
         let seq = bvram::Machine::new(p.n_regs).run(&p, &inputs);
-        let par = bvram::ParMachine::new(p.n_regs).run(&p, &inputs);
+        let par = bvram::Machine::par(p.n_regs, true).run(&p, &inputs);
         for (backend, out) in [("seq", seq), ("par", par)] {
             let Ok(out) = out else { continue };
             ran += 1;

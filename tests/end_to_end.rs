@@ -55,6 +55,25 @@ fn optimizer_differential_on_suite() {
 }
 
 #[test]
+fn brent_trace_is_exact_on_a_compiled_while_under_map() {
+    // The flattened `while` loops on a `select`-packed active set, so its
+    // trip count is data-dependent: the Proposition 3.2 trace must be the
+    // real run's, step for step.
+    let (_, f) = suite()
+        .into_iter()
+        .find(|(n, _)| *n == "halve-all")
+        .unwrap();
+    let dom = Type::seq(Type::Nat);
+    let c = nsc::compile::compile_nsc(&f, &dom).unwrap();
+    let regs = nsc::compile::encode_arg(&Value::nat_seq([5, 0, 1000, 3, 64]), &dom).unwrap();
+    let t = nsc::sched::run_traced(&c.program, &regs).unwrap();
+    let stats = nsc::machine::run_program(&c.program, &regs).unwrap().stats;
+    assert_eq!(t.stats, stats);
+    assert_eq!(t.per_instr.len() as u64, stats.time);
+    assert_eq!(t.per_instr.iter().map(|(_, w)| w).sum::<u64>(), stats.work);
+}
+
+#[test]
 fn maprec_to_machine_grand_tour() {
     // map-recursion -> Theorem 4.2 -> Theorem 7.1 -> BVRAM execution.
     use nsc::core::maprec::fixtures::{range, range_sum};

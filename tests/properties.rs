@@ -186,20 +186,16 @@ fn run_bounded(
     arg: &Value,
     backend: nsc::compile::Backend,
 ) -> Option<Result<Value, nsc::core::EvalError>> {
-    use nsc::compile::{decode_result, encode_arg, eval_error_of, Backend};
-    use nsc::machine::{Machine, MachineError, ParMachine};
+    use nsc::compile::{decode_result, encode_arg, eval_error_of};
+    use nsc::machine::MachineError;
     let regs = match encode_arg(arg, &c.dom) {
         Ok(r) => r,
         Err(e) => return Some(Err(e)),
     };
-    let out = match backend {
-        Backend::Seq => Machine::new(c.program.n_regs)
-            .with_step_limit(1 << 22)
-            .run_owned(&c.program, regs),
-        Backend::Par => ParMachine::new(c.program.n_regs)
-            .with_step_limit(1 << 22)
-            .run_owned(&c.program, regs),
-    };
+    let out = backend
+        .machine(c.program.n_regs)
+        .with_step_limit(1 << 22)
+        .run_owned(&c.program, regs);
     match out {
         Err(MachineError::StepLimit) => None,
         Err(e) => Some(Err(eval_error_of(e))),
@@ -336,7 +332,7 @@ proptest! {
             .push(Halt);
         let p = b.build().unwrap();
         let seq = nsc::machine::run_program(&p, std::slice::from_ref(&xs)).unwrap();
-        let par = nsc::machine::ParMachine::new(p.n_regs).run(&p, &[xs]).unwrap();
+        let par = nsc::machine::Machine::par(p.n_regs, true).run(&p, &[xs]).unwrap();
         prop_assert_eq!(seq.outputs, par.outputs);
         prop_assert_eq!(seq.stats, par.stats);
     }
