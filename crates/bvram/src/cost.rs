@@ -39,7 +39,7 @@ use std::rc::Rc;
 
 /// Maximum total degree a bound may reach before the analysis gives up
 /// (nested routing can square lengths; past this the bound is useless
-/// for plan selection anyway).
+/// as a budget anyway).
 pub const MAX_DEGREE: u32 = 8;
 
 /// Maximum number of monomials in a bound.

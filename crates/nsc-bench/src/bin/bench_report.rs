@@ -27,18 +27,9 @@
 //! Usage: `bench_report [--out <path>]` (default `<repo root>/BENCH_batch.json`).
 
 use nsc_compile::{Backend, OptLevel};
-use nsc_core::parse::parse_module;
+use nsc_runtime::workloads::goldens;
 use nsc_runtime::{json_report, measure_batches, BatchRunner, BenchRecord, CompiledCache};
 use std::path::{Path, PathBuf};
-
-/// The five golden examples, by file stem.
-const EXAMPLES: [&str; 5] = [
-    "classify",
-    "dot_product",
-    "halve_all",
-    "regroup",
-    "square_plus_one",
-];
 
 const BATCH_SIZES: [usize; 3] = [1, 8, 64];
 
@@ -66,29 +57,12 @@ fn main() {
 
     let cache = CompiledCache::new();
     let mut records: Vec<BenchRecord> = Vec::new();
-    for stem in EXAMPLES {
-        let path = repo_root().join("examples").join(format!("{stem}.nsc"));
-        let src = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
-        let module = parse_module(&src).unwrap_or_else(|e| panic!("{stem}.nsc: {e}"));
-        module.check().unwrap_or_else(|e| panic!("{stem}.nsc: {e}"));
-        let entry = if module.get("main").is_some() {
-            "main".to_string()
-        } else {
-            module.defs[0].name.to_string()
-        };
-        let def = module.get(&entry).expect("entry exists");
-        let input = module
-            .input
-            .clone()
-            .unwrap_or_else(|| panic!("{stem}.nsc has no `input` directive"));
-        let pure = module
-            .inlined(&entry)
-            .unwrap_or_else(|e| panic!("{stem}.nsc: {e}"));
+    let examples = goldens();
+    for (stem, pure, dom, input) in &examples {
         for backend in [Backend::Seq, Backend::Par] {
-            let runner = BatchRunner::from_cache(&cache, &pure, &def.dom, OptLevel::O1, backend)
+            let runner = BatchRunner::from_cache(&cache, pure, dom, OptLevel::O1, backend)
                 .unwrap_or_else(|e| panic!("compiling {stem}: {e}"));
-            records.extend(measure_batches(stem, &runner, &input, &BATCH_SIZES, REPS));
+            records.extend(measure_batches(stem, &runner, input, &BATCH_SIZES, REPS));
         }
     }
 
@@ -100,7 +74,7 @@ fn main() {
     println!(
         "wrote {} records ({} examples x 2 backends x {} batch sizes x 3 modes) to {}",
         records.len(),
-        EXAMPLES.len(),
+        examples.len(),
         BATCH_SIZES.len(),
         out_path.display()
     );

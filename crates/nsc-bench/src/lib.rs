@@ -234,7 +234,9 @@ pub fn exp_opt() {
 /// * pack amortizes `T'`: at `B = 64` the fused run's `T'` beats the
 ///   sequential loop's `Σ T'` on every *loop-free* workload (and on at
 ///   least one workload overall);
-/// * the cached entry is compiled once per (workload, backend).
+/// * the cached entry is compiled once per (workload, backend);
+/// * the static plan never loses: per golden at `B = 8`, the planned
+///   discipline's `W'` is at most 1.25x the other's.
 pub fn exp_batch() {
     println!("\n## EXP-BATCH: batched execution (pack vs lanes vs B single runs)\n");
     println!("claim: bit-identical outputs; fused T' ~ amortized; compile-once cache\n");
@@ -309,6 +311,32 @@ pub fn exp_batch() {
         t71_suite().len(),
         "one compilation per (workload, backend) key"
     );
+
+    println!("\nplanned mode per golden at B=8 (must not do > 1.25x the other's W'):\n");
+    header(&["golden", "planned", "W' pack", "W' lanes"]);
+    for (stem, f, dom, input) in nsc_runtime::workloads::goldens() {
+        let runner =
+            BatchRunner::from_cache(&cache, &f, &dom, OptLevel::O1, Backend::Seq).expect(stem);
+        let inputs = vec![input; 8];
+        let planned = runner.plan(&inputs);
+        let pack = runner.run_batch_mode(&inputs, BatchMode::Pack).cost.work;
+        let lanes = runner.run_batch_mode(&inputs, BatchMode::Lanes).cost.work;
+        row(&[
+            stem.to_string(),
+            planned.name().to_string(),
+            pack.to_string(),
+            lanes.to_string(),
+        ]);
+        let (chosen, other) = match planned {
+            BatchMode::Pack => (pack, lanes),
+            BatchMode::Lanes => (lanes, pack),
+        };
+        assert!(
+            4 * chosen <= 5 * other,
+            "{stem}: planned {} does W' {chosen}, over 1.25x the other's {other}",
+            planned.name()
+        );
+    }
 }
 
 /// EXP-FUSION — the source-level map-fusion differential (the
@@ -420,8 +448,7 @@ pub fn exp_fusion() {
 /// analysis finishes under 2 s; every pack kernel *within the analyzer's
 /// own budget* ([`bvram::cost::COST_BUDGET`], blocks × registers — the
 /// scalar-map kernels pack actually wins on all qualify) must
-/// additionally carry a finite (non-`⊤`) bound, or the planner can only
-/// ever pick lanes for them.
+/// additionally carry a finite (non-`⊤`) bound.
 pub fn exp_cost() {
     println!("\n## EXP-COST: symbolic cost analyzer budget\n");
     println!("claim: analyzing the largest cached pack kernel stays under 2s\n");
@@ -458,7 +485,7 @@ pub fn exp_cost() {
             }
             // The finite-bound requirement applies to kernels the
             // analyzer actually analyzes: past COST_BUDGET it returns ⊤
-            // without running (and the planner then picks lanes).
+            // without running.
             let analyzable = bvram::cfg::Cfg::build(&art.program)
                 .n_blocks()
                 .saturating_mul(art.program.n_regs)
@@ -756,12 +783,12 @@ pub fn exp_serve() {
     println!("claim: batches form under concurrent load and cut mean latency\n");
 
     // The workload is the Map Lemma's hard case (`map(while halve)`,
-    // ~10ms of machine work per request): the cost model routes its
-    // batches through *lanes*, so the win under load is the rayon worker
+    // ~10ms of machine work per request): it has control flow, so its
+    // batches run as *lanes* and the win under load is the rayon worker
     // pool — the baseline serializes the same work on one thread.  (A
-    // dispatch-bound workload would route through pack and win by fused
-    // dispatch instead, but its per-request overhead share makes the
-    // latency comparison noisy; the load test wants a decisive margin.)
+    // straight-line workload would run pack and win by fused dispatch
+    // instead, but its per-request overhead share makes the latency
+    // comparison noisy; the load test wants a decisive margin.)
     const CLIENTS: usize = 64;
     const PER_CLIENT: usize = 3;
     let f = nsc_runtime::workloads::halve_all();

@@ -102,48 +102,6 @@ pub fn scalar_from_fields(fields: &[u64], s: &Type) -> Result<(Value, usize), E>
     }
 }
 
-/// Per-register lengths of `v : t` under the flat encoding — exactly
-/// `value_to_regs(v, t).map(|rs| rs.iter().map(|r| r.len()))`, but
-/// without materializing the registers.  This is what the symbolic cost
-/// bounds ([`bvram::CostBound::eval`]) are evaluated at: the lengths the
-/// machine would see if the value were encoded and run.
-pub fn arg_lengths(v: &Value, t: &Type) -> Result<Vec<u64>, E> {
-    fn go(v: &Value, t: &Type, out: &mut Vec<u64>) -> Result<(), E> {
-        match t {
-            Type::Unit => Ok(()),
-            Type::Seq(s) => {
-                let n = v.as_seq().ok_or(E::Stuck("arg_lengths seq"))?.len() as u64;
-                out.extend(std::iter::repeat_n(n, scalar_fields(s)));
-                Ok(())
-            }
-            Type::Prod(a, b) => {
-                let (x, y) = v.as_pair().ok_or(E::Stuck("arg_lengths pair"))?;
-                go(x, a, out)?;
-                go(y, b, out)
-            }
-            Type::Sum(a, b) => {
-                out.push(1); // the singleton tag register
-                match v.kind() {
-                    Kind::Inl(x) => {
-                        go(x, a, out)?;
-                        out.extend(std::iter::repeat_n(0, reg_count(b)));
-                        Ok(())
-                    }
-                    Kind::Inr(y) => {
-                        out.extend(std::iter::repeat_n(0, reg_count(a)));
-                        go(y, b, out)
-                    }
-                    _ => Err(E::Stuck("arg_lengths sum")),
-                }
-            }
-            Type::Nat => Err(E::Stuck("arg_lengths: N is not flat")),
-        }
-    }
-    let mut out = Vec::with_capacity(reg_count(t));
-    go(v, t, &mut out)?;
-    Ok(out)
-}
-
 /// Encodes a flat value into its register vectors.
 pub fn value_to_regs(v: &Value, t: &Type) -> Result<Vec<Vector>, E> {
     match t {
@@ -242,8 +200,6 @@ mod tests {
     fn roundtrip(v: Value, t: Type) {
         let regs = value_to_regs(&v, &t).unwrap();
         assert_eq!(regs.len(), reg_count(&t));
-        let lens: Vec<u64> = regs.iter().map(|r| r.len() as u64).collect();
-        assert_eq!(arg_lengths(&v, &t).unwrap(), lens, "{t}");
         assert_eq!(regs_to_value(&regs, &t).unwrap(), v, "{t}");
     }
 

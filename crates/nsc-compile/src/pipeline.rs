@@ -215,18 +215,6 @@ pub fn encode_arg(arg: &Value, dom: &Type) -> Result<Vec<Vector>, E> {
     value_to_regs(&enc, &compile_type(dom))
 }
 
-/// The per-register lengths [`encode_arg`] would produce for `arg`,
-/// without materializing the register vectors.  These are the lengths
-/// the machine sees, so they are what symbolic cost bounds
-/// ([`bvram::CostBound::eval`]) must be evaluated at — evaluating at
-/// surface-value sizes would silently mis-scale every prediction,
-/// because `COMPILE(dom)` inserts descriptor registers and encodes `N`
-/// as a singleton sequence.
-pub fn arg_register_lengths(arg: &Value, dom: &Type) -> Result<Vec<u64>, E> {
-    let enc = encode(arg, dom)?;
-    crate::layout::arg_lengths(&enc, &compile_type(dom))
-}
-
 /// Decodes a program's output registers back into an NSC value of type
 /// `cod` (the inverse half of [`encode_arg`]).
 pub fn decode_result(outputs: &[Vector], cod: &Type) -> Result<Value, E> {

@@ -1,6 +1,7 @@
 //! The batched execution runtime: one cached program, `B` requests.
 //!
-//! Two batching disciplines, chosen per batch by the cost model:
+//! Two batching disciplines, chosen once per cache entry by program
+//! structure:
 //!
 //! * **Pack** — fuse the batch into a *single* BVRAM run of the cached
 //!   Map-Lemma kernel `map(f) : [s] → [t]`.  The flattening translation
@@ -17,18 +18,17 @@
 //!   overhead and no cross-request coupling, but every request pays the
 //!   full per-run `T'`.
 //!
-//! **Decision rule** (see [`BatchRunner::plan`]): evaluate the cached
-//! program's *symbolic* work bound ([`bvram::CostReport`], derived once
-//! at cache insert) at each request's actual register lengths, and pack
-//! when the mean predicted per-request `W'` is at most
-//! [`PACK_WORK_CUTOFF`] — such requests are dispatch-bound, and fusing
-//! amortizes the instruction stream across the batch — otherwise lanes,
-//! because data-bound requests saturate the hardware on their own and
-//! pack's fused control flow would couple every request to the slowest
-//! one (a compiled `while` runs all lanes until the deepest lane
-//! finishes).  The certificate is the only cost model: when the bound is
-//! `⊤` (the analyzer could not certify a finite polynomial) nothing
-//! says the requests are small, so the batch runs as lanes.
+//! **Decision rule** ([`BatchMode::of`], stored as
+//! [`CachedProgram::mode`]): pack iff the single-request program and its
+//! `map(f)` kernel are both *straight-line* — no `Goto`/`IfEmptyGoto`,
+//! one basic block.  The Map Lemma lifts `map(f)` by computing both arms
+//! of every conditional and keeping every lane marching until the
+//! deepest `while` finishes, so on a program with control flow the
+//! kernel does many times the work of `B` single runs (24–36x on the
+//! branchy goldens); only when `f` has no control flow at all does the
+//! kernel do the same work as `B` single runs for one `T'`.  The rule
+//! never looks at a request: every batch of one entry runs the same
+//! discipline, whatever its size.
 //!
 //! **Fault semantics.** Results are per request and bit-identical to a
 //! loop of single runs, including error classification (`Ω` vs compiler
@@ -39,9 +39,8 @@
 //! whether the fused run was used).
 
 use crate::cache::{CachedProgram, CompiledCache};
-use nsc_compile::pipeline::{
-    arg_register_lengths, decode_result, encode_arg, eval_error_of, run_program_on,
-};
+use bvram::{Instr, Program};
+use nsc_compile::pipeline::{decode_result, encode_arg, eval_error_of, run_program_on};
 use nsc_compile::{Backend, OptLevel};
 use nsc_core::cost::Cost;
 use nsc_core::error::EvalError;
@@ -60,6 +59,22 @@ pub enum BatchMode {
 }
 
 impl BatchMode {
+    /// The static batching rule: [`BatchMode::Pack`] iff `single` and
+    /// its `map(f)` `kernel` are both straight-line (see the module
+    /// docs), else [`BatchMode::Lanes`].
+    pub fn of(single: &Program, kernel: &Program) -> BatchMode {
+        let straight_line = |p: &Program| {
+            !p.instrs
+                .iter()
+                .any(|i| matches!(i, Instr::Goto { .. } | Instr::IfEmptyGoto { .. }))
+        };
+        if straight_line(single) && straight_line(kernel) {
+            BatchMode::Pack
+        } else {
+            BatchMode::Lanes
+        }
+    }
+
     /// Lower-case name (`pack`/`lanes`), as reported in `BENCH_batch.json`.
     pub fn name(self) -> &'static str {
         match self {
@@ -67,28 +82,6 @@ impl BatchMode {
             BatchMode::Lanes => "lanes",
         }
     }
-}
-
-/// Predicted per-request `W'` at or below which a batch is packed.
-///
-/// Below the cutoff a request touches so little data that its wall-clock
-/// is dominated by instruction dispatch and per-run setup — the costs
-/// pack amortizes.  Above it, data movement dominates and lanes wins by
-/// avoiding the fused kernel's straggler coupling.  Tuned with
-/// `exp_batch` / `bench_report`; the order of magnitude (tens of
-/// thousands of register elements) matters, the exact value does not.
-pub const PACK_WORK_CUTOFF: u64 = 1 << 17;
-
-/// The cost model's decision for one batch (see [`BatchRunner::plan`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Plan {
-    /// The chosen discipline.
-    pub mode: BatchMode,
-    /// Mean predicted per-request `W'` — the symbolic work bound
-    /// evaluated at each request's actual register lengths.  `None` when
-    /// the bound is `⊤` (or a request does not fit the domain), in which
-    /// case the mode is [`BatchMode::Lanes`].
-    pub predicted_work: Option<u64>,
 }
 
 /// What a batch run returns.
@@ -103,10 +96,6 @@ pub struct BatchOutcome {
     /// `false` under [`BatchMode::Lanes`], and under [`BatchMode::Pack`]
     /// when a fault forced the per-request fallback.
     pub fused: bool,
-    /// The mean predicted per-request `W'` that drove the mode choice
-    /// (see [`Plan::predicted_work`]).  `None` under an explicitly
-    /// forced mode or when the symbolic bound was `⊤`.
-    pub predicted_work: Option<u64>,
     /// Aggregate machine cost: the fused run's `(T', W')` under pack,
     /// and the parallel composition (`T' = max`, `W' = Σ`) under lanes
     /// (including pack's per-request fallback, which replays through the
@@ -173,58 +162,34 @@ impl BatchRunner {
         Ok((val, Cost::new(out.stats.time, out.stats.work)))
     }
 
-    /// Predicted `W'` for one request: the single-request program's
-    /// symbolic work bound evaluated at the request's actual register
-    /// lengths.  `None` when the bound is `⊤` or the value does not fit
-    /// the domain.
+    /// Certified `W'` for one request: the single-request program's
+    /// symbolic work bound evaluated at the register lengths the request
+    /// encodes to (`u64::MAX` when the bound saturates).  `None` when
+    /// the bound is `⊤` or the value does not fit the domain.
+    /// Informational (`nsc bench --explain`); the batching rule does not
+    /// read it.
     pub fn predict_work(&self, input: &Value) -> Option<u64> {
-        let lens = arg_register_lengths(input, self.dom()).ok()?;
-        self.cached.single.cost.work.eval(&lens)
+        let work = self.cached.single.cost.work.as_poly()?;
+        let lens: Vec<u64> = encode_arg(input, self.dom())
+            .ok()?
+            .iter()
+            .map(|r| r.len() as u64)
+            .collect();
+        Some(work.eval(&lens))
     }
 
-    /// The cost model's pick for this batch: pack iff the mean predicted
-    /// per-request `W'` — the symbolic bound evaluated at each request's
-    /// actual register lengths — is at most [`PACK_WORK_CUTOFF`].  A `⊤`
-    /// bound (or a request outside the domain) certifies nothing, so it
-    /// means lanes.  See the module docs for why.
-    pub fn plan(&self, inputs: &[Value]) -> Plan {
-        let mut sum: u128 = 0;
-        for v in inputs {
-            match self.predict_work(v) {
-                Some(w) => sum += u128::from(w),
-                None => {
-                    return Plan {
-                        mode: BatchMode::Lanes,
-                        predicted_work: None,
-                    }
-                }
-            }
-        }
-        let b = inputs.len().max(1) as u128;
-        let mean = u64::try_from(sum / b).unwrap_or(u64::MAX);
-        Plan {
-            mode: if mean <= PACK_WORK_CUTOFF {
-                BatchMode::Pack
-            } else {
-                BatchMode::Lanes
-            },
-            predicted_work: Some(mean),
-        }
+    /// The discipline every batch of this runner executes under: the
+    /// cache entry's stored [`CachedProgram::mode`].  The requests are
+    /// never inspected; the parameter remains only because the benchmark
+    /// harness (`bench/src/replay.rs`) calls `plan(&inputs)`.
+    pub fn plan(&self, _inputs: &[Value]) -> BatchMode {
+        self.cached.mode()
     }
 
-    /// The mode component of [`BatchRunner::plan`].
-    pub fn choose_mode(&self, inputs: &[Value]) -> BatchMode {
-        self.plan(inputs).mode
-    }
-
-    /// Runs `B` independent requests, choosing the mode via
-    /// [`BatchRunner::plan`]; the outcome records the predicted `W'`
-    /// that drove the choice.
+    /// Runs `B` independent requests under the entry's static mode
+    /// ([`BatchRunner::plan`]).
     pub fn run_batch(&self, inputs: &[Value]) -> BatchOutcome {
-        let plan = self.plan(inputs);
-        let mut out = self.run_batch_mode(inputs, plan.mode);
-        out.predicted_work = plan.predicted_work;
-        out
+        self.run_batch_mode(inputs, self.cached.mode())
     }
 
     /// Runs `B` independent requests under an explicit mode.
@@ -255,7 +220,6 @@ impl BatchRunner {
                 results: items.into_iter().map(Ok).collect(),
                 mode: BatchMode::Pack,
                 fused: true,
-                predicted_work: None,
                 cost,
             },
             // Some lane faulted (or failed to encode): the fused run
@@ -307,7 +271,6 @@ impl BatchRunner {
                 .collect(),
             mode: BatchMode::Lanes,
             fused: false,
-            predicted_work: None,
             cost,
         }
     }
@@ -397,31 +360,35 @@ mod tests {
         }
     }
 
+    /// The rule reads program structure, never the batch: a jump-free
+    /// `map(+1)` packs at every size, and one conditional in `f` means
+    /// lanes at every size.
     #[test]
-    fn mode_choice_follows_predicted_work() {
-        let f = a::map(a::lam("x", a::add(a::var("x"), a::nat(1))));
-        let r = runner(f, Type::seq(Type::Nat), Backend::Seq);
+    fn mode_choice_follows_program_structure() {
+        let inc = a::map(a::lam("x", a::add(a::var("x"), a::nat(1))));
+        let r = runner(inc, Type::seq(Type::Nat), Backend::Seq);
+        assert_eq!(r.cached().mode(), BatchMode::Pack);
         let small: Vec<Value> = (0..8).map(|_| Value::nat_seq(0..4)).collect();
-        let plan = r.plan(&small);
-        assert_eq!(plan.mode, BatchMode::Pack);
-        let cost = &r.cached().single.cost;
-        assert!(cost.is_finite(), "map(+1) has a polynomial bound: {cost}");
-        // Find a size the symbolic bound maps above the cutoff and check
-        // the rule flips (the rule, not a threshold, is the API).
-        let n_syms = cost.n_syms;
-        let mut n = 1u64 << 10;
-        while cost.work.eval(&vec![n; n_syms]).unwrap() <= PACK_WORK_CUTOFF {
-            n *= 2;
+        let big: Vec<Value> = (0..2).map(|_| Value::nat_seq(0..1 << 16)).collect();
+        for inputs in [&[][..], &small, &big] {
+            assert_eq!(r.plan(inputs), BatchMode::Pack);
         }
-        let big: Vec<Value> = (0..2).map(|_| Value::nat_seq(0..n)).collect();
-        let plan = r.plan(&big);
-        assert_eq!(plan.mode, BatchMode::Lanes);
-        assert!(plan.predicted_work.unwrap() > PACK_WORK_CUTOFF);
+        assert_eq!(r.run_batch(&small).mode, BatchMode::Pack);
+
+        let branchy = a::map(a::lam(
+            "x",
+            a::cond(a::lt(a::var("x"), a::nat(2)), a::nat(0), a::var("x")),
+        ));
+        let r = runner(branchy, Type::seq(Type::Nat), Backend::Seq);
+        for inputs in [&[][..], &small, &big] {
+            assert_eq!(r.plan(inputs), BatchMode::Lanes);
+        }
+        assert_eq!(r.run_batch(&small).mode, BatchMode::Lanes);
     }
 
-    /// The certificate is the only cost model: a `⊤` bound plans lanes
-    /// whatever the batch looks like, and lanes still agrees with single
-    /// runs.
+    /// The certificate plays no part in the plan: a compiled `while`
+    /// has jumps, so it plans lanes for any batch — also with its bound
+    /// stripped to `⊤`, which `predict_work` reports as `None`.
     #[test]
     fn top_certificate_plans_lanes_for_tiny_and_huge_batches_alike() {
         let halve = a::while_(
@@ -436,31 +403,18 @@ mod tests {
         single.program.trip_hints.clear();
         single.cost = bvram::cost_program(&single.program);
         assert!(single.cost.work.is_top(), "{}", single.cost);
-        let r = BatchRunner::new(
-            Arc::new(CachedProgram {
-                key: entry.key.clone(),
-                single,
-                batch: entry.batch.clone(),
-            }),
-            Backend::Seq,
-        );
+        let stripped = CachedProgram::new(entry.key.clone(), single, entry.batch.clone());
+        let r = BatchRunner::new(Arc::new(stripped), Backend::Seq);
+        assert!(hinted.predict_work(&Value::nat(1)).is_some());
+        assert_eq!(r.predict_work(&Value::nat(1)), None);
         let tiny: Vec<Value> = vec![Value::nat(1), Value::nat(2)];
         let huge: Vec<Value> = (0..512u64)
             .map(|i| Value::nat(u64::MAX >> (i % 64)))
             .collect();
-        for inputs in [tiny, huge] {
-            let lanes = Plan {
-                mode: BatchMode::Lanes,
-                predicted_work: None,
-            };
-            assert_eq!(r.plan(&inputs), lanes);
-            let out = r.run_batch(&inputs);
-            assert_eq!((out.mode, out.predicted_work), (BatchMode::Lanes, None));
-            let singles: Vec<_> = inputs
-                .iter()
-                .map(|v| r.run_single(v).map(|p| p.0))
-                .collect();
-            assert_eq!(out.results, singles);
+        for inputs in [Vec::new(), tiny, huge] {
+            assert_eq!(hinted.plan(&inputs), BatchMode::Lanes);
+            assert_eq!(r.plan(&inputs), BatchMode::Lanes);
+            assert_eq!(r.run_batch(&inputs).mode, BatchMode::Lanes);
         }
     }
 
@@ -468,7 +422,7 @@ mod tests {
     fn predicted_work_bounds_measured_work() {
         // The certificate's whole point: predicted W' at the actual
         // request lengths is an upper bound on the measured per-request
-        // Stats work, and the batch outcome reports the prediction.
+        // Stats work.
         let f = a::map(a::lam(
             "x",
             a::add(a::mul(a::var("x"), a::var("x")), a::nat(1)),
@@ -484,7 +438,5 @@ mod tests {
                 cost.work
             );
         }
-        let out = r.run_batch(&inputs);
-        assert!(out.predicted_work.is_some(), "plan recorded on outcome");
     }
 }

@@ -18,11 +18,18 @@
 //!   larger than [`KERNEL_OPT_BUDGET`] skip the optimizer — a
 //!   compile-latency guard, not a semantic switch.
 //!
+//! Each entry also fixes, once and for all, the **batching discipline**
+//! its batches run under ([`CachedProgram::mode`]): pack iff both
+//! programs are straight-line, a structural fact of the compiled code
+//! that no request can change (see [`crate::batch`]).
+//!
 //! Each artifact also carries a **symbolic cost certificate**
 //! ([`bvram::CostReport`]): parametric `T'`/`W'` bounds over the input
-//! register lengths, derived once here so the batch runner can evaluate
-//! them per batch without re-analyzing (see
-//! [`crate::batch::BatchRunner::plan`]).
+//! register lengths, derived once here.  It gates the optimizer (no pass
+//! may worsen it), backs `nsc cost` and the superlinear lint, and is
+//! shown by `nsc bench --explain`
+//! ([`crate::batch::BatchRunner::predict_work`]); it does not pick the
+//! batching discipline.
 //!
 //! Compilation failures are cached too (negative caching): a function
 //! that does not compile is not retried per request.
@@ -36,6 +43,7 @@
 //! distinct keys — callers that generate fresh names per request should
 //! normalize first or reuse the built AST.
 
+use crate::batch::BatchMode;
 use bvram::verify::verify_program_basic;
 use bvram::{cost_program, CostReport, Program};
 use nsc_compile::{
@@ -79,9 +87,7 @@ pub struct Artifact {
     /// The optimized BVRAM program.
     pub program: Program,
     /// Its symbolic cost certificate: parametric `T'`/`W'` bounds over
-    /// the input-register lengths, derived once at cache insert.  The
-    /// batch runner evaluates this at actual request lengths to pick a
-    /// batching mode; a `⊤` bound means lanes.
+    /// the input-register lengths, derived once at cache insert.
     pub cost: CostReport,
     /// `map ∘ map` stages source-level fusion collapsed before this
     /// program was translated (see `nsc_algebra::fuse`); `0` at `O0`
@@ -115,6 +121,29 @@ pub struct CachedProgram {
     pub single: Artifact,
     /// `map(f) : [s] → [t]` — the pack mode's fused kernel.
     pub batch: Artifact,
+    /// [`BatchMode::of`] the two programs; private so it cannot disagree
+    /// with them.
+    mode: BatchMode,
+}
+
+impl CachedProgram {
+    /// Assembles an entry, fixing its batching discipline from the two
+    /// programs' structure.
+    pub fn new(key: CacheKey, single: Artifact, batch: Artifact) -> CachedProgram {
+        let mode = BatchMode::of(&single.program, &batch.program);
+        CachedProgram {
+            key,
+            single,
+            batch,
+            mode,
+        }
+    }
+
+    /// The discipline every batch of this entry runs under, decided
+    /// once, at insert.
+    pub fn mode(&self) -> BatchMode {
+        self.mode
+    }
 }
 
 /// Observer invoked once per actual compilation (not per lookup) — lets
@@ -258,11 +287,11 @@ impl CompiledCache {
                 Ok((single, kernel))
             })();
             compiled.map(|(single, kernel)| {
-                Arc::new(CachedProgram {
-                    key: key.clone(),
-                    single: Artifact::of(single),
-                    batch: Artifact::of(kernel),
-                })
+                Arc::new(CachedProgram::new(
+                    key.clone(),
+                    Artifact::of(single),
+                    Artifact::of(kernel),
+                ))
             })
         })
         .clone()

@@ -13,8 +13,9 @@
 //!   one cached entry, either *packed* (one fused BVRAM run of `map(f)`
 //!   over lane-offset registers — the paper's flattening aggregation
 //!   applied to request batching) or as *lanes* (rayon-parallel
-//!   per-request runs), choosing between them with the certificate's
-//!   predicted `W'` at the requests' actual register lengths.
+//!   per-request runs).  Which one is a static property of the cache
+//!   entry: pack iff the compiled program and its kernel are
+//!   straight-line (no jumps), lanes otherwise.
 //! * [`workloads`] — the shared program builders every bench and
 //!   experiment constructs its subjects from.
 //! * [`bench`](mod@bench) — wall-clock measurement records and the
@@ -31,6 +32,6 @@ pub mod bench;
 pub mod cache;
 pub mod workloads;
 
-pub use batch::{BatchMode, BatchOutcome, BatchRunner, PACK_WORK_CUTOFF};
+pub use batch::{BatchMode, BatchOutcome, BatchRunner};
 pub use bench::{host, json_report, measure_batches, BenchRecord};
 pub use cache::{CacheKey, CachedProgram, CompileHook, CompiledCache, KERNEL_OPT_BUDGET};

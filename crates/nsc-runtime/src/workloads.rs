@@ -12,7 +12,7 @@
 
 use nsc_core::ast as a;
 use nsc_core::stdlib;
-use nsc_core::Func;
+use nsc_core::{Func, Type, Value};
 
 /// A raw-BVRAM kernel: `y ← 3x²-ish` through a few registers (the
 /// backend-crossover workload of `benches/wallclock.rs`).
@@ -115,6 +115,31 @@ pub fn suite() -> Vec<(&'static str, Func)> {
     ]
 }
 
+/// The five golden `examples/*.nsc` in file-name order: `(file stem,
+/// inlined `main`, its domain, the file's `input`)`.  Read from the
+/// source checkout, so for benches, experiments and tests only.
+pub fn goldens() -> Vec<(&'static str, Func, Type, Value)> {
+    [
+        "classify",
+        "dot_product",
+        "halve_all",
+        "regroup",
+        "square_plus_one",
+    ]
+    .into_iter()
+    .map(|stem| {
+        let path = format!("{}/../../examples/{stem}.nsc", env!("CARGO_MANIFEST_DIR"));
+        let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let module = nsc_core::parse::parse_module(&src).unwrap_or_else(|e| panic!("{path}: {e}"));
+        module.check().unwrap_or_else(|e| panic!("{path}: {e}"));
+        let dom = module.get("main").expect("goldens define main").dom.clone();
+        let pure = module.inlined("main").expect("inlinable main");
+        let input = module.input.clone().expect("goldens ship an input");
+        (stem, pure, dom, input)
+    })
+    .collect()
+}
+
 /// The optimizer-ablation pair (`benches/optimizer.rs`).
 pub fn optimizer_pair() -> Vec<(&'static str, Func)> {
     vec![("map_sq", map_square_plus_one()), ("sum", sum_while())]
@@ -123,8 +148,6 @@ pub fn optimizer_pair() -> Vec<(&'static str, Func)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nsc_core::value::Value;
-    use nsc_core::Type;
 
     #[test]
     fn every_suite_workload_compiles_and_runs() {

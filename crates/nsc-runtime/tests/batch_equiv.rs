@@ -439,10 +439,9 @@ fn check_batch(s: &Subject, inputs: &[Value]) {
                 s.name, mode
             );
         }
-        // `run_batch` dispatches to choose_mode's pick — both candidate
-        // disciplines are verified above, so checking the chooser's
-        // totality is enough (no third execution).
-        let _auto: BatchMode = runner.choose_mode(inputs);
+        // `run_batch` dispatches to the entry's static mode — both
+        // candidate disciplines are verified above, so there is no third
+        // execution to check.
     }
 }
 

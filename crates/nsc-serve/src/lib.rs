@@ -17,8 +17,8 @@
 //!   *or* `max_wait` has elapsed since the oldest queued request,
 //!   whichever comes first.  Flushed batches run on
 //!   [`BatchRunner::run_batch`](nsc_runtime::BatchRunner::run_batch),
-//!   which picks pack vs lanes per batch and executes lanes on the rayon
-//!   worker pool.
+//!   which runs the shard's static discipline (pack for straight-line
+//!   programs, lanes — on the rayon worker pool — for everything else).
 //! * [`metrics`] — per-shard counters (queue depth, batch-size histogram,
 //!   p50/p99 latency, pack-vs-lanes-vs-fused counts) exposed as a
 //!   [`metrics::Snapshot`].

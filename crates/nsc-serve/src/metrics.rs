@@ -126,7 +126,6 @@ struct Inner {
     pack_batches: u64,
     lanes_batches: u64,
     fused_batches: u64,
-    pack_slower: u64,
 }
 
 impl Metrics {
@@ -159,16 +158,9 @@ impl Metrics {
     /// Batcher side: a batch of `size` requests is about to execute
     /// under `mode` (`fused` per [`nsc_runtime::BatchOutcome::fused`]);
     /// batches that never reach the runner (all requests malformed) pass
-    /// no mode.  `pack_slower` marks a pack misprediction — the cost
-    /// model chose pack, but the batch ran worse than its prediction
-    /// (see [`Snapshot::pack_slower`]).
-    pub fn on_batch(
-        &self,
-        size: usize,
-        mode: Option<nsc_runtime::BatchMode>,
-        fused: bool,
-        pack_slower: bool,
-    ) {
+    /// no mode.  A pack batch that did not complete fused counts as
+    /// [`Snapshot::pack_slower`].
+    pub fn on_batch(&self, size: usize, mode: Option<nsc_runtime::BatchMode>, fused: bool) {
         let mut m = self.inner.lock().unwrap();
         m.batches += 1;
         m.batch_sizes.record(size as u64);
@@ -179,9 +171,6 @@ impl Metrics {
         }
         if fused {
             m.fused_batches += 1;
-        }
-        if pack_slower {
-            m.pack_slower += 1;
         }
     }
 
@@ -219,7 +208,7 @@ impl Metrics {
             pack_batches: m.pack_batches,
             lanes_batches: m.lanes_batches,
             fused_batches: m.fused_batches,
-            pack_slower: m.pack_slower,
+            pack_slower: m.pack_batches - m.fused_batches,
             p50_latency_ns: m.latency_ns.quantile(0.50),
             p99_latency_ns: m.latency_ns.quantile(0.99),
             mean_latency_ns: m.latency_ns.mean(),
@@ -256,18 +245,17 @@ pub struct Snapshot {
     pub max_batch: usize,
     /// Batch-size histogram as `(bucket upper bound, count)` pairs.
     pub batch_hist: Vec<(u64, u64)>,
-    /// Batches the cost model sent through the pack discipline.
+    /// Batches run through the pack discipline (the shard's program is
+    /// straight-line).
     pub pack_batches: u64,
-    /// Batches the cost model sent through the lanes discipline.
+    /// Batches run through the lanes discipline (the shard's program has
+    /// control flow).
     pub lanes_batches: u64,
     /// Pack batches that completed as one fused machine run.
     pub fused_batches: u64,
-    /// Pack mispredictions: batches where the cost model chose pack but
-    /// the batch ran *worse* than predicted — the fused run faulted into
-    /// the per-request fallback (paying for both disciplines), or it
-    /// completed with more measured machine work than the predicted
-    /// per-request `W'` × batch size budgeted.  A rising count says the
-    /// cost certificate is loose for this shard's workload.
+    /// Pack batches that fell back to per-request replay: some request
+    /// faulted the fused run, so the batch paid for both disciplines.  A
+    /// rising count says this shard's traffic carries faulting requests.
     pub pack_slower: u64,
     /// Median request latency (admission → reply), nanoseconds.
     pub p50_latency_ns: u64,
@@ -355,7 +343,8 @@ mod tests {
         m.on_admit();
         m.on_admit();
         m.on_reject(); // rolls the third admission back
-        m.on_batch(2, Some(nsc_runtime::BatchMode::Pack), true, true);
+        m.on_batch(2, Some(nsc_runtime::BatchMode::Pack), true);
+        m.on_batch(2, Some(nsc_runtime::BatchMode::Pack), false); // replayed
         m.on_reply(1000, false);
         m.on_reply(2000, true);
         let s = m.snapshot("f", "seq", 3);
@@ -365,9 +354,9 @@ mod tests {
         assert_eq!(s.completed, 2);
         assert_eq!(s.errors, 1);
         assert_eq!(s.queue_depth, 0);
-        assert_eq!(s.batches, 1);
+        assert_eq!(s.batches, 2);
         assert_eq!(s.mean_batch, 2.0);
-        assert_eq!(s.pack_batches, 1);
+        assert_eq!(s.pack_batches, 2);
         assert_eq!(s.fused_batches, 1);
         assert_eq!(s.pack_slower, 1);
         assert!(s.p50_latency_ns >= 1000);

@@ -28,10 +28,11 @@
 //! batch executed is drained greedily before the timed gather, so a
 //! saturated shard flushes full batches rather than degenerating to one
 //! request per flush.  The flushed batch executes on
-//! [`BatchRunner::run_batch`], whose cost model picks pack or lanes per
-//! batch.  `max_wait = 0` disables *waiting* (backlog still batches);
-//! only `max_batch = 1` disables batching itself, which is the baseline
-//! `exp_serve` measures against.
+//! [`BatchRunner::run_batch`] under the shard's one discipline — pack
+//! iff its compiled program is straight-line, lanes otherwise, fixed when
+//! the program was cached.  `max_wait = 0` disables *waiting* (backlog
+//! still batches); only `max_batch = 1` disables batching itself, which
+//! is the baseline `exp_serve` measures against.
 //!
 //! ### Lifecycle
 //!
@@ -294,29 +295,19 @@ fn execute(batch: Vec<Job>, runner: &BatchRunner, cfg: &ServeConfig, metrics: &A
     // the pack kernel and the lanes pool only pay off from 2 requests up,
     // and `max_batch = 1` (no batching) must mean genuine single-run
     // latency, not "a batch of one".
-    let (results, mode, fused, pack_slower) = match valid.len() {
-        0 => (Vec::new(), None, false, false),
+    let (results, mode, fused) = match valid.len() {
+        0 => (Vec::new(), None, false),
         1 => (
             vec![runner.run_single(&valid[0]).map(|(v, _)| v)],
             None,
             false,
-            false,
         ),
         _ => {
             let o = runner.run_batch(&valid);
-            // A pack misprediction: the cost model chose pack but the
-            // batch ran worse than predicted — either the fused run
-            // faulted into the per-request fallback (paying for both
-            // disciplines), or it finished with more measured work than
-            // the predicted per-request W' × B it was budgeted.
-            let slower = o.mode == nsc_runtime::BatchMode::Pack
-                && (!o.fused
-                    || o.predicted_work
-                        .is_some_and(|w| o.cost.work > w.saturating_mul(valid.len() as u64)));
-            (o.results, Some(o.mode), o.fused, slower)
+            (o.results, Some(o.mode), o.fused)
         }
     };
-    metrics.on_batch(batch.len(), mode, fused, pack_slower);
+    metrics.on_batch(batch.len(), mode, fused);
     let mut results = results.into_iter();
     for (job, prep) in batch.into_iter().zip(prepared) {
         let result = match prep {

@@ -262,6 +262,44 @@ fn size_threshold_flushes_without_waiting() {
     );
 }
 
+/// The batching discipline is the shard's static property: `classify`
+/// compiles to a program with control flow, so even a two-request flush
+/// of 4-element inputs — where the fused kernel would execute ~40x the
+/// instructions — runs as lanes.
+#[test]
+fn small_branchy_batches_run_as_lanes() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/classify.nsc");
+    let module = nsc_core::parse::parse_module(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let mut server = Server::new(ServeConfig {
+        max_batch: 2,
+        max_wait: Duration::from_secs(3600),
+        ..ServeConfig::default()
+    });
+    assert!(server.register_module(&module).is_empty());
+    let (tx, rx) = mpsc::channel::<Reply>();
+    for input in ["[0, 3, 0, 7]", "[5, 0, 0, 1]"] {
+        let tx = tx.clone();
+        server
+            .submit(
+                "main",
+                None,
+                input.to_string(),
+                Box::new(move |r| {
+                    let _ = tx.send(r);
+                }),
+            )
+            .unwrap();
+    }
+    for _ in 0..2 {
+        let reply = rx.recv_timeout(Duration::from_secs(120)).expect("flush");
+        assert!(reply.result.is_ok(), "{:?}", reply.result);
+    }
+    server.drain();
+    let snap = &server.snapshots()[0];
+    assert_eq!((snap.batches, snap.max_batch), (1, 2), "one flush of two");
+    assert_eq!((snap.lanes_batches, snap.pack_batches), (1, 0));
+}
+
 /// The age threshold: a partial batch flushes once the oldest queued
 /// request is `max_wait` old, gathering everything that arrived
 /// meanwhile.

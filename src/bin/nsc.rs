@@ -27,7 +27,8 @@ use nsc::compile::{compile_nsc_verified, run_compiled_on, Backend, OptLevel, Ver
 use nsc::core::eval::Evaluator;
 use nsc::core::parse::{parse_module, parse_value, Module};
 use nsc::core::{Cost, EvalError};
-use nsc::runtime::{measure_batches, BatchRunner, CompiledCache};
+use nsc::machine::cfg::Cfg;
+use nsc::runtime::{measure_batches, BatchMode, BatchRunner, CompiledCache};
 use nsc::serve::{front, ServeConfig, Server};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -71,9 +72,10 @@ OPTIONS:
                         runtime; (bench) measure only batch size n instead of
                         the default sweep 1, 8, 64
     --json <path>       (bench) also write the records as BENCH_batch.json
-    --explain           (bench) print the cost model's mode choice per batch
-                        size: predicted per-request W' (the symbolic bound at
-                        the actual input lengths) next to the measured W'
+    --explain           (bench) print the batching mode and the structural
+                        rule that chose it (pack iff the compiled program is
+                        straight-line), with the certified per-request W'
+                        next to the measured W' per batch size
     --explain-fusion    (compile) print what source-level map fusion did to
                         the entry: how many map∘map stages collapsed and,
                         for each seam that did not, why it was blocked
@@ -419,8 +421,7 @@ fn cmd_compile(opts: &Opts, module: &Module) -> Result<(), String> {
 /// default level and flag it when the symbolic work bound is ω(n) in any
 /// input register length — or `⊤`, which is worse.  A serving system
 /// that registers such a definition gets per-request cost growing faster
-/// than its input, so the warning points at exactly the definitions the
-/// batch runner's cost model will steer away from packing.
+/// than its input.
 fn superlinear_lints(module: &Module) -> Vec<nsc::core::Lint> {
     let mut lints = Vec::new();
     for d in &module.defs {
@@ -681,19 +682,38 @@ fn cmd_bench(opts: &Opts, module: &Module) -> Result<(), String> {
     let batches: Vec<usize> = opts.batch.map(|b| vec![b]).unwrap_or(vec![1, 8, 64]);
     let cache = CompiledCache::new();
     let mut records = Vec::new();
-    // `--explain`: the cost model's decision per (backend, batch size) —
-    // chosen mode plus the predicted per-request W' behind it.
+    // `--explain`: per backend, the entry's static mode with the rule
+    // that fired, plus the certified per-request W' as information.
     let mut plans = Vec::new();
     for &backend in &opts.backends {
         let runner = BatchRunner::from_cache(&cache, &pure, &def.dom, opts.opt, backend)
             .map_err(|e| format!("compiling `{entry}`: {e}"))?;
         records.extend(measure_batches(&entry, &runner, &input, &batches, 5));
         if opts.explain {
-            let fused = runner.cached().batch.fused_stages;
-            for &b in &batches {
-                let inputs = vec![input.clone(); b];
-                plans.push((backend.name(), b, runner.plan(&inputs), fused));
-            }
+            let cached = runner.cached();
+            let why = match cached.mode() {
+                BatchMode::Pack => format!(
+                    "straight-line, kernel {} instrs",
+                    cached.batch.program.instrs.len()
+                ),
+                BatchMode::Lanes => {
+                    let blocks = |p| Cfg::build(p).n_blocks();
+                    match blocks(&cached.single.program) {
+                        1 => format!(
+                            "control flow in the map(f) kernel, {} blocks",
+                            blocks(&cached.batch.program)
+                        ),
+                        n => format!("control flow, {n} blocks"),
+                    }
+                }
+            };
+            let certified = match runner.predict_work(&input) {
+                None => "⊤".to_string(),
+                Some(u64::MAX) => "saturated (≥ 2^64)".to_string(),
+                Some(w) => w.to_string(),
+            };
+            let fused = cached.batch.fused_stages;
+            plans.push((backend.name(), cached.mode(), why, certified, fused));
         }
     }
 
@@ -711,23 +731,21 @@ fn cmd_bench(opts: &Opts, module: &Module) -> Result<(), String> {
             r.backend, r.batch, r.mode, r.wall_ns, r.t_prime, r.w_prime, r.speedup_vs_sequential
         );
     }
-    for (backend, b, plan, fused_stages) in &plans {
-        let predicted = match plan.predicted_work {
-            Some(w) => w.to_string(),
-            None => "⊤ (lanes)".to_string(),
-        };
-        // The measured W' of the discipline the model chose, per request.
-        let measured = records
-            .iter()
-            .find(|r| r.backend == *backend && r.batch == *b && r.mode == plan.mode.name())
-            .map(|r| (r.w_prime / (*b).max(1) as u64).to_string())
-            .unwrap_or_else(|| "?".to_string());
-        let _ = writeln!(
-            out,
-            "explain {backend} B={b}: chose {} (predicted per-request W' {predicted}, \
-             measured {measured}, fused_stages {fused_stages})",
-            plan.mode.name()
-        );
+    for (backend, mode, why, certified, fused_stages) in &plans {
+        for &b in &batches {
+            // The measured W' of the chosen discipline, per request.
+            let measured = records
+                .iter()
+                .find(|r| r.backend == *backend && r.batch == b && r.mode == mode.name())
+                .map(|r| (r.w_prime / b.max(1) as u64).to_string())
+                .unwrap_or_else(|| "?".to_string());
+            let _ = writeln!(
+                out,
+                "explain {backend} B={b}: chose {}: {why} (certified per-request W' \
+                 {certified}, measured {measured}, fused_stages {fused_stages})",
+                mode.name()
+            );
+        }
     }
     if let Some(path) = &opts.json {
         std::fs::write(path, nsc::runtime::json_report(&records))

@@ -12,11 +12,10 @@
 use bvram::cfg::Cfg;
 use bvram::{cost_program, Builder, Instr, Op, Program, TripBound};
 use nsc_compile::{compile_nsc_with, optimize, OptLevel};
-use nsc_core::parse::parse_module;
-use std::path::PathBuf;
 
 mod common;
 use common::typed_suite;
+use nsc_runtime::workloads::goldens;
 
 /// Leaders, edges between entry-reachable blocks, and dominator sets,
 /// rebuilt from the instruction stream alone.
@@ -185,26 +184,13 @@ fn cfg_agrees_with_reference_on_the_roster_and_goldens() {
                     assert_matches_reference(&format!("{name} at {level:?}"), &c.program);
                 }
             }
-            let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples");
-            let mut goldens = 0;
-            for entry in std::fs::read_dir(dir).expect("examples/ directory") {
-                let path = entry.expect("dir entry").path();
-                if path.extension().is_none_or(|e| e != "nsc") {
-                    continue;
-                }
-                goldens += 1;
-                let name = path.file_name().unwrap().to_string_lossy().into_owned();
-                let src = std::fs::read_to_string(&path).expect("read example");
-                let module = parse_module(&src).unwrap_or_else(|e| panic!("parsing {name}: {e}"));
-                let def = module.get("main").expect("examples define main");
-                let pure = module.inlined("main").expect("inlinable main");
+            for (name, pure, dom, _) in goldens() {
                 for level in [OptLevel::O0, OptLevel::O1] {
-                    let c = compile_nsc_with(&pure, &def.dom, level)
+                    let c = compile_nsc_with(&pure, &dom, level)
                         .unwrap_or_else(|e| panic!("compiling {name} at {level:?}: {e}"));
                     assert_matches_reference(&format!("{name} at {level:?}"), &c.program);
                 }
             }
-            assert_eq!(goldens, 5, "expected the five golden examples");
         })
         .expect("spawn worker")
         .join()

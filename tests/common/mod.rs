@@ -7,7 +7,41 @@
 use nsc::core::ast as a;
 use nsc::core::stdlib;
 use nsc::core::types::Type;
+use nsc::core::value::Value;
 use nsc::core::Func;
+
+/// Runs `f` on a thread with enough stack for the deepest stdlib
+/// compilations (`map(combine_flags)` and friends), mirroring
+/// `src/bin/nsc.rs`.
+pub fn on_big_stack(f: fn()) {
+    std::thread::Builder::new()
+        .stack_size(512 * 1024 * 1024)
+        .spawn(f)
+        .expect("spawn worker")
+        .join()
+        .expect("worker panicked");
+}
+
+/// A deterministic inhabitant of `t` whose sequences have length `n`.
+/// Scalars stay small (`1..=3`) so index/take/drop-style arguments are
+/// usually in range at the sweeps' sizes; runs that still fault (e.g.
+/// `bm_route` with counts that don't sum to the bound) are the callers'
+/// to skip.
+pub fn sample(t: &Type, n: u64) -> Value {
+    match t {
+        Type::Unit => Value::unit(),
+        Type::Nat => Value::nat(n % 3 + 1),
+        Type::Prod(a, b) => Value::pair(sample(a, n), sample(b, n)),
+        Type::Sum(a, b) => {
+            if n.is_multiple_of(2) {
+                Value::inl(sample(a, n))
+            } else {
+                Value::inr(sample(b, n))
+            }
+        }
+        Type::Seq(s) => Value::seq((0..n).map(|i| sample(s, i)).collect()),
+    }
+}
 
 /// A small suite of closed NSC functions over [N] spanning map,
 /// divide-and-conquer, and batched while — used by the end-to-end

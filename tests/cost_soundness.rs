@@ -11,47 +11,17 @@
 //! workloads) to finite polynomial bounds.
 
 use bvram::{cost_program, CostReport, Stats};
-use nsc_compile::pipeline::{arg_register_lengths, encode_arg, run_program_on};
+use nsc_compile::pipeline::{encode_arg, run_program_on};
 use nsc_compile::{compile_nsc_with, Backend, OptLevel};
-use nsc_core::parse::parse_module;
 use nsc_core::types::Type;
-use nsc_core::value::Value;
-use std::path::PathBuf;
 
 mod common;
-use common::typed_suite;
+use common::{on_big_stack, sample, typed_suite};
+use nsc_runtime::workloads::goldens;
 
-/// Runs `f` on a thread with enough stack for the deepest stdlib
-/// compilations, mirroring `src/bin/nsc.rs` and `tests/static_verify.rs`.
-fn on_big_stack(f: fn()) {
-    std::thread::Builder::new()
-        .name("cost-soundness-worker".into())
-        .stack_size(512 * 1024 * 1024)
-        .spawn(f)
-        .expect("spawn worker")
-        .join()
-        .expect("worker panicked");
-}
-
-/// A deterministic inhabitant of `t` whose sequences have length `n`.
-/// Scalars stay small (`1..=3`) so index/take/drop-style arguments are
-/// usually in range at the sweep's sizes; runs that still fault (e.g.
-/// `bm_route` with counts that don't sum to the bound) are skipped — the
-/// claim under test is about *successful* runs.
-fn sample(t: &Type, n: u64) -> Value {
-    match t {
-        Type::Unit => Value::unit(),
-        Type::Nat => Value::nat(n % 3 + 1),
-        Type::Prod(a, b) => Value::pair(sample(a, n), sample(b, n)),
-        Type::Sum(a, b) => {
-            if n.is_multiple_of(2) {
-                Value::inl(sample(a, n))
-            } else {
-                Value::inr(sample(b, n))
-            }
-        }
-        Type::Seq(s) => Value::seq((0..n).map(|i| sample(s, i)).collect()),
-    }
+/// The lengths the machine sees: what the certificates are evaluated at.
+fn reg_lens(regs: &[Vec<u64>]) -> Vec<u64> {
+    regs.iter().map(|r| r.len() as u64).collect()
 }
 
 /// Checks one successful run against its certificate: the measured stats
@@ -96,9 +66,9 @@ fn stdlib_bounds_are_sound() {
                 let mut succeeded = false;
                 for n in [0u64, 1, 4, 9] {
                     let arg = sample(&dom, n);
-                    let lens = arg_register_lengths(&arg, &dom).unwrap();
                     for backend in [Backend::Seq, Backend::Par] {
                         let regs = encode_arg(&arg, &dom).unwrap();
+                        let lens = reg_lens(&regs);
                         let Ok(out) = run_program_on(&c.program, regs, backend) else {
                             // Partial functions (indexing past the end,
                             // route invariants) may fault on generic
@@ -139,27 +109,9 @@ fn stdlib_bounds_are_sound() {
 #[test]
 fn golden_example_bounds_are_sound_and_finite() {
     on_big_stack(|| {
-        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples");
-        let mut seen = 0;
-        for entry in std::fs::read_dir(dir).expect("examples/ directory") {
-            let path = entry.expect("dir entry").path();
-            if path.extension().is_none_or(|e| e != "nsc") {
-                continue;
-            }
-            seen += 1;
-            let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            let src = std::fs::read_to_string(&path).expect("read example");
-            let module = parse_module(&src).unwrap_or_else(|e| panic!("parsing {name}: {e}"));
-            let def = module.get("main").expect("examples define main");
-            let pure = module
-                .inlined("main")
-                .unwrap_or_else(|e| panic!("inlining {name}: {e}"));
-            let input = module
-                .input
-                .clone()
-                .unwrap_or_else(|| panic!("{name} ships no input directive"));
+        for (name, pure, dom, input) in goldens() {
             for level in [OptLevel::O0, OptLevel::O1] {
-                let c = compile_nsc_with(&pure, &def.dom, level)
+                let c = compile_nsc_with(&pure, &dom, level)
                     .unwrap_or_else(|e| panic!("compiling {name} at {level:?}: {e}"));
                 let report = cost_program(&c.program);
                 assert!(
@@ -167,9 +119,9 @@ fn golden_example_bounds_are_sound_and_finite() {
                     "{name} at {level:?}: golden examples must get polynomial \
                      bounds, got\n{report}"
                 );
-                let lens = arg_register_lengths(&input, &def.dom).unwrap();
                 for backend in [Backend::Seq, Backend::Par] {
-                    let regs = encode_arg(&input, &def.dom).unwrap();
+                    let regs = encode_arg(&input, &dom).unwrap();
+                    let lens = reg_lens(&regs);
                     let out = run_program_on(&c.program, regs, backend)
                         .unwrap_or_else(|e| panic!("{name} at {level:?}: {e}"));
                     assert_sound(
@@ -181,7 +133,6 @@ fn golden_example_bounds_are_sound_and_finite() {
                 }
             }
         }
-        assert_eq!(seen, 5, "expected the five golden examples");
     });
 }
 
@@ -190,7 +141,8 @@ fn golden_example_bounds_are_sound_and_finite() {
 /// stack) may tighten a certified bound but must never raise its
 /// polynomial degree or collapse it to `⊤` — a rewrite that turns an
 /// `O(n)` certificate into `O(n²)` (or loses it entirely) would silently
-/// corrupt the pack-vs-lanes plan selection that reads these bounds.
+/// corrupt everything that reads these bounds (`nsc cost`, the
+/// superlinear lint, `--explain`).
 /// Swept over the golden examples and the runnable stdlib roster, on
 /// both `T'` and `W'`, checking total degree and per-symbol degrees.
 #[test]
@@ -200,25 +152,11 @@ fn optimization_never_raises_certified_degrees() {
             .into_iter()
             .map(|(n, f, d)| (n.to_string(), f, d))
             .collect();
-        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples");
-        for entry in std::fs::read_dir(dir).expect("examples/ directory") {
-            let path = entry.expect("dir entry").path();
-            if path.extension().is_none_or(|e| e != "nsc") {
-                continue;
-            }
-            let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            let src = std::fs::read_to_string(&path).expect("read example");
-            let module = parse_module(&src).unwrap_or_else(|e| panic!("parsing {name}: {e}"));
-            let dom = module
-                .get("main")
-                .expect("examples define main")
-                .dom
-                .clone();
-            let pure = module
-                .inlined("main")
-                .unwrap_or_else(|e| panic!("inlining {name}: {e}"));
-            programs.push((name, pure, dom));
-        }
+        programs.extend(
+            goldens()
+                .into_iter()
+                .map(|(n, f, d, _)| (n.to_string(), f, d)),
+        );
         let mut compared = 0usize;
         for (name, f, dom) in &programs {
             let old = compile_nsc_with(f, dom, OptLevel::O0)

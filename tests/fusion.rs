@@ -12,6 +12,7 @@
 //! in `tests/properties.rs`.
 
 mod common;
+use common::sample;
 
 use nsc::compile::{
     compile_nsc_unfused, compile_nsc_verified, run_compiled_on, Backend, Compiled, OptLevel,
@@ -20,25 +21,6 @@ use nsc::compile::{
 use nsc::core::ast as a;
 use nsc::core::value::Value;
 use nsc::core::{EvalError, Func, Type};
-
-/// A deterministic inhabitant of `t` whose sequences have length `n`
-/// (same convention as `tests/cost_soundness.rs`: scalars stay small so
-/// index-style arguments are usually in range).
-fn sample(t: &Type, n: u64) -> Value {
-    match t {
-        Type::Unit => Value::unit(),
-        Type::Nat => Value::nat(n % 3 + 1),
-        Type::Prod(a, b) => Value::pair(sample(a, n), sample(b, n)),
-        Type::Sum(a, b) => {
-            if n.is_multiple_of(2) {
-                Value::inl(sample(a, n))
-            } else {
-                Value::inr(sample(b, n))
-            }
-        }
-        Type::Seq(s) => Value::seq((0..n).map(|i| sample(s, i)).collect()),
-    }
-}
 
 /// Compiles `f` through both pipelines (full translation validation)
 /// and asserts bit-identical `Result`s — value *and* fault

@@ -16,20 +16,7 @@ use nsc_core::types::Type;
 use std::path::PathBuf;
 
 mod common;
-use common::typed_suite as suite;
-
-/// Runs `f` on a thread with enough stack for the deepest stdlib
-/// compilations (`map(combine_flags)` and friends), mirroring
-/// `src/bin/nsc.rs`.
-fn on_big_stack(f: fn()) {
-    std::thread::Builder::new()
-        .name("static-verify-worker".into())
-        .stack_size(512 * 1024 * 1024)
-        .spawn(f)
-        .expect("spawn worker")
-        .join()
-        .expect("worker panicked");
-}
+use common::{on_big_stack, typed_suite as suite};
 
 fn assert_clean(what: &str, prog: &Program) {
     let report = verify_program(prog);

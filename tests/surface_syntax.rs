@@ -533,8 +533,7 @@ fn cost_fixture_dir() -> PathBuf {
 /// `tests/fixtures/cost/` byte-for-byte.  The symbolic W'/T' bounds are
 /// part of the CLI contract (CI diffs them as well), so an analyzer
 /// precision regression — a bound collapsing to ⊤ or its degree jumping
-/// — shows up here as a golden mismatch rather than silently degrading
-/// plan selection.
+/// — shows up here as a golden mismatch rather than passing silently.
 #[test]
 fn cli_cost_matches_goldens() {
     let bin = nsc_bin();
