@@ -439,16 +439,16 @@ pub fn exp_fusion() {
 }
 
 /// EXP-COST — the symbolic cost analyzer's own budget.  `cost_program`
-/// runs at every cache insert (once for the single program, once for the
-/// pack kernel), so it must stay interactive even on the largest kernel
-/// the cache ever holds — the while-heavy `sum` workload's `map(f)`
-/// kernel, which blows past [`nsc_runtime::KERNEL_OPT_BUDGET`] and ships
-/// at full unoptimized size.  Re-analyzes every cached artifact of the
-/// shared suite, timing each run, and asserts the slowest pack-kernel
-/// analysis finishes under 2 s; every pack kernel *within the analyzer's
-/// own budget* ([`bvram::cost::COST_BUDGET`], blocks × registers — the
-/// scalar-map kernels pack actually wins on all qualify) must
-/// additionally carry a finite (non-`⊤`) bound.
+/// runs on demand (`nsc cost`, the lint, `nsc bench --explain`, the
+/// optimizer's gate), so it must stay interactive even on the largest
+/// kernel the cache ever holds — the while-heavy `sum` workload's
+/// `map(f)` kernel, which blows past [`nsc_runtime::KERNEL_OPT_BUDGET`]
+/// and ships at full unoptimized size.  Analyzes both cached programs of
+/// every shared-suite entry, timing each run, and asserts the slowest
+/// pack-kernel analysis finishes under 2 s; every pack kernel *within
+/// the analyzer's own budget* ([`bvram::cost::COST_BUDGET`], blocks ×
+/// registers — the scalar-map kernels pack actually wins on all qualify)
+/// must additionally carry a finite (non-`⊤`) bound.
 pub fn exp_cost() {
     println!("\n## EXP-COST: symbolic cost analyzer budget\n");
     println!("claim: analyzing the largest cached pack kernel stays under 2s\n");
@@ -475,11 +475,6 @@ pub fn exp_cost() {
             let t0 = std::time::Instant::now();
             let report = bvram::cost_program(&art.program);
             let ms = t0.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(
-                report.is_finite(),
-                art.cost.is_finite(),
-                "{name}/{what}: re-analysis disagrees with the cached certificate"
-            );
             if what == "pack" && ms > slowest_kernel.0 {
                 slowest_kernel = (ms, name);
             }
@@ -760,176 +755,6 @@ pub fn exp_d1() {
     }
 }
 
-/// EXP-SERVE — the adaptive micro-batching server under closed-loop
-/// load: 64 concurrent clients, each waiting for its reply before
-/// sending the next request, against (a) a batching server (dual
-/// threshold, `max_batch = 64`) and (b) the no-batching baseline
-/// (`max_batch = 1`, everything else identical).  Asserts that
-///
-/// * every reply — under both configurations — is bit-identical to the
-///   evaluator's answer for that input,
-/// * batches actually form (mean flushed batch size > 1), and
-/// * mean per-request latency with batching beats the sequential
-///   (`B = 1`) baseline: forming batches is what makes the runtime's
-///   `T'` amortization reachable from single-request traffic.
-pub fn exp_serve() {
-    use nsc_compile::Backend;
-    use nsc_serve::{Reply, ServeConfig, Server};
-    use std::sync::mpsc;
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    println!("\n## EXP-SERVE: micro-batching server vs no-batching baseline\n");
-    println!("claim: batches form under concurrent load and cut mean latency\n");
-
-    // The workload is the Map Lemma's hard case (`map(while halve)`,
-    // ~10ms of machine work per request): it has control flow, so its
-    // batches run as *lanes* and the win under load is the rayon worker
-    // pool — the baseline serializes the same work on one thread.  (A
-    // straight-line workload would run pack and win by fused dispatch
-    // instead, but its per-request overhead share makes the latency
-    // comparison noisy; the load test wants a decisive margin.)
-    const CLIENTS: usize = 64;
-    const PER_CLIENT: usize = 3;
-    let f = nsc_runtime::workloads::halve_all();
-    let dom = Type::seq(Type::Nat);
-    let input = Value::nat_seq(0..64).to_string();
-    let expected = {
-        let (v, _) = nsc_core::eval::apply_func(&f, nsc_core::parse::parse_value(&input).unwrap())
-            .expect("workload evaluates");
-        v.to_string()
-    };
-
-    // Closed-loop run against one server; returns (mean latency ns,
-    // wall ns, snapshots).
-    let drive = |max_batch: usize| -> (f64, u128, Vec<nsc_serve::Snapshot>) {
-        let mut server = Server::new(ServeConfig {
-            max_batch,
-            max_wait: Duration::from_millis(2),
-            queue_cap: 8192,
-            backend: Backend::Seq,
-            ..ServeConfig::default()
-        });
-        server.register("halve_all", &f, &dom);
-        let server = Arc::new(server);
-        let start = Instant::now();
-        let mut latencies: Vec<u64> = Vec::with_capacity(CLIENTS * PER_CLIENT);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for _ in 0..CLIENTS {
-                let server = Arc::clone(&server);
-                let input = input.clone();
-                let expected = expected.clone();
-                handles.push(scope.spawn(move || {
-                    let mut mine = Vec::with_capacity(PER_CLIENT);
-                    for _ in 0..PER_CLIENT {
-                        let (tx, rx) = mpsc::channel::<Reply>();
-                        let t0 = Instant::now();
-                        server
-                            .submit(
-                                "halve_all",
-                                None,
-                                input.clone(),
-                                Box::new(move |r| {
-                                    let _ = tx.send(r);
-                                }),
-                            )
-                            .expect("queue_cap exceeds the closed-loop population");
-                        let reply = rx.recv().expect("reply");
-                        mine.push(t0.elapsed().as_nanos() as u64);
-                        let got = reply.result.expect("request served");
-                        assert_eq!(got, expected, "served output diverges from the evaluator");
-                    }
-                    mine
-                }));
-            }
-            for h in handles {
-                latencies.extend(h.join().expect("client thread"));
-            }
-        });
-        let wall = start.elapsed().as_nanos();
-        let snaps = server.snapshots();
-        server.drain();
-        let mean = latencies.iter().sum::<u64>() as f64 / latencies.len() as f64;
-        (mean, wall, snaps)
-    };
-
-    let (batched_mean, batched_wall, batched_snaps) = drive(CLIENTS);
-    let (seq_mean, seq_wall, _) = drive(1);
-
-    let snap = &batched_snaps[0];
-    header(&[
-        "config",
-        "requests",
-        "batches",
-        "mean batch",
-        "max batch",
-        "pack/lanes",
-        "mean lat (us)",
-        "p99 lat (us)",
-        "wall (ms)",
-    ]);
-    row(&[
-        "batched".into(),
-        snap.completed.to_string(),
-        snap.batches.to_string(),
-        format!("{:.2}", snap.mean_batch),
-        snap.max_batch.to_string(),
-        format!("{}/{}", snap.pack_batches, snap.lanes_batches),
-        format!("{:.1}", batched_mean / 1e3),
-        format!("{:.1}", snap.p99_latency_ns as f64 / 1e3),
-        format!("{:.1}", batched_wall as f64 / 1e6),
-    ]);
-    row(&[
-        "sequential (B=1)".into(),
-        (CLIENTS * PER_CLIENT).to_string(),
-        "-".into(),
-        "1.00".into(),
-        "1".into(),
-        "-".into(),
-        format!("{:.1}", seq_mean / 1e3),
-        "-".into(),
-        format!("{:.1}", seq_wall as f64 / 1e6),
-    ]);
-    println!(
-        "\nmean latency: batched {:.1}us vs sequential {:.1}us ({:.2}x)",
-        batched_mean / 1e3,
-        seq_mean / 1e3,
-        seq_mean / batched_mean
-    );
-    assert_eq!(
-        snap.completed,
-        (CLIENTS * PER_CLIENT) as u64,
-        "every request answered"
-    );
-    assert!(
-        snap.mean_batch > 1.0,
-        "batches must actually form under {CLIENTS} concurrent clients (mean {:.2})",
-        snap.mean_batch
-    );
-    // This workload's batches run as rayon lanes, so the latency win *is*
-    // the worker pool: on one core there is no pool and the best any
-    // discipline can do is parity (batching must then cost at most noise,
-    // bounded at 15%); with two or more workers the win must be real.
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if workers > 1 {
-        assert!(
-            batched_mean < seq_mean,
-            "with {workers} workers, batching must beat the B=1 sequential baseline: \
-             {batched_mean:.0}ns vs {seq_mean:.0}ns"
-        );
-    } else {
-        assert!(
-            batched_mean < seq_mean * 1.15,
-            "on one core batching must stay within 15% of the sequential baseline: \
-             {batched_mean:.0}ns vs {seq_mean:.0}ns"
-        );
-        println!("(single core: parity check only — the lanes pool needs >= 2 workers to win)");
-    }
-}
-
 /// Runs every experiment in order.
 pub fn run_all() {
     exp_fig123();
@@ -939,7 +764,6 @@ pub fn run_all() {
     exp_fusion();
     exp_batch();
     exp_cost();
-    exp_serve();
     exp_p21();
     exp_p32();
     exp_p62();

@@ -75,7 +75,7 @@ impl BatchMode {
         }
     }
 
-    /// Lower-case name (`pack`/`lanes`), as reported in `BENCH_batch.json`.
+    /// Lower-case name (`pack`/`lanes`), as printed by `nsc bench`.
     pub fn name(self) -> &'static str {
         match self {
             BatchMode::Pack => "pack",
@@ -160,22 +160,6 @@ impl BatchRunner {
         let out = run_program_on(&self.cached.single.program, regs, self.backend)?;
         let val = decode_result(&out.outputs, self.cod())?;
         Ok((val, Cost::new(out.stats.time, out.stats.work)))
-    }
-
-    /// Certified `W'` for one request: the single-request program's
-    /// symbolic work bound evaluated at the register lengths the request
-    /// encodes to (`u64::MAX` when the bound saturates).  `None` when
-    /// the bound is `⊤` or the value does not fit the domain.
-    /// Informational (`nsc bench --explain`); the batching rule does not
-    /// read it.
-    pub fn predict_work(&self, input: &Value) -> Option<u64> {
-        let work = self.cached.single.cost.work.as_poly()?;
-        let lens: Vec<u64> = encode_arg(input, self.dom())
-            .ok()?
-            .iter()
-            .map(|r| r.len() as u64)
-            .collect();
-        Some(work.eval(&lens))
     }
 
     /// The discipline every batch of this runner executes under: the
@@ -386,9 +370,9 @@ mod tests {
         assert_eq!(r.run_batch(&small).mode, BatchMode::Lanes);
     }
 
-    /// The certificate plays no part in the plan: a compiled `while`
-    /// has jumps, so it plans lanes for any batch — also with its bound
-    /// stripped to `⊤`, which `predict_work` reports as `None`.
+    /// No certificate plays a part in the plan: a compiled `while` has
+    /// jumps, so it plans lanes for any batch — also with its trip hints
+    /// stripped, when the analyzer can only bound it by `⊤`.
     #[test]
     fn top_certificate_plans_lanes_for_tiny_and_huge_batches_alike() {
         let halve = a::while_(
@@ -396,17 +380,13 @@ mod tests {
             a::lam("x", a::rshift(a::var("x"), a::nat(1))),
         );
         let hinted = runner(halve, Type::Nat, Backend::Seq);
-        // Strip the trip certificates: the compiled `while` is then an
-        // unhinted loop, which the analyzer cannot bound.
         let entry = hinted.cached();
         let mut single = entry.single.clone();
         single.program.trip_hints.clear();
-        single.cost = bvram::cost_program(&single.program);
-        assert!(single.cost.work.is_top(), "{}", single.cost);
+        let cost = bvram::cost_program(&single.program);
+        assert!(cost.work.is_top(), "{cost}");
         let stripped = CachedProgram::new(entry.key.clone(), single, entry.batch.clone());
         let r = BatchRunner::new(Arc::new(stripped), Backend::Seq);
-        assert!(hinted.predict_work(&Value::nat(1)).is_some());
-        assert_eq!(r.predict_work(&Value::nat(1)), None);
         let tiny: Vec<Value> = vec![Value::nat(1), Value::nat(2)];
         let huge: Vec<Value> = (0..512u64)
             .map(|i| Value::nat(u64::MAX >> (i % 64)))
@@ -415,28 +395,6 @@ mod tests {
             assert_eq!(hinted.plan(&inputs), BatchMode::Lanes);
             assert_eq!(r.plan(&inputs), BatchMode::Lanes);
             assert_eq!(r.run_batch(&inputs).mode, BatchMode::Lanes);
-        }
-    }
-
-    #[test]
-    fn predicted_work_bounds_measured_work() {
-        // The certificate's whole point: predicted W' at the actual
-        // request lengths is an upper bound on the measured per-request
-        // Stats work.
-        let f = a::map(a::lam(
-            "x",
-            a::add(a::mul(a::var("x"), a::var("x")), a::nat(1)),
-        ));
-        let r = runner(f, Type::seq(Type::Nat), Backend::Seq);
-        let inputs: Vec<Value> = (0..6u64).map(|i| Value::nat_seq(0..4 * i)).collect();
-        for v in &inputs {
-            let predicted = r.predict_work(v).expect("finite bound");
-            let (_, cost) = r.run_single(v).unwrap();
-            assert!(
-                cost.work <= predicted,
-                "measured {} > predicted {predicted} for {v}",
-                cost.work
-            );
         }
     }
 }

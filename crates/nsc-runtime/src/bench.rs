@@ -1,39 +1,25 @@
-//! Machine-readable batching measurements (the `BENCH_batch.json` side
-//! of the runtime).
+//! Wall-clock measurement of the batching disciplines (the `nsc bench`
+//! side of the runtime).
 //!
 //! [`measure_batches`] times one example at several batch sizes under
 //! every discipline — a loop of `B` single runs (the `"sequential"`
 //! baseline), [`BatchMode::Pack`] and [`BatchMode::Lanes`] — *verifying
 //! bit-identical per-request results before trusting any number*, and
-//! returns [`BenchRecord`]s.  [`json_report`] serializes them into the
-//! schema CI's `perf-smoke` job consumes:
-//!
-//! ```json
-//! {"schema": "nsc-bench/batch-v2",
-//!  "host": "ci-runner-3",
-//!  "records": [{"example": "...", "backend": "seq", "batch": 8,
-//!               "mode": "pack", "wall_ns": 1234, "t_prime": 56,
-//!               "w_prime": 789, "speedup_vs_sequential": 1.87}, …]}
-//! ```
+//! returns [`BenchRecord`]s for `nsc bench` to tabulate.
 //!
 //! `wall_ns` is the *median* over the measured repetitions — robust
 //! against scheduler noise in both directions, unlike a minimum, whose
-//! lower-tail bias destabilizes cross-report speedup ratios once the
-//! sampling-time floor drives repetition counts into the thousands.  `t_prime`/`w_prime` are
-//! the *exact* machine costs of the measured discipline (summed over the
-//! loop for `"sequential"`, the aggregate [`crate::BatchOutcome`] cost
-//! otherwise), so the JSON carries both wall-clock and model costs and
-//! regressions in either are visible.  `speedup_vs_sequential` is
+//! lower-tail bias destabilizes speedup ratios once the sampling-time
+//! floor drives repetition counts into the thousands.  `t_prime`/`w_prime`
+//! are the *exact* machine costs of the measured discipline (summed over
+//! the loop for `"sequential"`, the aggregate [`crate::BatchOutcome`] cost
+//! otherwise).  `speedup_vs_sequential` is
 //! `wall(sequential at the same B) / wall(mode)` — the `"sequential"`
 //! rows carry `1.0` by construction.
 //!
-//! **`wall_ns` is machine-dependent** — the report is measured wherever
-//! it runs, and `BENCH_batch.json` is *committed* as the perf-trend
-//! baseline.  Schema v2 therefore records the measuring [`host`], and
-//! the CI trend gate (`perf_trend` in `nsc-bench`) compares the
-//! dimensionless `speedup_vs_sequential` columns, never raw nanoseconds,
-//! so a baseline from one machine and a fresh run from another can be
-//! compared meaningfully.
+//! This is an operator's in-process tool ("which discipline, and why");
+//! the repository's wall-clock numbers of record are end to end, from
+//! `bench/` (see `bench/README.md`).
 
 use crate::batch::{BatchMode, BatchRunner};
 use nsc_core::cost::Cost;
@@ -61,81 +47,12 @@ pub struct BenchRecord {
     pub speedup_vs_sequential: f64,
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-impl BenchRecord {
-    /// The record as one JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"example\": {}, \"backend\": {}, \"batch\": {}, \"mode\": {}, \
-             \"wall_ns\": {}, \"t_prime\": {}, \"w_prime\": {}, \
-             \"speedup_vs_sequential\": {:.4}}}",
-            json_str(&self.example),
-            json_str(&self.backend),
-            self.batch,
-            json_str(&self.mode),
-            self.wall_ns,
-            self.t_prime,
-            self.w_prime,
-            self.speedup_vs_sequential,
-        )
-    }
-}
-
-/// Best-effort name of the measuring machine, recorded in the report so
-/// a committed baseline says where its absolute `wall_ns` numbers came
-/// from (`$HOSTNAME`, then `/etc/hostname`, then `"unknown"`).
-pub fn host() -> String {
-    if let Ok(h) = std::env::var("HOSTNAME") {
-        if !h.trim().is_empty() {
-            return h.trim().to_string();
-        }
-    }
-    if let Ok(h) = std::fs::read_to_string("/etc/hostname") {
-        if !h.trim().is_empty() {
-            return h.trim().to_string();
-        }
-    }
-    "unknown".to_string()
-}
-
-/// The full `BENCH_batch.json` document (schema v2: carries the
-/// measuring [`host`]).
-pub fn json_report(records: &[BenchRecord]) -> String {
-    let mut out = format!(
-        "{{\n  \"schema\": \"nsc-bench/batch-v2\",\n  \"host\": {},\n  \"records\": [\n",
-        json_str(&host())
-    );
-    for (i, r) in records.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&r.to_json());
-        out.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// Floor on *total* sampling time per measured discipline at one batch
 /// size.  A handful of µs-scale repetitions is pure scheduler noise
 /// (observed: the same cell's speedup ratio swinging 0.9x–1.7x between
-/// reports, which makes a ratio-based trend gate flaky); re-sampling
-/// until this much wall time has accumulated gives small cells hundreds
-/// of samples, while ms-scale cells already exceed the floor within
-/// their normal repetitions.
+/// runs); re-sampling until this much wall time has accumulated gives
+/// small cells hundreds of samples, while ms-scale cells already exceed
+/// the floor within their normal repetitions.
 const MIN_SAMPLE_NANOS: u128 = 50_000_000;
 
 /// Hard cap on sampling rounds per batch size (a backstop so a
@@ -157,15 +74,14 @@ fn median(walls: &mut [u128]) -> u128 {
 /// one sequential loop, one pack run, and one lanes run back-to-back —
 /// for at least `reps` rounds and then until every discipline has
 /// accumulated the 50ms sampling-time floor of wall time.  The kept statistic
-/// per discipline is the **median** round.  Both choices are load-
-/// bearing for the CI trend gate, which compares speedup *ratios*
-/// across reports measured minutes or days apart: interleaving makes
-/// every discipline's samples span the same wall-clock window (a CPU
-/// frequency step or noisy neighbor between two disciplines' windows
-/// otherwise skews the ratio — observed as 60% cross-report swings
-/// under one-discipline-at-a-time sampling), and the median, unlike a
-/// best-of-N minimum, does not walk into the distribution's lower tail
-/// as the time floor drives sample counts into the hundreds.
+/// per discipline is the **median** round.  Both choices keep the
+/// speedup *ratios* stable: interleaving makes every discipline's
+/// samples span the same wall-clock window (a CPU frequency step or
+/// noisy neighbor between two disciplines' windows otherwise skews the
+/// ratio — observed as 60% swings under one-discipline-at-a-time
+/// sampling), and the median, unlike a best-of-N minimum, does not walk
+/// into the distribution's lower tail as the time floor drives sample
+/// counts into the hundreds.
 ///
 /// # Panics
 ///
@@ -267,7 +183,7 @@ mod tests {
     use nsc_core::Type;
 
     #[test]
-    fn measurements_cover_every_mode_and_are_valid_json_ish() {
+    fn measurements_cover_every_mode() {
         let cache = CompiledCache::new();
         let runner = BatchRunner::from_cache(
             &cache,
@@ -279,19 +195,12 @@ mod tests {
         .unwrap();
         let recs = measure_batches("unit", &runner, &Value::nat_seq(0..8), &[1, 4], 2);
         assert_eq!(recs.len(), 6); // 2 sizes x {sequential, pack, lanes}
-        let doc = json_report(&recs);
-        assert!(doc.contains("\"schema\": \"nsc-bench/batch-v2\""));
-        assert!(doc.contains("\"host\": \""));
-        assert!(doc.contains("\"mode\": \"pack\""));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
+        for mode in ["sequential", "pack", "lanes"] {
+            assert_eq!(recs.iter().filter(|r| r.mode == mode).count(), 2);
+        }
         // Sequential rows are the 1.0 baseline.
         for r in recs.iter().filter(|r| r.mode == "sequential") {
             assert_eq!(r.speedup_vs_sequential, 1.0);
         }
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
     }
 }

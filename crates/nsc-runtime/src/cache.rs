@@ -23,13 +23,11 @@
 //! programs are straight-line, a structural fact of the compiled code
 //! that no request can change (see [`crate::batch`]).
 //!
-//! Each artifact also carries a **symbolic cost certificate**
-//! ([`bvram::CostReport`]): parametric `T'`/`W'` bounds over the input
-//! register lengths, derived once here.  It gates the optimizer (no pass
-//! may worsen it), backs `nsc cost` and the superlinear lint, and is
-//! shown by `nsc bench --explain`
-//! ([`crate::batch::BatchRunner::predict_work`]); it does not pick the
-//! batching discipline.
+//! No **symbolic cost certificate** ([`bvram::cost_program`]) is
+//! derived here: nothing on the serving path reads one, and the analysis
+//! is most of a loop-heavy program's cold-compile time.  Its consumers —
+//! the optimizer's no-regression gate, `nsc cost`, the superlinear lint,
+//! `nsc bench --explain` — each derive it on demand from the program.
 //!
 //! Compilation failures are cached too (negative caching): a function
 //! that does not compile is not retried per request.
@@ -45,7 +43,7 @@
 
 use crate::batch::BatchMode;
 use bvram::verify::verify_program_basic;
-use bvram::{cost_program, CostReport, Program};
+use bvram::Program;
 use nsc_compile::{
     compile_nsc_opts, compile_nsc_with, optimize_checked, Backend, Compiled, OptLevel, VerifyLevel,
 };
@@ -81,46 +79,15 @@ impl CacheKey {
     }
 }
 
-/// One compiled program plus everything needed to run it from any thread.
-#[derive(Debug, Clone)]
-pub struct Artifact {
-    /// The optimized BVRAM program.
-    pub program: Program,
-    /// Its symbolic cost certificate: parametric `T'`/`W'` bounds over
-    /// the input-register lengths, derived once at cache insert.
-    pub cost: CostReport,
-    /// `map ∘ map` stages source-level fusion collapsed before this
-    /// program was translated (see `nsc_algebra::fuse`); `0` at `O0`
-    /// and for programs with no chained maps.  Surfaced in `nsc bench
-    /// --explain` and the serving metrics snapshot.
-    pub fused_stages: usize,
-    /// The NSC domain type.
-    pub dom: Type,
-    /// The NSC codomain type.
-    pub cod: Type,
-}
-
-impl Artifact {
-    fn of(c: Compiled) -> Artifact {
-        Artifact {
-            cost: cost_program(&c.program),
-            fused_stages: c.fused_stages,
-            dom: c.dom,
-            cod: c.cod,
-            program: c.program,
-        }
-    }
-}
-
 /// A cache entry: the single-request program and the batch (pack) kernel.
 #[derive(Debug)]
 pub struct CachedProgram {
     /// The key this entry was compiled for.
     pub key: CacheKey,
     /// `f : s → t` — single runs and the lanes mode.
-    pub single: Artifact,
+    pub single: Compiled,
     /// `map(f) : [s] → [t]` — the pack mode's fused kernel.
-    pub batch: Artifact,
+    pub batch: Compiled,
     /// [`BatchMode::of`] the two programs; private so it cannot disagree
     /// with them.
     mode: BatchMode,
@@ -129,7 +96,7 @@ pub struct CachedProgram {
 impl CachedProgram {
     /// Assembles an entry, fixing its batching discipline from the two
     /// programs' structure.
-    pub fn new(key: CacheKey, single: Artifact, batch: Artifact) -> CachedProgram {
+    pub fn new(key: CacheKey, single: Compiled, batch: Compiled) -> CachedProgram {
         let mode = BatchMode::of(&single.program, &batch.program);
         CachedProgram {
             key,
@@ -286,13 +253,8 @@ impl CompiledCache {
                 verify_artifact("batch kernel", &kernel.program)?;
                 Ok((single, kernel))
             })();
-            compiled.map(|(single, kernel)| {
-                Arc::new(CachedProgram::new(
-                    key.clone(),
-                    Artifact::of(single),
-                    Artifact::of(kernel),
-                ))
-            })
+            compiled
+                .map(|(single, kernel)| Arc::new(CachedProgram::new(key.clone(), single, kernel)))
         })
         .clone()
     }
@@ -405,22 +367,6 @@ mod tests {
         )
         .unwrap();
         assert!(entry.single.program.instrs.len() < s0.program.instrs.len());
-    }
-
-    #[test]
-    fn entries_carry_cost_certificates() {
-        let cache = CompiledCache::new();
-        let dom = Type::seq(Type::Nat);
-        let e = cache
-            .get_or_compile(&inc(), &dom, OptLevel::O1, Backend::Seq)
-            .unwrap();
-        // Both artifacts carry symbolic bounds, derived once at insert.
-        assert!(e.single.cost.is_finite(), "single: {}", e.single.cost);
-        assert!(e.batch.cost.is_finite(), "kernel: {}", e.batch.cost);
-        // One length symbol per input register of the compiled calling
-        // convention (`COMPILE([N])` — data plus descriptor).
-        assert_eq!(e.single.cost.n_syms, 2);
-        assert!(e.single.cost.work.eval(&[0, 0]).is_some());
     }
 
     /// The core types are `Arc`-based, so everything the serving layers

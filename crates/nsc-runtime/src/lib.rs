@@ -6,9 +6,8 @@
 //!
 //! * [`cache::CompiledCache`] — a thread-safe compile-once cache keyed by
 //!   `(function, opt level, backend)`.  Each entry holds the optimized
-//!   program, its symbolic `T'`/`W'` cost certificate
-//!   ([`bvram::CostReport`]), **and** the function's Map-Lemma batch
-//!   kernel `map(f)`, compiled alongside it.
+//!   program **and** the function's Map-Lemma batch kernel `map(f)`,
+//!   compiled alongside it.
 //! * [`batch::BatchRunner`] — executes `B` independent requests against
 //!   one cached entry, either *packed* (one fused BVRAM run of `map(f)`
 //!   over lane-offset registers — the paper's flattening aggregation
@@ -18,8 +17,8 @@
 //!   straight-line (no jumps), lanes otherwise.
 //! * [`workloads`] — the shared program builders every bench and
 //!   experiment constructs its subjects from.
-//! * [`bench`](mod@bench) — wall-clock measurement records and the
-//!   `BENCH_batch.json` writer consumed by CI's `perf-smoke` job.
+//! * [`bench`](mod@bench) — the in-process wall-clock sampler behind
+//!   `nsc bench` (sequential loop vs pack vs lanes).
 //!
 //! The batch modes are **semantically invisible**: per-request results —
 //! values and error classification — are bit-identical to a loop of
@@ -33,5 +32,5 @@ pub mod cache;
 pub mod workloads;
 
 pub use batch::{BatchMode, BatchOutcome, BatchRunner};
-pub use bench::{host, json_report, measure_batches, BenchRecord};
+pub use bench::{measure_batches, BenchRecord};
 pub use cache::{CacheKey, CachedProgram, CompileHook, CompiledCache, KERNEL_OPT_BUDGET};

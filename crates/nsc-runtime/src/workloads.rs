@@ -1,51 +1,12 @@
-//! Shared workload builders for benchmarks and experiments.
+//! Shared workload builders for experiments and tests.
 //!
-//! Every criterion bench and batch experiment constructs its programs
-//! here, so "the sum workload" means the same AST in `benches/*.rs`,
-//! `exp_t71`, `exp_opt`, `exp_batch`, and `bench_report` — apples to
-//! apples across the whole perf surface.
-//!
-//! **Machine-reuse policy for benchmarks**: construct machines *once per
-//! benchmark* and reuse them across iterations (warm register buffers) —
-//! that is the serving runtime's steady state, which is what the benches
-//! model.  A bench that wants cold-start numbers must say so in its name.
+//! Every experiment constructs its programs here, so "the sum workload"
+//! means the same AST in `exp_t71`, `exp_opt`, `exp_batch`, `exp_fusion`
+//! and `exp_cost` — apples to apples across the whole model-cost surface.
 
 use nsc_core::ast as a;
 use nsc_core::stdlib;
 use nsc_core::{Func, Type, Value};
-
-/// A raw-BVRAM kernel: `y ← 3x²-ish` through a few registers (the
-/// backend-crossover workload of `benches/wallclock.rs`).
-pub fn saxpy_like() -> bvram::Program {
-    use bvram::{Builder, Instr::*, Op};
-    let mut b = Builder::new(2, 1);
-    b.push(Arith {
-        dst: 2,
-        op: Op::Mul,
-        a: 0,
-        b: 0,
-    })
-    .push(Arith {
-        dst: 3,
-        op: Op::Add,
-        a: 2,
-        b: 1,
-    })
-    .push(Arith {
-        dst: 2,
-        op: Op::Mul,
-        a: 3,
-        b: 0,
-    })
-    .push(Arith {
-        dst: 0,
-        op: Op::Add,
-        a: 2,
-        b: 3,
-    })
-    .push(Halt);
-    b.build().expect("static kernel")
-}
 
 /// `map(λx. x·x + 1) : [N] → [N]`.
 pub fn map_square_plus_one() -> Func {
@@ -117,7 +78,7 @@ pub fn suite() -> Vec<(&'static str, Func)> {
 
 /// The five golden `examples/*.nsc` in file-name order: `(file stem,
 /// inlined `main`, its domain, the file's `input`)`.  Read from the
-/// source checkout, so for benches, experiments and tests only.
+/// source checkout, so for experiments and tests only.
 pub fn goldens() -> Vec<(&'static str, Func, Type, Value)> {
     [
         "classify",
@@ -140,11 +101,6 @@ pub fn goldens() -> Vec<(&'static str, Func, Type, Value)> {
     .collect()
 }
 
-/// The optimizer-ablation pair (`benches/optimizer.rs`).
-pub fn optimizer_pair() -> Vec<(&'static str, Func)> {
-    vec![("map_sq", map_square_plus_one()), ("sum", sum_while())]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,12 +114,5 @@ mod tests {
             let (want, _) = nsc_core::eval::apply_func(&f, arg).expect(name);
             assert_eq!(got, want, "{name}");
         }
-    }
-
-    #[test]
-    fn saxpy_kernel_runs() {
-        let p = saxpy_like();
-        let out = bvram::run_program(&p, &[vec![1, 2, 3], vec![4, 5, 6]]).unwrap();
-        assert_eq!(out.outputs[0].len(), 3);
     }
 }

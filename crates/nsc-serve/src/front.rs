@@ -45,7 +45,8 @@ pub fn handle_line(
 ) -> LineOutcome {
     match protocol::parse_request(line) {
         Err(e) => {
-            let _ = out.send((seq, protocol::render_error(None, &e)));
+            let id = protocol::rejected_id(line);
+            let _ = out.send((seq, protocol::render_error(id.as_ref(), &e)));
             LineOutcome::Continue
         }
         Ok(Request::Metrics) => {
@@ -323,12 +324,14 @@ mod tests {
 \n\
 {\"fn\": \"sq1\", \"input\": \"[3]\", \"id\": 2}\n\
 {\"fn\": \"missing\", \"input\": \"[]\", \"id\": 3}\n\
-not json at all\n";
+not json at all\n\
+{\"fn\": \"sq1\", \"id\": 8}\n\
+{\"fn\": \"sq1\", \"input\": \"[1]\", \"backend\": \"gpu\", \"id\": \"x\"}\n";
         let out = shared_buffer();
         serve_lines(&server, input.as_bytes(), out.clone()).unwrap();
         let text = out.take();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 5, "{text}");
+        assert_eq!(lines.len(), 7, "{text}");
         assert_eq!(lines[0], r#"{"id": 0, "output": "[2, 5]"}"#);
         assert_eq!(lines[1], r#"{"id": 1, "output": "[2, 4]"}"#);
         assert_eq!(lines[2], r#"{"id": 2, "output": "[10]"}"#);
@@ -338,9 +341,19 @@ not json at all\n";
             lines[3]
         );
         assert!(
-            lines[4].contains("\"kind\": \"bad-request\""),
+            lines[4].contains("\"kind\": \"bad-request\"") && !lines[4].contains("\"id\""),
             "{}",
             lines[4]
+        );
+        // A bad request that is still a JSON object echoes its scalar id.
+        assert_eq!(
+            lines[5],
+            r#"{"error": "bad request: missing field `input`", "id": 8, "kind": "bad-request"}"#
+        );
+        assert!(
+            lines[6].contains("\"id\": \"x\"") && lines[6].contains("\"kind\": \"bad-request\""),
+            "{}",
+            lines[6]
         );
     }
 

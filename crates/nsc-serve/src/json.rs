@@ -1,17 +1,16 @@
-//! A minimal JSON reader/writer for the wire protocol and the bench
-//! trend gate.
+//! A minimal JSON reader/writer for the wire protocol (the `bench/`
+//! harness reads and writes its result files with it too).
 //!
-//! The workspace is offline (no serde), and the two JSON surfaces it
-//! actually has — newline-delimited request/response objects and
-//! `BENCH_batch.json` — need nothing beyond the standard scalar types,
-//! arrays, and objects.  [`parse`] accepts exactly RFC 8259 documents
-//! (any top-level value); [`Json::render`] emits them back with the same
-//! string escaping the bench writer uses, so `parse(render(j)) == j` up
-//! to float formatting.
+//! The workspace is offline (no serde), and the JSON it actually
+//! handles — newline-delimited request/response objects — needs
+//! nothing beyond the standard scalar types, arrays, and objects.
+//! [`parse`] accepts exactly RFC 8259 documents (any top-level value);
+//! [`Json::render`] emits them back, so `parse(render(j)) == j` up to
+//! float formatting.
 //!
-//! Numbers are kept as `f64`.  Every integer the protocol and the bench
-//! schema carry (batch sizes, ids, nanosecond wall-clocks) is far below
-//! `2^53`, so the round trip is exact where it matters; [`Json::as_u64`]
+//! Numbers are kept as `f64`.  Every integer the protocol carries (batch
+//! sizes, ids, nanosecond latencies) is far below `2^53`, so the round
+//! trip is exact where it matters; [`Json::as_u64`]
 //! rejects non-integral values rather than truncating.
 
 use std::collections::BTreeMap;

@@ -1,9 +1,9 @@
 //! Per-shard serving metrics.
 //!
 //! Counters are recorded by the shard (admission side and batcher side)
-//! and exposed as an immutable [`Snapshot`] — the struct CI's `exp_serve`
-//! load generator asserts on ("did batches actually form?") and the
-//! `{"cmd": "metrics"}` protocol request serializes.
+//! and exposed as an immutable [`Snapshot`] — the struct the serve tests
+//! and the `bench/` harness assert on ("did batches actually form?") and
+//! the `{"cmd": "metrics"}` protocol request serializes.
 //!
 //! Distributions (batch sizes, per-request latency) are kept as
 //! power-of-two [`Hist`]ograms: recording is O(1) and lock-cheap, and

@@ -89,10 +89,8 @@ pub fn parse_request(line: &str) -> Result<Request, ServeError> {
         },
     };
     let id = doc.get("id").cloned();
-    if let Some(id) = &id {
-        if matches!(id, Json::Arr(_) | Json::Obj(_)) {
-            return Err(bad("`id` must be a JSON scalar"));
-        }
+    if id.as_ref().is_some_and(|id| !is_scalar(id)) {
+        return Err(bad("`id` must be a JSON scalar"));
     }
     Ok(Request::Call {
         fn_name,
@@ -100,6 +98,21 @@ pub fn parse_request(line: &str) -> Result<Request, ServeError> {
         backend,
         id,
     })
+}
+
+fn is_scalar(j: &Json) -> bool {
+    !matches!(j, Json::Arr(_) | Json::Obj(_))
+}
+
+/// The correlation id to echo in the error reply to a line
+/// [`parse_request`] rejected: its scalar `id`, when the line is still a
+/// JSON object carrying one.
+pub fn rejected_id(line: &str) -> Option<Json> {
+    json::parse(line)
+        .ok()?
+        .get("id")
+        .filter(|id| is_scalar(id))
+        .cloned()
 }
 
 fn with_id(mut fields: BTreeMap<String, Json>, id: Option<&Json>) -> String {

@@ -31,8 +31,7 @@
 //! [`BatchRunner::run_batch`] under the shard's one discipline — pack
 //! iff its compiled program is straight-line, lanes otherwise, fixed when
 //! the program was cached.  `max_wait = 0` disables *waiting* (backlog
-//! still batches); only `max_batch = 1` disables batching itself, which
-//! is the baseline `exp_serve` measures against.
+//! still batches); only `max_batch = 1` disables batching itself.
 //!
 //! ### Lifecycle
 //!

@@ -119,7 +119,10 @@ proptest! {
     }
 
     /// Multi-threaded admission: sequence numbers are raced for, but the
-    /// reply stream still follows them monotonically.
+    /// reply stream still follows them monotonically, and the contended
+    /// requests form batches.  (`max_wait` is an hour so that only the
+    /// size threshold and the drain flush: the batch sizes are then
+    /// independent of thread timing.)
     #[test]
     fn concurrent_submitters_still_see_ordered_replies(
         per_thread in 1usize..12,
@@ -127,7 +130,7 @@ proptest! {
     ) {
         let server = server_with(ServeConfig {
             max_batch,
-            max_wait: Duration::from_millis(1),
+            max_wait: Duration::from_secs(3600),
             queue_cap: 4096,
             ..ServeConfig::default()
         });
@@ -158,6 +161,10 @@ proptest! {
         let mut sorted = seqs.clone();
         sorted.sort_unstable();
         prop_assert_eq!(&seqs, &sorted, "monotone reply stream");
+        // At least `max_batch` requests were admitted, so some flush was
+        // a full batch.
+        let mean_batch = server.snapshots()[0].mean_batch;
+        prop_assert_eq!(mean_batch > 1.0, max_batch > 1, "mean batch {}", mean_batch);
     }
 }
 

@@ -17,13 +17,14 @@
 //! `nsc run --batch N` additionally serves the input `N` times through
 //! the batched runtime (`nsc::runtime`), cross-checking every batched
 //! result against the single-run answer; `nsc bench` measures the
-//! sequential / pack / lanes disciplines and can write the machine-
-//! readable `BENCH_batch.json` records with `--json`; `nsc serve` exposes
+//! sequential / pack / lanes disciplines in-process; `nsc serve` exposes
 //! the module's functions over newline-delimited JSON (TCP via `--addr`,
 //! or a pipe via `--stdin`) through the adaptive micro-batching server in
 //! `nsc::serve` — see the README's "Serving" section for the protocol.
 
-use nsc::compile::{compile_nsc_verified, run_compiled_on, Backend, OptLevel, VerifyLevel};
+use nsc::compile::{
+    compile_nsc_verified, encode_arg, run_compiled_on, Backend, OptLevel, VerifyLevel,
+};
 use nsc::core::eval::Evaluator;
 use nsc::core::parse::{parse_module, parse_value, Module};
 use nsc::core::{Cost, EvalError};
@@ -71,7 +72,6 @@ OPTIONS:
     --batch <n>         (run) also serve the input n times through the batch
                         runtime; (bench) measure only batch size n instead of
                         the default sweep 1, 8, 64
-    --json <path>       (bench) also write the records as BENCH_batch.json
     --explain           (bench) print the batching mode and the structural
                         rule that chose it (pack iff the compiled program is
                         straight-line), with the certified per-request W'
@@ -105,7 +105,6 @@ struct Opts {
     source_only: bool,
     fuel: Option<u64>,
     batch: Option<usize>,
-    json: Option<String>,
     addr: Option<String>,
     stdin: bool,
     max_batch: usize,
@@ -135,7 +134,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Opts, String> {
         source_only: false,
         fuel: None,
         batch: None,
-        json: None,
         addr: None,
         stdin: false,
         max_batch: 32,
@@ -158,7 +156,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Opts, String> {
             "--opt",
             "--backend",
             "--batch",
-            "--json",
             "--explain",
         ],
         "serve" => &[
@@ -223,7 +220,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Opts, String> {
                 }
                 opts.batch = Some(n);
             }
-            "--json" => opts.json = Some(val("--json")?),
             "--explain" => opts.explain = true,
             "--explain-fusion" => opts.explain_fusion = true,
             "--addr" => opts.addr = Some(val("--addr")?),
@@ -707,7 +703,16 @@ fn cmd_bench(opts: &Opts, module: &Module) -> Result<(), String> {
                     }
                 }
             };
-            let certified = match runner.predict_work(&input) {
+            // The single program's symbolic work bound, evaluated at the
+            // register lengths the input encodes to.
+            let certified = nsc::machine::cost_program(&cached.single.program)
+                .work
+                .as_poly()
+                .zip(encode_arg(&input, runner.dom()).ok())
+                .map(|(work, regs)| {
+                    work.eval(&regs.iter().map(|r| r.len() as u64).collect::<Vec<_>>())
+                });
+            let certified = match certified {
                 None => "⊤".to_string(),
                 Some(u64::MAX) => "saturated (≥ 2^64)".to_string(),
                 Some(w) => w.to_string(),
@@ -746,11 +751,6 @@ fn cmd_bench(opts: &Opts, module: &Module) -> Result<(), String> {
                 mode.name()
             );
         }
-    }
-    if let Some(path) = &opts.json {
-        std::fs::write(path, nsc::runtime::json_report(&records))
-            .map_err(|e| format!("writing `{path}`: {e}"))?;
-        let _ = writeln!(out, "wrote {} records to {path}", records.len());
     }
     Ok(())
 }
