@@ -7,8 +7,8 @@
 //! can report — as multivariate polynomials over the **lengths of the
 //! input registers** (`n0` = length of `V0`, …, one symbol per input
 //! register).  Runs that fault, diverge, or hit a step limit return no
-//! `Stats`, so they are outside the contract — exactly like the
-//! verifier's fault analysis, the bound speaks about successful runs.
+//! `Stats`, so they are outside the contract — the bound speaks about
+//! successful runs.
 //!
 //! The analysis is an abstract interpretation on the verifier's
 //! [`ForwardAnalysis`]/[`run_forward`] framework: a register-length
@@ -17,8 +17,7 @@
 //! counts taken from the compiler-emitted
 //! [`TripHint`](crate::program::TripHint) certificates.  A loop with no
 //! certificate — or any other loss of precision — widens the result to
-//! [`CostBound::Top`], reported with the program counter and a reason,
-//! mirroring [`crate::FaultReason`] diagnostics.
+//! [`CostBound::Top`], reported with the program counter and a reason.
 //!
 //! Soundness: for every successful run with input lengths `ℓ`,
 //! `stats.time ≤ T'(ℓ)` and `stats.work ≤ W'(ℓ)` (`Top` evaluates to
@@ -378,8 +377,7 @@ const BUMP_CAP: u8 = 32;
 
 /// Analysis budget: blocks × registers beyond which the analyzer
 /// returns `⊤` immediately instead of running a fixpoint that could
-/// take minutes on million-instruction pack kernels (mirrors the
-/// verifier's length-analysis budget).
+/// take minutes on million-instruction pack kernels.
 pub const COST_BUDGET: usize = 1 << 22;
 
 type LenVal = Option<Rc<Poly>>;
@@ -482,6 +480,8 @@ impl ForwardAnalysis for LenPolys {
         }
     }
 
+    // Terminates per register: each register's bound at a block changes
+    // at most `BUMP_CAP + 1` times before pinning at unbounded.
     fn join(&self, state: &mut LenState, incoming: &LenState) -> bool {
         let accel = self.accel.get(&state.at).copied();
         let mut changed = false;
@@ -535,8 +535,8 @@ impl ForwardAnalysis for LenPolys {
                         // No acceleration factor here (an ordinary merge
                         // point, or a loop head with only symbolic trips):
                         // keep joining — downstream merges stabilize once
-                        // their loop heads do, and `widen`'s escalating
-                        // cutoff reins in genuinely unstable registers.
+                        // their loop heads do, and `BUMP_CAP` reins in
+                        // genuinely unstable registers.
                         Some(Rc::new(j))
                     }
                 }
@@ -551,14 +551,6 @@ impl ForwardAnalysis for LenPolys {
         }
         changed
     }
-
-    // No `widen` override: termination is already guaranteed per
-    // register by `join` (each register's bound at a block changes at
-    // most `BUMP_CAP + 1` times before pinning at unbounded), and the
-    // framework's block-level change counter fires on ripples that are
-    // perfectly convergent when thousands of registers stabilize in
-    // sequence — widening on it destroys precision for no termination
-    // gain.
 }
 
 // ---------------------------------------------------------------------------

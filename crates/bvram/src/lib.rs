@@ -37,4 +37,4 @@ pub use exec::{run_program, Machine, MachineError, RunOutcome, Stats, Vector};
 pub use instr::{Instr, Label, Op, Reg};
 pub use lanes::{run_lanes_rayon, run_lanes_seq};
 pub use program::{BuildError, Builder, Program, TripBound, TripHint};
-pub use verify::{verify_program, verify_program_basic, FaultReason, FaultSite, Report, Violation};
+pub use verify::{verify_program, verify_program_basic, Report, Violation};

@@ -41,8 +41,7 @@ pub mod jumps;
 pub mod local;
 pub mod strength;
 
-use bvram::verify::{verify_program_basic, Report};
-use bvram::{cost_program, CostBound, CostReport, Instr, Program};
+use bvram::{cost_program, verify_program, CostBound, CostReport, Instr, Program, Report};
 use std::fmt;
 
 /// How hard [`optimize`] works.
@@ -136,10 +135,7 @@ impl Baseline {
 }
 
 fn check_stage(pass: &'static str, prog: &Program, base: Baseline) -> Result<(), PassError> {
-    // The basic verifier covers everything the pass contract promises
-    // (structure, init, fall-off); the length domain is diagnostic-only
-    // and far too slow to rerun after every pass.
-    let report = verify_program_basic(prog);
+    let report = verify_program(prog);
     let broken = !report.ok()
         || (base.init_clean && !report.uninit_reads.is_empty())
         || (base.no_fall_off && !report.fall_off.is_empty());
@@ -238,7 +234,7 @@ pub fn optimize_checked(
 ) -> Result<Program, PassError> {
     let mut p = prog;
     let base = if verify.enabled() {
-        let report = verify_program_basic(&p);
+        let report = verify_program(&p);
         if !report.ok() {
             return Err(PassError {
                 pass: input_stage,
@@ -278,27 +274,23 @@ pub fn optimize_checked(
         }
         Ok(())
     }
+    type Pass = fn(&mut Program) -> bool;
+    const PASSES: [(&str, Pass); 6] = [
+        (local::NAME, local::propagate_and_number),
+        (gcse::NAME, gcse::eliminate),
+        (strength::NAME, strength::reduce),
+        (jumps::NAME, jumps::thread_jumps),
+        (dce::NAME, dce::eliminate_dead),
+        (coalesce::NAME, coalesce::coalesce_moves),
+    ];
     for round in 0..MAX_ROUNDS {
         let before = p.instrs.len();
         let mut changed = false;
-        changed |= local::propagate_and_number(&mut p);
-        check(local::NAME, &p)?;
-        advance_cost(local::NAME, &p, &mut prev_cost)?;
-        changed |= gcse::eliminate(&mut p);
-        check(gcse::NAME, &p)?;
-        advance_cost(gcse::NAME, &p, &mut prev_cost)?;
-        changed |= strength::reduce(&mut p);
-        check(strength::NAME, &p)?;
-        advance_cost(strength::NAME, &p, &mut prev_cost)?;
-        changed |= jumps::thread_jumps(&mut p);
-        check(jumps::NAME, &p)?;
-        advance_cost(jumps::NAME, &p, &mut prev_cost)?;
-        changed |= dce::eliminate_dead(&mut p);
-        check(dce::NAME, &p)?;
-        advance_cost(dce::NAME, &p, &mut prev_cost)?;
-        changed |= coalesce::coalesce_moves(&mut p);
-        check(coalesce::NAME, &p)?;
-        advance_cost(coalesce::NAME, &p, &mut prev_cost)?;
+        for (name, pass) in PASSES {
+            changed |= pass(&mut p);
+            check(name, &p)?;
+            advance_cost(name, &p, &mut prev_cost)?;
+        }
         if !changed {
             break;
         }
@@ -620,7 +612,7 @@ mod tests {
             .push(Move { dst: 0, src: 3 })
             .push(Halt);
         let p = b.build().unwrap();
-        let report = bvram::verify::verify_program_basic(&p);
+        let report = verify_program(&p);
         assert!(report.ok());
         let base = Baseline::of(&report);
         assert!(base.init_clean);

@@ -42,8 +42,7 @@
 //! normalize first or reuse the built AST.
 
 use crate::batch::BatchMode;
-use bvram::verify::verify_program_basic;
-use bvram::Program;
+use bvram::{verify_program, Program};
 use nsc_compile::{
     compile_nsc_opts, compile_nsc_with, optimize_checked, Backend, Compiled, OptLevel, VerifyLevel,
 };
@@ -141,12 +140,13 @@ pub const KERNEL_OPT_BUDGET: usize = 1 << 20;
 
 /// Verifies a program once at cache insert, before any request can run
 /// it: no structural violations, no use-before-def, no path off the end
-/// ([`bvram::verify::Report::clean`]).  The verifier degrades
-/// gracefully on oversized kernels (its dataflow budgets kick in and
-/// only the linear structural + reachability checks run), so this is
-/// safe to apply unconditionally.
+/// ([`bvram::verify::Report::clean`]).  Cheap enough to apply
+/// unconditionally, at a price: a kernel whose `blocks × n_regs` is past
+/// the verifier's `INIT_BUDGET` (the `map(f)` kernel of most branchy
+/// programs) is admitted on structure + fall-off alone — use-before-def
+/// is not checked there, and the report says so.
 fn verify_artifact(what: &str, program: &Program) -> Result<(), EvalError> {
-    let report = verify_program_basic(program);
+    let report = verify_program(program);
     if !report.clean() {
         return Err(EvalError::MachineFault(format!(
             "{what} program failed verification at cache insert:\n{report}"

@@ -2,13 +2,18 @@
 //! stdlib function, every golden `.nsc` example, and the Map-Lemma
 //! pack kernels must verify **clean** — no structural violations, no
 //! uninit reads, no fall-off-the-end paths — at `O0` and at the
-//! default optimization level.  A mutation check then corrupts a
-//! verified program one instruction at a time and demands the verifier
-//! name the program counter and the broken invariant, so the suite
-//! would notice a verifier that "passes" by checking nothing.
+//! default optimization level.  The verifier skips definite
+//! initialization past its `INIT_BUDGET` (most branchy `map(f)` kernels
+//! are: "clean" means structure + fall-off only there), so the golden
+//! test also pins that the programs the lanes discipline actually runs —
+//! each golden's `O1` single program — get the whole check.  A mutation
+//! check then corrupts a verified program one instruction at a time and
+//! demands the verifier name the program counter and the broken
+//! invariant, so the suite would notice a verifier that "passes" by
+//! checking nothing.
 
 use bvram::instr::Instr;
-use bvram::{verify_program, Program};
+use bvram::{verify_program, Program, Report};
 use nsc_compile::{compile_nsc_with, optimize_checked, OptLevel, VerifyLevel};
 use nsc_core::ast as a;
 use nsc_core::parse::parse_module;
@@ -18,12 +23,13 @@ use std::path::PathBuf;
 mod common;
 use common::{on_big_stack, typed_suite as suite};
 
-fn assert_clean(what: &str, prog: &Program) {
+fn assert_clean(what: &str, prog: &Program) -> Report {
     let report = verify_program(prog);
     assert!(
         report.clean(),
         "{what} failed static verification:\n{report}"
     );
+    report
 }
 
 /// Every stdlib function compiles to a clean program, unoptimized and
@@ -65,7 +71,10 @@ fn map_kernels_verify_clean() {
 }
 
 /// Every golden example module compiles to a clean program at both
-/// optimization levels.
+/// optimization levels — and at `O1`, the program `nsc serve` runs per
+/// lane, clean includes use-before-def: the day a golden's single
+/// program outgrows `INIT_BUDGET`, this fails rather than the check
+/// silently thinning out.
 #[test]
 fn golden_examples_verify_clean() {
     on_big_stack(|| {
@@ -87,7 +96,13 @@ fn golden_examples_verify_clean() {
             for level in [OptLevel::O0, OptLevel::O1] {
                 let c = compile_nsc_with(&pure, &def.dom, level)
                     .unwrap_or_else(|e| panic!("compiling {name} at {level:?}: {e}"));
-                assert_clean(&format!("{name} at {level:?}"), &c.program);
+                let report = assert_clean(&format!("{name} at {level:?}"), &c.program);
+                if level == OptLevel::O1 {
+                    assert!(
+                        !report.init_analysis_skipped,
+                        "{name} at O1 is over the verifier's init budget:\n{report}"
+                    );
+                }
             }
         }
         assert_eq!(seen, 5, "expected the five golden examples");
