@@ -1,7 +1,9 @@
 //! Front ends: newline-delimited JSON over TCP and over a pipe.
 //!
-//! Both fronts share one request path ([`handle_line`]) and one
-//! guarantee: **responses are written in request order per connection**.
+//! Both fronts feed the bytes they read to one line splitter, which
+//! hands each request line to one request path ([`handle_line`]), and
+//! share one guarantee: **responses are written in request order per
+//! connection**.
 //! A connection may hit several shards (different functions/backends)
 //! whose batches complete out of order, so each connection runs a writer
 //! with a reorder buffer keyed by the connection-local request sequence
@@ -106,6 +108,63 @@ fn ordered_writer<W: Write>(rx: Receiver<(u64, String)>, mut w: W) -> std::io::R
     Ok(w)
 }
 
+/// One connection's request stream: splits the bytes a front end reads
+/// into lines, numbers the requests and hands each to [`handle_line`].
+///
+/// Lines are split at the byte level — a line that is not UTF-8 is
+/// decoded lossily and answered `bad-request` like any other malformed
+/// line, never a read error — blank lines are skipped (and not numbered),
+/// and only newly fed bytes are scanned for `\n`, so a line costs time
+/// linear in its length however many reads deliver it.
+struct RequestLines<'a> {
+    server: &'a Arc<Server>,
+    out: Sender<(u64, String)>,
+    /// The unterminated tail of what was fed so far; holds no `\n`.
+    partial: Vec<u8>,
+    /// The connection-local number of the next request.
+    seq: u64,
+}
+
+impl<'a> RequestLines<'a> {
+    fn new(server: &'a Arc<Server>, out: Sender<(u64, String)>) -> Self {
+        RequestLines {
+            server,
+            out,
+            partial: Vec::new(),
+            seq: 0,
+        }
+    }
+
+    /// Handles every line that `bytes` completes and keeps the rest for
+    /// the next call.  After [`LineOutcome::Shutdown`] the remaining input
+    /// is dropped unread.
+    fn feed(&mut self, mut bytes: &[u8]) -> LineOutcome {
+        while let Some(pos) = bytes.iter().position(|&b| b == b'\n') {
+            self.partial.extend_from_slice(&bytes[..pos]);
+            bytes = &bytes[pos + 1..];
+            if self.end_line() == LineOutcome::Shutdown {
+                return LineOutcome::Shutdown;
+            }
+        }
+        self.partial.extend_from_slice(bytes);
+        LineOutcome::Continue
+    }
+
+    /// Handles the pending tail as a line: at a `\n`, and at EOF — a final
+    /// request without a trailing newline is still a request.
+    fn end_line(&mut self) -> LineOutcome {
+        let line = String::from_utf8_lossy(&self.partial);
+        let outcome = if line.trim().is_empty() {
+            LineOutcome::Continue
+        } else {
+            self.seq += 1;
+            handle_line(self.server, &line, self.seq - 1, &self.out)
+        };
+        self.partial.clear();
+        outcome
+    }
+}
+
 /// The pipe front end: reads request lines from `reader`, writes ordered
 /// response lines to `writer`, and on EOF (or a read error) drains the
 /// server — every *admitted* request is answered before this returns.
@@ -113,7 +172,7 @@ fn ordered_writer<W: Write>(rx: Receiver<(u64, String)>, mut w: W) -> std::io::R
 /// drain, never instead of it.
 pub fn serve_lines<R: BufRead, W: Write + Send + 'static>(
     server: &Arc<Server>,
-    reader: R,
+    mut reader: R,
     writer: W,
 ) -> std::io::Result<()> {
     let (tx, rx) = channel::<(u64, String)>();
@@ -121,30 +180,29 @@ pub fn serve_lines<R: BufRead, W: Write + Send + 'static>(
         .name("nsc-serve/writer".into())
         .spawn(move || ordered_writer(rx, writer))
         .expect("spawn writer thread");
-    let mut seq: u64 = 0;
-    let mut read_err = None;
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            // Stop reading, but still drain and flush what was admitted.
-            Err(e) => {
-                read_err = Some(e);
-                break;
+    let mut lines = RequestLines::new(server, tx);
+    let read_err = loop {
+        match reader.fill_buf() {
+            Ok([]) => {
+                lines.end_line();
+                break None;
             }
-        };
-        if line.trim().is_empty() {
-            continue;
+            Ok(chunk) => {
+                let n = chunk.len();
+                if lines.feed(chunk) == LineOutcome::Shutdown {
+                    break None;
+                }
+                reader.consume(n);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            // Stop reading, but still drain and flush what was admitted.
+            Err(e) => break Some(e),
         }
-        let outcome = handle_line(server, &line, seq, &tx);
-        seq += 1;
-        if outcome == LineOutcome::Shutdown {
-            break;
-        }
-    }
+    };
     server.drain();
     // Shards are joined, so every reply closure has run (or been
     // dropped); dropping our sender lets the writer finish and exit.
-    drop(tx);
+    drop(lines);
     let write_result = writer.join().expect("writer thread panicked").map(|_| ());
     match read_err {
         Some(e) => Err(e),
@@ -237,29 +295,13 @@ fn serve_connection(
         .name("nsc-serve/conn-writer".into())
         .spawn(move || ordered_writer(rx, write_half))
         .expect("spawn connection writer");
-    // Lines are split by hand off timed reads: `BufRead::read_line`'s
-    // buffer contents are unspecified after an error, and a read timeout
-    // is a routine event here, not an error.
-    let mut buf: Vec<u8> = Vec::new();
+    // Timed reads straight off the socket: `BufRead::read_line`'s buffer
+    // contents are unspecified after an error, and a read timeout is a
+    // routine event here, not an error.
+    let mut lines = RequestLines::new(server, tx);
     let mut chunk = [0u8; 4096];
-    let mut seq: u64 = 0;
-    'conn: while !shutdown.load(Ordering::SeqCst) {
+    while !shutdown.load(Ordering::SeqCst) {
         let n = match stream.read(&mut chunk) {
-            Ok(0) => {
-                // EOF: a final request without a trailing newline is
-                // still a request — answer it like the pipe front does
-                // (including honoring a trailing shutdown command).
-                if !buf.is_empty() {
-                    let line = String::from_utf8_lossy(&buf).into_owned();
-                    buf.clear();
-                    if !line.trim().is_empty()
-                        && handle_line(server, &line, seq, &tx) == LineOutcome::Shutdown
-                    {
-                        shutdown.store(true, Ordering::SeqCst);
-                    }
-                }
-                break;
-            }
             Ok(n) => n,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -269,22 +311,19 @@ fn serve_connection(
             }
             Err(_) => break, // client went away mid-line
         };
-        buf.extend_from_slice(&chunk[..n]);
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let raw: Vec<u8> = buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&raw[..raw.len() - 1]).into_owned();
-            if line.trim().is_empty() {
-                continue;
-            }
-            let outcome = handle_line(server, &line, seq, &tx);
-            seq += 1;
-            if outcome == LineOutcome::Shutdown {
-                shutdown.store(true, Ordering::SeqCst);
-                break 'conn;
-            }
+        // `0` is EOF, where a trailing shutdown command still counts.
+        let outcome = match n {
+            0 => lines.end_line(),
+            n => lines.feed(&chunk[..n]),
+        };
+        if outcome == LineOutcome::Shutdown {
+            shutdown.store(true, Ordering::SeqCst);
+        }
+        if n == 0 {
+            break;
         }
     }
-    drop(tx);
+    drop(lines);
     // Wait for every in-flight reply on this connection to be written —
     // this is what makes shutdown graceful per connection.  The shards
     // still hold reply senders for queued requests; the writer exits
@@ -301,10 +340,7 @@ mod tests {
     use nsc_core::types::Type;
 
     fn test_server() -> Arc<Server> {
-        let mut s = Server::new(ServeConfig {
-            max_wait: Duration::from_millis(1),
-            ..ServeConfig::default()
-        });
+        let mut s = Server::new(ServeConfig::default());
         let sq = a::map(a::lam(
             "x",
             a::add(a::mul(a::var("x"), a::var("x")), a::nat(1)),
@@ -382,6 +418,73 @@ not json at all\n\
                 .kind(),
             "shutdown"
         );
+    }
+
+    /// Both fronts split lines with the same rules: one byte stream —
+    /// two requests in one segment, a request split across three, a line
+    /// that is not UTF-8, a blank line, a final request with no `\n` —
+    /// gets the same reply bytes from the pipe front and from a TCP
+    /// connection.
+    #[test]
+    fn both_fronts_answer_one_byte_stream_identically() {
+        use std::io::Read;
+
+        let segments: [&[u8]; 7] = [
+            b"{\"fn\": \"sq1\", \"input\": \"[1, 2]\", \"id\": 0}\n\
+              {\"fn\": \"double\", \"input\": \"[4]\", \"id\": 1}\n",
+            b"{\"fn\": \"sq1\", \"in",
+            b"put\": \"[3]\",",
+            b" \"id\": 2}\n",
+            b"\xff\xfe\n",
+            b"\n  \r\n",
+            b"{\"fn\": \"double\", \"input\": \"[5]\", \"id\": 3}",
+        ];
+
+        let out = shared_buffer();
+        // A chain of slices is a `BufRead` that yields them one at a time
+        // — a pipe whose writer flushed after each segment.
+        let [s0, s1, s2, s3, s4, s5, s6] = segments;
+        let pipe = s0
+            .chain(s1)
+            .chain(s2)
+            .chain(s3)
+            .chain(s4)
+            .chain(s5)
+            .chain(s6);
+        serve_lines(&test_server(), pipe, out.clone()).expect("a non-UTF-8 line is not an error");
+        let piped = out.take();
+
+        let server = test_server();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+        let addr = listener.local_addr().unwrap();
+        let serving = std::thread::spawn(move || serve_tcp(&server, listener).unwrap());
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        // One packet per segment; how the server's reads then cut the
+        // stream is up to the kernel, and must not matter.
+        for segment in segments {
+            stream.write_all(segment).unwrap();
+        }
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut over_tcp = String::new();
+        stream.read_to_string(&mut over_tcp).unwrap();
+        let mut stop = TcpStream::connect(addr).unwrap();
+        stop.write_all(b"{\"cmd\": \"shutdown\"}").unwrap();
+        drop(stop);
+        serving.join().expect("accept loop exits after shutdown");
+
+        assert_eq!(piped, over_tcp);
+        let lines: Vec<&str> = piped.lines().collect();
+        assert_eq!(lines.len(), 5, "{piped}");
+        assert_eq!(lines[0], r#"{"id": 0, "output": "[2, 5]"}"#);
+        assert_eq!(lines[1], r#"{"id": 1, "output": "[8]"}"#);
+        assert_eq!(lines[2], r#"{"id": 2, "output": "[10]"}"#);
+        assert!(
+            lines[3].contains("\"kind\": \"bad-request\""),
+            "{}",
+            lines[3]
+        );
+        assert_eq!(lines[4], r#"{"id": 3, "output": "[10]"}"#);
     }
 
     #[test]

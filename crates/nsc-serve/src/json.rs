@@ -12,7 +12,14 @@
 //! sizes, ids, nanosecond latencies) is far below `2^53`, so the round
 //! trip is exact where it matters; [`Json::as_u64`]
 //! rejects non-integral values rather than truncating.
+//!
+//! Arrays and objects may nest [`MAX_DEPTH`] levels — the bound the NSC
+//! parser puts on value literals; the deepest document the protocol
+//! itself produces, the metrics reply, nests 4.  A request line is
+//! attacker-controlled and connection threads run on small stacks, so a
+//! deeper document is a [`JsonError`], not a recursion.
 
+use nsc_core::parse::term::MAX_DEPTH;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -167,6 +174,7 @@ pub fn parse(src: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         i: 0,
+        depth: 0,
     };
     p.ws();
     let v = p.value()?;
@@ -180,6 +188,8 @@ pub fn parse(src: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open around `i`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -221,11 +231,25 @@ impl Parser<'_> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses one array or object, `depth` counting it while it is open.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nested more than 256 levels deep"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -392,6 +416,34 @@ mod tests {
         }
         // Raw control char inside a string.
         assert!(parse("\"a\u{0}b\"").is_err());
+    }
+
+    /// The NSC value parser's guard, on the JSON side: nesting past
+    /// `MAX_DEPTH` is an error value, never a stack overflow.
+    #[test]
+    fn nesting_is_bounded_at_the_value_parsers_depth() {
+        // Arrays and objects alternate, so both count against one bound.
+        let nest = |levels: usize| {
+            let mut doc = String::new();
+            for i in 0..levels {
+                doc.push_str(if i % 2 == 0 { "[" } else { "{\"k\": " });
+            }
+            doc.push('0');
+            for i in (0..levels).rev() {
+                doc.push(if i % 2 == 0 { ']' } else { '}' });
+            }
+            doc
+        };
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let e = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.at, nest(MAX_DEPTH).find('0').unwrap());
+        assert!(e.msg.contains(&MAX_DEPTH.to_string()), "{e}");
+        // Depth is nesting, not length: siblings do not accumulate.
+        assert!(parse(&format!("[{}[]]", "[[]], ".repeat(MAX_DEPTH))).is_ok());
+        // Far past the bound (what used to abort the process), unclosed.
+        for open in ["[", "{\"k\": "] {
+            assert!(parse(&open.repeat(100_000)).is_err());
+        }
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //!   `(function, backend)`.
 //! * [`shard`] — each shard owns a *bounded* MPSC admission queue (a full
 //!   queue rejects with [`ServeError::Overloaded`] instead of growing
-//!   without bound) and a batcher thread that drains it under a **dual
-//!   threshold** policy: flush when `max_batch` requests have gathered
-//!   *or* `max_wait` has elapsed since the oldest queued request,
-//!   whichever comes first.  Flushed batches run on
+//!   without bound) and a batcher thread with **one flush rule**: block
+//!   for one request, take whatever else is already queued (up to
+//!   `max_batch`), execute, repeat — batches form from the backlog, never
+//!   from waiting.  Flushed batches run on
 //!   [`BatchRunner::run_batch`](nsc_runtime::BatchRunner::run_batch),
 //!   which runs the shard's static discipline (pack for straight-line
 //!   programs, lanes — on the rayon worker pool — for everything else).

@@ -237,7 +237,7 @@ pub struct Snapshot {
     pub completed: u64,
     /// Requests answered with an error.
     pub errors: u64,
-    /// Batches flushed by the dual-threshold policy.
+    /// Batches flushed (one per trip round the batcher loop).
     pub batches: u64,
     /// Mean flushed batch size.
     pub mean_batch: f64,

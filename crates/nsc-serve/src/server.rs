@@ -10,22 +10,19 @@ use nsc_runtime::CompiledCache;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Hook invoked with the batch size each time a shard flushes a batch
 /// (before it executes).  Observability and test instrumentation — the
 /// same role [`nsc_runtime::CompileHook`] plays for the cache.
 pub type FlushHook = Arc<dyn Fn(usize) + Send + Sync>;
 
-/// Server tuning knobs (see the crate docs for the flush policy).
+/// Server configuration.  A shard batches what is queued (see
+/// [`crate::shard`]); the two limits here bound that, they do not time it.
 #[derive(Clone)]
 pub struct ServeConfig {
-    /// Flush a batch at this many requests (size threshold).  `1`
+    /// The most requests one flush may take from the queue.  `1`
     /// disables batching.
     pub max_batch: usize,
-    /// Flush when this much time has passed since the oldest queued
-    /// request (age threshold): the batching latency ceiling.
-    pub max_wait: Duration,
     /// Admission queue capacity per shard; a full queue rejects with
     /// [`ServeError::Overloaded`].
     pub queue_cap: usize,
@@ -41,7 +38,6 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             max_batch: 32,
-            max_wait: Duration::from_millis(2),
             queue_cap: 1024,
             opt: OptLevel::O1,
             backend: Backend::Seq,
@@ -54,7 +50,6 @@ impl std::fmt::Debug for ServeConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeConfig")
             .field("max_batch", &self.max_batch)
-            .field("max_wait", &self.max_wait)
             .field("queue_cap", &self.queue_cap)
             .field("opt", &self.opt)
             .field("backend", &self.backend)
@@ -256,10 +251,7 @@ mod tests {
 
     #[test]
     fn serves_a_request_end_to_end() {
-        let server = square_server(ServeConfig {
-            max_wait: Duration::from_millis(0),
-            ..ServeConfig::default()
-        });
+        let server = square_server(ServeConfig::default());
         let out = collect_submit(&server, "sq1", "[0, 1, 2, 3]").unwrap();
         assert_eq!(out.unwrap(), "[1, 2, 5, 10]");
         server.drain();
@@ -312,10 +304,7 @@ mod tests {
 
     #[test]
     fn classifies_request_level_errors() {
-        let server = square_server(ServeConfig {
-            max_wait: Duration::from_millis(0),
-            ..ServeConfig::default()
-        });
+        let server = square_server(ServeConfig::default());
         let cases = [
             ("sq1", "[1, }", "parse"),
             ("sq1", "(1, 2)", "domain"),

@@ -12,26 +12,19 @@
 //! within a shard are always delivered in admission order (property:
 //! `tests/serve_props.rs`).
 //!
-//! ### The dual-threshold flush policy
+//! ### The flush rule
 //!
-//! The batcher blocks for the first request, then keeps gathering until
-//! *either*
-//!
-//! * the batch holds `max_batch` requests (size threshold — a full batch
-//!   gains nothing by waiting), *or*
-//! * `max_wait` has elapsed **since the oldest gathered request was
-//!   enqueued** (age threshold — the latency an idle period can add to a
-//!   request is bounded by `max_wait`, even while a trickle of later
-//!   arrivals keeps the batch growing),
-//!
-//! whichever comes first.  A backlog that accumulated while the previous
-//! batch executed is drained greedily before the timed gather, so a
-//! saturated shard flushes full batches rather than degenerating to one
-//! request per flush.  The flushed batch executes on
-//! [`BatchRunner::run_batch`] under the shard's one discipline — pack
-//! iff its compiled program is straight-line, lanes otherwise, fixed when
-//! the program was cached.  `max_wait = 0` disables *waiting* (backlog
-//! still batches); only `max_batch = 1` disables batching itself.
+//! The batcher blocks for one request, drains whatever else is already
+//! queued — up to `max_batch` requests in all — and executes that as one
+//! batch; then it does it again.  Nothing waits while work is ready: an
+//! idle shard answers a lone request at once, and a loaded one forms its
+//! batches from the backlog that built up while the previous batch ran
+//! (Lemma 7.2's aggregation serves every element that is *there*).  The
+//! flushed batch executes on [`BatchRunner::run_batch`] under the shard's
+//! one discipline — pack iff its compiled program is straight-line, lanes
+//! otherwise, fixed when the program was cached.  `max_batch` caps what
+//! one flush may take (fairness and memory); `max_batch = 1` disables
+//! batching.
 //!
 //! ### Lifecycle
 //!
@@ -49,7 +42,7 @@ use nsc_core::types::Type;
 use nsc_core::Func;
 use nsc_runtime::{BatchRunner, CompiledCache};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -217,48 +210,15 @@ fn batcher(
         }
     };
 
-    loop {
-        // Block for the oldest request of the next batch; `Err` means
-        // admission is closed and the queue is fully drained.
-        let first = match rx.recv() {
-            Ok(job) => job,
-            Err(_) => return,
-        };
+    let max_batch = cfg.max_batch.max(1);
+    // Block for the oldest request of the next batch; `Err` means
+    // admission is closed and the queue is fully drained.
+    while let Ok(first) = rx.recv() {
+        // Batch what is queued: the backlog that built up while the
+        // previous batch executed, never a request that has yet to arrive.
         let mut batch = vec![first];
-        let max_batch = cfg.max_batch.max(1);
-        // A backlog that built up while the previous batch executed is
-        // already past any age threshold — drain it greedily first, so a
-        // saturated shard flushes full batches instead of degenerating to
-        // one request per flush.
-        while batch.len() < max_batch {
-            match rx.try_recv() {
-                Ok(job) => batch.push(job),
-                Err(_) => break,
-            }
-        }
-        // Gather under the dual threshold: flush at `max_batch` requests
-        // or `max_wait` past the *oldest* request's enqueue, first wins.
-        let deadline = batch[0].enqueued + cfg.max_wait;
-        let mut disconnected = false;
-        while batch.len() < max_batch {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(job) => batch.push(job),
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
-            }
-        }
+        batch.extend(rx.try_iter().take(max_batch - 1));
         execute(batch, &runner, &cfg, &metrics);
-        if disconnected {
-            // Admission closed and the channel is empty: drained.
-            return;
-        }
     }
 }
 

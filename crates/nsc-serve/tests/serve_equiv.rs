@@ -2,7 +2,7 @@
 //! every runnable stdlib function.
 //!
 //! Each subject is registered with one [`Server`] and served through the
-//! full path — value literal in, dual-threshold batcher, `run_batch`,
+//! full path — value literal in, the shard batcher, `run_batch`,
 //! pretty-printed value out — while the oracle runs the same input
 //! through [`BatchRunner::run_single`] (exactly what `nsc run` executes
 //! per request).  Outputs must match as strings and errors must carry
@@ -343,7 +343,6 @@ fn with_suite<R>(f: impl FnOnce(&Suite) -> R) -> R {
             let mut server = Server::with_cache(
                 ServeConfig {
                     max_batch: 8,
-                    max_wait: Duration::from_millis(1),
                     queue_cap: 4096,
                     ..ServeConfig::default()
                 },

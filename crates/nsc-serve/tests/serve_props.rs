@@ -2,23 +2,29 @@
 //!
 //! * **No reorder** (the satellite property): within a shard, replies are
 //!   delivered in strictly increasing admission-sequence order, for every
-//!   combination of flush thresholds, batch shapes, and mixed
-//!   valid/`Ω`/malformed inputs — and each reply's payload matches the
-//!   source-semantics evaluator's verdict for that request.
+//!   `max_batch`, batch shape, and mix of valid/`Ω`/malformed inputs — and
+//!   each reply's payload matches the source-semantics evaluator's verdict
+//!   for that request.
 //! * **Backpressure**: a full admission queue rejects with `Overloaded`
 //!   (deterministically, using the flush hook to hold the batcher), and
 //!   every *accepted* request is still answered, in order.
-//! * **Dual-threshold flushes**: the size threshold flushes a full batch
-//!   without waiting out `max_wait`; the age threshold flushes a partial
-//!   batch once the oldest request is old enough.
+//! * **The flush rule**: a shard batches what is queued — a lone request
+//!   flushes alone with no further event, and `k` requests queued behind a
+//!   held batcher flush as `⌈k / max_batch⌉` batches.  No test here reads
+//!   a clock: batch sizes are made deterministic by holding the batcher
+//!   inside its first flush ([`first_flush_gate`]), and the only timeouts
+//!   are hang guards.
 //! * **TCP front end**: pipelined requests across several shards come
 //!   back in request order per connection; `{"cmd": "shutdown"}` drains
-//!   gracefully (every queued request answered first).
+//!   gracefully (every queued request answered first); a request line
+//!   nested far past the JSON parser's depth bound is a `bad-request`,
+//!   not the end of the process.
 
 use nsc_core::ast as a;
 use nsc_core::types::Type;
 use nsc_core::value::Value;
-use nsc_serve::{Reply, ServeConfig, Server};
+use nsc_serve::server::FlushHook;
+use nsc_serve::{Reply, ServeConfig, ServeError, Server};
 use proptest::prelude::*;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -44,6 +50,79 @@ fn server_with(cfg: ServeConfig) -> Arc<Server> {
     Arc::new(s)
 }
 
+/// Submits one request whose reply lands on `tx`.
+fn submit(
+    server: &Server,
+    fn_name: &str,
+    input: String,
+    tx: &mpsc::Sender<Reply>,
+) -> Result<u64, ServeError> {
+    let tx = tx.clone();
+    server.submit(
+        fn_name,
+        None,
+        input,
+        Box::new(move |r| {
+            let _ = tx.send(r);
+        }),
+    )
+}
+
+/// The batcher of a shard, held inside its first flush.
+///
+/// A shard batches whatever is queued when its batcher comes round, so a
+/// test that wants to know the batch sizes must know the queue: submit
+/// one request (it flushes alone — nothing else exists yet), wait for
+/// [`Held::wait`], queue what the test is about, then [`Held::release`].
+/// Every flush after the first finds exactly that backlog.
+struct Held {
+    started: mpsc::Receiver<()>,
+    gate: mpsc::Sender<()>,
+    sizes: Arc<Mutex<Vec<usize>>>,
+}
+
+impl Held {
+    /// Blocks until the batcher is inside its first flush.
+    fn wait(&self) {
+        // The timeout is a hang guard, as everywhere in this file.
+        self.started
+            .recv_timeout(Duration::from_secs(120))
+            .expect("the first flush starts");
+    }
+
+    fn release(&self) {
+        self.gate.send(()).expect("the batcher is waiting");
+    }
+
+    /// The size of every flush so far, in order.
+    fn sizes(&self) -> Vec<usize> {
+        self.sizes.lock().unwrap().clone()
+    }
+}
+
+/// An `on_flush` hook that records every flush's size and blocks the
+/// first flush until released, with the handle that controls it.
+fn first_flush_gate() -> (FlushHook, Held) {
+    let (gate_tx, gate_rx) = mpsc::channel::<()>();
+    let (started_tx, started_rx) = mpsc::channel::<()>();
+    let sizes: Arc<Mutex<Vec<usize>>> = Arc::default();
+    let first = Mutex::new(Some((gate_rx, started_tx)));
+    let hook_sizes = Arc::clone(&sizes);
+    let hook: FlushHook = Arc::new(move |size| {
+        hook_sizes.lock().unwrap().push(size);
+        if let Some((gate, started)) = first.lock().unwrap().take() {
+            let _ = started.send(());
+            let _ = gate.recv();
+        }
+    });
+    let held = Held {
+        started: started_rx,
+        gate: gate_tx,
+        sizes,
+    };
+    (hook, held)
+}
+
 /// The source-semantics oracle for one request: what should the server
 /// answer for `input` to `fn_name`?
 fn oracle(fn_name: &str, input: &Value) -> Result<String, &'static str> {
@@ -61,18 +140,16 @@ fn oracle(fn_name: &str, input: &Value) -> Result<String, &'static str> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The no-reorder property: whatever the thresholds and the traffic,
-    /// a shard's replies come back in admission order with the right
+    /// The no-reorder property: whatever `max_batch` and the traffic, a
+    /// shard's replies come back in admission order with the right
     /// payloads.
     #[test]
     fn replies_never_reorder_within_a_shard(
         max_batch in 1usize..6,
-        max_wait_ms in 0u64..4,
         words in proptest::collection::vec(0u64..1000, 1..30),
     ) {
         let server = server_with(ServeConfig {
             max_batch,
-            max_wait: Duration::from_millis(max_wait_ms),
             queue_cap: 4096,
             ..ServeConfig::default()
         });
@@ -87,11 +164,7 @@ proptest! {
                 1 => "(1, 2)".to_string(),                 // domain error
                 _ => Value::nat_seq((0..w % 5).map(|j| j + i as u64)).to_string(),
             };
-            let tx = tx.clone();
-            let seq = server
-                .submit("sq1", None, input.clone(), Box::new(move |r| {
-                    let _ = tx.send(r);
-                }))
+            let seq = submit(&server, "sq1", input.clone(), &tx)
                 .expect("queue_cap is larger than the workload");
             prop_assert_eq!(seq, i as u64, "admission sequence is dense");
             expected.push(input);
@@ -120,51 +193,91 @@ proptest! {
 
     /// Multi-threaded admission: sequence numbers are raced for, but the
     /// reply stream still follows them monotonically, and the contended
-    /// requests form batches.  (`max_wait` is an hour so that only the
-    /// size threshold and the drain flush: the batch sizes are then
-    /// independent of thread timing.)
+    /// requests form batches.  (The batcher is held until every submitter
+    /// is done, so the batch sizes are independent of thread timing.)
     #[test]
     fn concurrent_submitters_still_see_ordered_replies(
         per_thread in 1usize..12,
         max_batch in 1usize..5,
     ) {
+        let (hook, held) = first_flush_gate();
         let server = server_with(ServeConfig {
             max_batch,
-            max_wait: Duration::from_secs(3600),
             queue_cap: 4096,
+            on_flush: Some(hook),
             ..ServeConfig::default()
         });
         let (tx, rx) = mpsc::channel::<Reply>();
+        submit(&server, "sq1", "[]".into(), &tx).unwrap();
+        held.wait();
         std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let server = Arc::clone(&server);
                 let tx = tx.clone();
                 scope.spawn(move || {
                     for i in 0..per_thread {
-                        let tx = tx.clone();
                         let input = Value::nat_seq(0..(t + i as u64) % 4).to_string();
-                        server
-                            .submit("sq1", None, input, Box::new(move |r| {
-                                let _ = tx.send(r);
-                            }))
-                            .expect("under capacity");
+                        submit(&server, "sq1", input, &tx).expect("under capacity");
                     }
                 });
             }
         });
+        held.release();
         drop(tx);
         server.drain();
         let seqs: Vec<u64> = rx.iter().map(|r| r.seq).collect();
-        prop_assert_eq!(seqs.len(), per_thread * 4);
+        prop_assert_eq!(seqs.len(), 1 + per_thread * 4);
         // The single batcher replies strictly in admission order even
         // though admission itself was contended.
         let mut sorted = seqs.clone();
         sorted.sort_unstable();
         prop_assert_eq!(&seqs, &sorted, "monotone reply stream");
-        // At least `max_batch` requests were admitted, so some flush was
-        // a full batch.
+        // At least `max_batch` requests were queued behind the held
+        // flush, so the next one was a full batch.
         let mean_batch = server.snapshots()[0].mean_batch;
         prop_assert_eq!(mean_batch > 1.0, max_batch > 1, "mean batch {}", mean_batch);
+    }
+
+    /// The flush rule, backlog half: `k` requests queued while the batcher
+    /// is busy flush as `⌈k / max_batch⌉` batches — full ones, then the
+    /// remainder — and are answered in admission order.
+    #[test]
+    fn a_backlog_flushes_in_batches_of_at_most_max_batch(
+        max_batch in 1usize..8,
+        k in 0usize..40,
+    ) {
+        let (hook, held) = first_flush_gate();
+        let server = server_with(ServeConfig {
+            max_batch,
+            queue_cap: 64,
+            on_flush: Some(hook),
+            ..ServeConfig::default()
+        });
+        let (tx, rx) = mpsc::channel::<Reply>();
+        submit(&server, "sq1", "[]".into(), &tx).unwrap();
+        held.wait();
+        for i in 0..k {
+            submit(&server, "sq1", format!("[{i}]"), &tx).unwrap();
+        }
+        held.release();
+        drop(tx);
+        server.drain();
+        let sizes = held.sizes();
+        prop_assert_eq!(sizes[0], 1, "the held flush took the only request there was");
+        let backlog = &sizes[1..];
+        prop_assert_eq!(backlog.len(), k.div_ceil(max_batch), "{:?}", backlog);
+        prop_assert!(backlog.iter().all(|&b| b <= max_batch), "{:?}", backlog);
+        prop_assert_eq!(backlog.iter().sum::<usize>(), k, "{:?}", backlog);
+        let replies: Vec<Reply> = rx.iter().collect();
+        prop_assert_eq!(replies.len(), 1 + k);
+        for (seq, r) in replies.iter().enumerate() {
+            prop_assert_eq!(r.seq, seq as u64, "reply order == admission order");
+            let want = match seq {
+                0 => "[]".to_string(),
+                _ => format!("[{}]", (seq - 1) * (seq - 1) + 1),
+            };
+            prop_assert_eq!(r.result.as_deref(), Ok(want.as_str()));
+        }
     }
 }
 
@@ -179,7 +292,6 @@ fn full_queue_rejects_with_overloaded_and_accepted_work_completes() {
     let gate = Mutex::new(Some((gate_rx, started_tx)));
     let server = server_with(ServeConfig {
         max_batch: 1,
-        max_wait: Duration::from_millis(0),
         queue_cap,
         on_flush: Some(Arc::new(move |_size| {
             if let Some((rx, started)) = gate.lock().unwrap().take() {
@@ -229,44 +341,31 @@ fn full_queue_rejects_with_overloaded_and_accepted_work_completes() {
     assert_eq!(snap.completed, 1 + queue_cap as u64);
 }
 
-/// The size threshold: a full batch flushes immediately, long before a
-/// (deliberately huge) max_wait could.
+/// The flush rule, idle half: a lone request on an idle shard is the whole
+/// batch.  With room for 31 more it still flushes — as a batch of exactly
+/// one, before any second submission or the drain could prompt it.
 #[test]
-fn size_threshold_flushes_without_waiting() {
-    let sizes: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-    let sizes_hook = Arc::clone(&sizes);
+fn a_lone_request_flushes_alone_without_a_second_event() {
+    let (hook, held) = first_flush_gate();
     let server = server_with(ServeConfig {
-        max_batch: 4,
-        max_wait: Duration::from_secs(3600),
-        queue_cap: 64,
-        on_flush: Some(Arc::new(move |s| sizes_hook.lock().unwrap().push(s))),
+        max_batch: 32,
+        on_flush: Some(hook),
         ..ServeConfig::default()
     });
     let (tx, rx) = mpsc::channel::<Reply>();
-    for i in 0..4u64 {
-        let tx = tx.clone();
-        server
-            .submit(
-                "sq1",
-                None,
-                format!("[{i}]"),
-                Box::new(move |r| {
-                    let _ = tx.send(r);
-                }),
-            )
-            .unwrap();
-    }
-    // All four replies arrive without waiting out the hour.
-    for _ in 0..4 {
-        rx.recv_timeout(Duration::from_secs(60))
-            .expect("size-threshold flush");
-    }
+    submit(&server, "sq1", "[3]".into(), &tx).unwrap();
+    // Nothing else happens, and the flush starts all the same.
+    held.wait();
+    assert_eq!(held.sizes(), [1]);
+    held.release();
+    let reply = rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("the lone request");
+    assert_eq!(reply.result.as_deref(), Ok("[10]"));
     server.drain();
-    assert!(
-        sizes.lock().unwrap().contains(&4),
-        "a full batch of 4 flushed: {:?}",
-        sizes.lock().unwrap()
-    );
+    assert_eq!(held.sizes(), [1], "one flush, no more");
+    let snap = &server.snapshots()[0];
+    assert_eq!((snap.batches, snap.max_batch, snap.completed), (1, 1, 1));
 }
 
 /// The batching discipline is the shard's static property: `classify`
@@ -277,77 +376,50 @@ fn size_threshold_flushes_without_waiting() {
 fn small_branchy_batches_run_as_lanes() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/classify.nsc");
     let module = nsc_core::parse::parse_module(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let (hook, held) = first_flush_gate();
     let mut server = Server::new(ServeConfig {
         max_batch: 2,
-        max_wait: Duration::from_secs(3600),
+        on_flush: Some(hook),
         ..ServeConfig::default()
     });
     assert!(server.register_module(&module).is_empty());
     let (tx, rx) = mpsc::channel::<Reply>();
+    // The pair queues behind a held single run, so it flushes together.
+    submit(&server, "main", "[]".into(), &tx).unwrap();
+    held.wait();
     for input in ["[0, 3, 0, 7]", "[5, 0, 0, 1]"] {
-        let tx = tx.clone();
-        server
-            .submit(
-                "main",
-                None,
-                input.to_string(),
-                Box::new(move |r| {
-                    let _ = tx.send(r);
-                }),
-            )
-            .unwrap();
+        submit(&server, "main", input.to_string(), &tx).unwrap();
     }
-    for _ in 0..2 {
+    held.release();
+    for _ in 0..3 {
         let reply = rx.recv_timeout(Duration::from_secs(120)).expect("flush");
         assert!(reply.result.is_ok(), "{:?}", reply.result);
     }
     server.drain();
+    assert_eq!(
+        held.sizes(),
+        [1, 2],
+        "the held request, then one flush of two"
+    );
     let snap = &server.snapshots()[0];
-    assert_eq!((snap.batches, snap.max_batch), (1, 2), "one flush of two");
+    assert_eq!((snap.batches, snap.max_batch), (2, 2));
     assert_eq!((snap.lanes_batches, snap.pack_batches), (1, 0));
 }
 
-/// The age threshold: a partial batch flushes once the oldest queued
-/// request is `max_wait` old, gathering everything that arrived
-/// meanwhile.
-#[test]
-fn age_threshold_flushes_partial_batches() {
-    let sizes: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
-    let sizes_hook = Arc::clone(&sizes);
-    let server = server_with(ServeConfig {
-        max_batch: 1000,
-        max_wait: Duration::from_millis(150),
-        queue_cap: 64,
-        on_flush: Some(Arc::new(move |s| sizes_hook.lock().unwrap().push(s))),
-        ..ServeConfig::default()
-    });
-    let (tx, rx) = mpsc::channel::<Reply>();
-    for i in 0..3u64 {
-        let tx = tx.clone();
-        server
-            .submit(
-                "sq1",
-                None,
-                format!("[{i}]"),
-                Box::new(move |r| {
-                    let _ = tx.send(r);
-                }),
-            )
-            .unwrap();
-    }
-    for _ in 0..3 {
-        rx.recv_timeout(Duration::from_secs(60))
-            .expect("age-threshold flush");
-    }
-    server.drain();
-    let sizes = sizes.lock().unwrap();
-    // All three were submitted back-to-back, far faster than 40ms: they
-    // flush together (possibly split across two batches if the batcher
-    // thread won a race, but never three degenerate singletons).
-    assert!(
-        sizes.iter().sum::<usize>() == 3 && sizes.len() <= 2,
-        "age-threshold gathered the trickle: {sizes:?}"
-    );
+/// Serves `sq1` and `get` on an ephemeral loopback port; the handle
+/// joins once some client has sent `{"cmd": "shutdown"}`.
+fn start_tcp() -> (
+    Arc<Server>,
+    std::net::SocketAddr,
+    std::thread::JoinHandle<()>,
+) {
+    let server = server_with(ServeConfig::default());
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+    let addr = listener.local_addr().unwrap();
+    let server2 = Arc::clone(&server);
+    let serving =
+        std::thread::spawn(move || nsc_serve::front::serve_tcp(&server2, listener).unwrap());
+    (server, addr, serving)
 }
 
 /// The TCP front: pipelined requests across two shards answer in
@@ -356,21 +428,7 @@ fn age_threshold_flushes_partial_batches() {
 fn tcp_front_orders_responses_and_drains_on_shutdown() {
     use std::io::{BufRead, BufReader, Write};
 
-    let server = {
-        let mut s = Server::new(ServeConfig {
-            max_wait: Duration::from_millis(1),
-            ..ServeConfig::default()
-        });
-        s.register("sq1", &sq1(), &Type::seq(Type::Nat));
-        s.register("get", &get_fn(), &Type::seq(Type::Nat));
-        Arc::new(s)
-    };
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
-    let addr = listener.local_addr().unwrap();
-    let server2 = Arc::clone(&server);
-    let serving =
-        std::thread::spawn(move || nsc_serve::front::serve_tcp(&server2, listener).unwrap());
-
+    let (server, addr, serving) = start_tcp();
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
     // Pipeline across both shards before reading anything; `get` on a
     // 2-element sequence is Ω, classified as such over the wire.
@@ -421,4 +479,42 @@ fn tcp_front_orders_responses_and_drains_on_shutdown() {
             .kind(),
         "shutdown"
     );
+}
+
+/// A request line is attacker-controlled and connection threads have
+/// small stacks: a line nested far past the JSON parser's depth bound is
+/// answered `bad-request` — it used to overflow the stack and abort the
+/// process — and the connection, other connections and shutdown all
+/// carry on.
+#[test]
+fn tcp_front_answers_a_deeply_nested_line_and_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let (_server, addr, serving) = start_tcp();
+    let read_line = |reader: &mut BufReader<std::net::TcpStream>| {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        line.trim().to_string()
+    };
+
+    let mut hostile = std::net::TcpStream::connect(addr).unwrap();
+    hostile.write_all("[".repeat(100_000).as_bytes()).unwrap();
+    writeln!(hostile).unwrap();
+    writeln!(hostile, r#"{{"fn": "sq1", "input": "[2]", "id": 1}}"#).unwrap();
+    let mut reader = BufReader::new(hostile.try_clone().unwrap());
+    let rejected = read_line(&mut reader);
+    assert!(
+        rejected.contains(r#""kind": "bad-request""#) && rejected.contains("nested"),
+        "{rejected}"
+    );
+    assert_eq!(read_line(&mut reader), r#"{"id": 1, "output": "[5]"}"#);
+
+    let mut second = std::net::TcpStream::connect(addr).unwrap();
+    writeln!(second, r#"{{"fn": "sq1", "input": "[3]"}}"#).unwrap();
+    writeln!(second, r#"{{"cmd": "shutdown"}}"#).unwrap();
+    let mut reader = BufReader::new(second.try_clone().unwrap());
+    assert_eq!(read_line(&mut reader), r#"{"output": "[10]"}"#);
+    assert_eq!(read_line(&mut reader), r#"{"ok": "draining"}"#);
+    drop(hostile);
+    serving.join().expect("accept loop exits after shutdown");
 }

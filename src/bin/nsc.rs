@@ -33,7 +33,6 @@ use nsc::runtime::{measure_batches, BatchMode, BatchRunner, CompiledCache};
 use nsc::serve::{front, ServeConfig, Server};
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
 const USAGE: &str = "\
 nsc — surface-language driver for the Suciu & Tannen compilation pipeline
@@ -85,11 +84,9 @@ OPTIONS:
                         {\"cmd\": \"shutdown\"} drains and stops the server
     --stdin             (serve) read requests from stdin, answer on stdout,
                         drain at EOF (pipe-driven use)
-    --max-batch <n>     (serve) flush a batch at n requests (default 32);
-                        1 disables batching
-    --max-wait-ms <n>   (serve) flush when the oldest queued request is n
-                        milliseconds old (default 2); 0 disables waiting
-                        (backlogged requests still batch up to --max-batch)
+    --max-batch <n>     (serve) the most queued requests one batch may take
+                        (default 32); 1 disables batching.  A shard batches
+                        what is already queued and never waits for more
     --queue-cap <n>     (serve) per-shard admission queue capacity
                         (default 1024); a full queue answers
                         {\"error\": ..., \"kind\": \"overloaded\"}
@@ -108,7 +105,6 @@ struct Opts {
     addr: Option<String>,
     stdin: bool,
     max_batch: usize,
-    max_wait_ms: u64,
     queue_cap: usize,
     verify: VerifyLevel,
     explain: bool,
@@ -137,7 +133,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Opts, String> {
         addr: None,
         stdin: false,
         max_batch: 32,
-        max_wait_ms: 2,
         queue_cap: 1024,
         verify: VerifyLevel::from_env(),
         explain: false,
@@ -164,7 +159,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Opts, String> {
             "--opt",
             "--backend",
             "--max-batch",
-            "--max-wait-ms",
             "--queue-cap",
         ],
         _ => &[
@@ -230,17 +224,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Opts, String> {
                     .map_err(|_| "--max-batch expects a number".to_string())?;
                 if opts.max_batch == 0 {
                     return Err("--max-batch expects a positive number".into());
-                }
-            }
-            "--max-wait-ms" => {
-                opts.max_wait_ms = val("--max-wait-ms")?
-                    .parse()
-                    .map_err(|_| "--max-wait-ms expects a number".to_string())?;
-                // An absurd wait would overflow `Instant + Duration` in
-                // the batcher's deadline arithmetic; an hour is already
-                // far past any sensible batching latency ceiling.
-                if opts.max_wait_ms > 3_600_000 {
-                    return Err("--max-wait-ms expects at most 3600000 (one hour)".into());
                 }
             }
             "--queue-cap" => {
@@ -618,7 +601,6 @@ fn cmd_serve(opts: &Opts, module: &Module) -> Result<(), String> {
     }
     let cfg = ServeConfig {
         max_batch: opts.max_batch,
-        max_wait: Duration::from_millis(opts.max_wait_ms),
         queue_cap: opts.queue_cap,
         opt: opts.opt,
         // `--backend seq|par` picks the default shard backend (requests
@@ -638,12 +620,11 @@ fn cmd_serve(opts: &Opts, module: &Module) -> Result<(), String> {
     // the default) falls back to seq for serving, and that choice must
     // be visible, not silent.
     eprintln!(
-        "serving {} on {} (backend {}, max_batch {}, max_wait {}ms, queue_cap {})",
+        "serving {} on {} (backend {}, max_batch {}, queue_cap {})",
         server.functions().join(", "),
         opts.addr.as_deref().unwrap_or("stdin"),
         server.config().backend.name(),
         opts.max_batch,
-        opts.max_wait_ms,
         opts.queue_cap,
     );
     let server = Arc::new(server);

@@ -17,8 +17,9 @@
 //!   program cache and the pack/lanes batch runner (see the README's
 //!   "Serving and batching" section);
 //! * [`serve`] — the adaptive micro-batching request server
-//!   (`nsc serve`): bounded admission queues, dual-threshold batcher
-//!   shards, per-shard metrics, and the newline-delimited JSON fronts;
+//!   (`nsc serve`): bounded admission queues, batcher shards that batch
+//!   what is queued, per-shard metrics, and the newline-delimited JSON
+//!   fronts;
 //! * [`machine`] — the Bounded Vector Random Access Machine: one
 //!   interpreter, sequential or with rayon-threaded fills;
 //! * [`net`] — the Proposition 2.1 butterfly-network bound;
