@@ -28,14 +28,13 @@
 //! (`crate::fuzz`) deliberately read unwritten registers and are only
 //! required to be [`Report::ok`].
 //!
-//! # The one budget
-//!
-//! Definite initialization keeps a register bitset per basic block, so
-//! it is skipped when `blocks × n_regs` exceeds `INIT_BUDGET` (2²⁵ —
-//! the `map(f)` kernels of branchy programs, not the programs
-//! themselves).  [`Report::init_analysis_skipped`] is then set, the
-//! rendering says so, and [`Report::clean`] means structure + fall-off
-//! only.
+//! All three checks run on every structurally valid program, whatever
+//! its size.  Definite initialization is exact and sparse: compiled
+//! code is almost single-assignment, so a read is usually decided by
+//! one dominance query against the register's definitions
+//! ([`Cfg::pc_dominates`]), and only the registers some read finds
+//! undominated — temporaries merged across the arms of a branch — get a
+//! must-dataflow, over those registers alone.
 //!
 //! # The dataflow framework
 //!
@@ -156,10 +155,6 @@ pub struct Report {
     pub fall_off: Vec<usize>,
     /// Instruction indices unreachable from the entry.
     pub unreachable: Vec<usize>,
-    /// The definite-initialization analysis was skipped because
-    /// `blocks × n_regs` exceeded `INIT_BUDGET`; `uninit_reads` is
-    /// then empty vacuously, not as a guarantee.
-    pub init_analysis_skipped: bool,
 }
 
 impl Report {
@@ -171,9 +166,6 @@ impl Report {
 
     /// [`Report::ok`], and additionally no use-before-def and no path
     /// that falls off the end — the standard compiled code is held to.
-    /// When [`Report::init_analysis_skipped`] is set the use-before-def
-    /// half was not checked: `clean()` then means structure + fall-off
-    /// only.
     pub fn clean(&self) -> bool {
         self.ok() && self.uninit_reads.is_empty() && self.fall_off.is_empty()
     }
@@ -200,15 +192,10 @@ impl fmt::Display for Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "verify: {} instrs, {} unreachable, {} violations{}",
+            "verify: {} instrs, {} unreachable, {} violations",
             self.n_instrs,
             self.unreachable.len(),
             self.violations.len(),
-            if self.init_analysis_skipped {
-                " [definite-init skipped: over budget]"
-            } else {
-                ""
-            }
         )?;
         render_capped(f, "violation", &self.violations)?;
         let uninit: Vec<String> = self
@@ -386,28 +373,33 @@ pub fn replay<A: ForwardAnalysis>(
 }
 
 // ---------------------------------------------------------------------------
-// Analysis 1: definite initialization
+// Definite initialization
 // ---------------------------------------------------------------------------
 
-/// Must-analysis over [`RegSet`]: a register is in the state iff every
-/// path from the entry writes it before this point.  Inputs
-/// `0 .. r_in` start initialized; joins intersect.
-struct DefiniteInit;
+/// No pc, or no dataflow slot.
+const NONE: u32 = u32::MAX;
 
-impl ForwardAnalysis for DefiniteInit {
+/// Must-analysis over the registers `slot` numbers densely (`0 .. n`):
+/// a register is in the state iff every path from the entry writes it
+/// before this point.  Nothing starts initialized — inputs are never
+/// among the tracked registers; joins intersect.
+struct DefiniteInit<'a> {
+    slot: &'a [u32],
+    n: usize,
+}
+
+impl ForwardAnalysis for DefiniteInit<'_> {
     type State = RegSet;
 
-    fn entry_state(&self, prog: &Program) -> RegSet {
-        let mut s = RegSet::new(prog.n_regs);
-        for r in 0..prog.r_in {
-            s.insert(r as Reg);
-        }
-        s
+    fn entry_state(&self, _prog: &Program) -> RegSet {
+        RegSet::new(self.n)
     }
 
     fn transfer(&self, _pc: usize, ins: &Instr, state: &mut RegSet) {
-        if let Some(d) = ins.output() {
-            state.insert(d);
+        if let Some(s) = ins.output().map(|d| self.slot[d as usize]) {
+            if s != NONE {
+                state.insert(s);
+            }
         }
     }
 
@@ -416,22 +408,83 @@ impl ForwardAnalysis for DefiniteInit {
     }
 }
 
+/// The reachable reads `(pc, reg)` that some path reaches without
+/// having written `reg`, in program order (`Halt` reads the outputs
+/// `0 .. r_out`).
+///
+/// A read of an input register, or one that a single definition of its
+/// register dominates, is initialized — in near-single-assignment code
+/// that decides almost every read.  The registers of the remaining
+/// reads (written on several paths, by no one instruction on all of
+/// them) are exactly where "every path writes it" needs dataflow, so
+/// [`DefiniteInit`] tracks those and nothing else.
+fn uninit_reads(prog: &Program, cfg: &Cfg) -> Vec<(usize, Reg)> {
+    let reachable = || (0..prog.instrs.len()).filter(|&pc| cfg.reachable(pc));
+    // Each register's first defining pc, and the further definitions of
+    // the few registers that have them, grouped by register.  (A
+    // definition in dead code initializes nothing.)
+    let mut first = vec![NONE; prog.n_regs];
+    let mut more: Vec<(Reg, u32)> = Vec::new();
+    for pc in reachable() {
+        match prog.instrs[pc].output() {
+            Some(d) if first[d as usize] == NONE => first[d as usize] = pc as u32,
+            Some(d) => more.push((d, pc as u32)),
+            None => {}
+        }
+    }
+    more.sort_unstable();
+    let dominated = |r: Reg, pc: usize| {
+        let by = |d: u32| d != NONE && cfg.pc_dominates(d as usize, pc);
+        by(first[r as usize])
+            || more[more.partition_point(|&(q, _)| q < r)..]
+                .iter()
+                .take_while(|&&(q, _)| q == r)
+                .any(|&(_, d)| by(d))
+    };
+
+    let mut slot = vec![NONE; prog.n_regs];
+    let mut n = 0;
+    let mut open: Vec<(usize, Reg)> = Vec::new();
+    for pc in reachable() {
+        let reads = match &prog.instrs[pc] {
+            Instr::Halt => (0..prog.r_out as Reg).collect(),
+            ins => ins.inputs(),
+        };
+        for r in reads {
+            if (r as usize) < prog.r_in || dominated(r, pc) {
+                continue;
+            }
+            open.push((pc, r));
+            if slot[r as usize] == NONE {
+                slot[r as usize] = n as u32;
+                n += 1;
+            }
+        }
+    }
+
+    let analysis = DefiniteInit { slot: &slot, n };
+    let init = run_forward(prog, cfg, &analysis);
+    let mut next = 0;
+    let mut uninit = Vec::new();
+    replay(prog, cfg, &analysis, &init, |pc, _, st| {
+        // `replay` and `open` both run through the reachable pcs in
+        // ascending order.
+        while let Some(&(_, r)) = open.get(next).filter(|(at, _)| *at == pc) {
+            if !st.contains(slot[r as usize]) {
+                uninit.push((pc, r));
+            }
+            next += 1;
+        }
+    });
+    uninit
+}
+
 // ---------------------------------------------------------------------------
 // The entry point
 // ---------------------------------------------------------------------------
 
-/// Work budget for the definite-initialization analysis, as a cap on
-/// `basic blocks × n_regs` (one bit of state per register per block).
-/// Programs over it (the Theorem 4.2 translations reach millions of
-/// registers across tens of thousands of blocks) skip init tracking
-/// with [`Report::init_analysis_skipped`] set.  Structure,
-/// reachability, and fall-off checks always run — they need no
-/// per-register state.
-const INIT_BUDGET: usize = 1 << 25;
-
 /// Verifies `prog`: structural checks, then (if structurally valid)
-/// definite initialization (within `INIT_BUDGET`) and
-/// reachability/fall-off.
+/// definite initialization and reachability/fall-off.
 pub fn verify_program(prog: &Program) -> Report {
     let mut report = Report {
         n_instrs: prog.instrs.len(),
@@ -440,33 +493,12 @@ pub fn verify_program(prog: &Program) -> Report {
     };
     let n = prog.instrs.len();
     if !report.ok() || n == 0 {
-        return report; // dataflow would index out of bounds
+        return report; // the analyses would index out of bounds
     }
 
-    // The block graph first: O(edges), meaningful at any size, and
-    // every analysis below runs on it.
+    // The block graph first: every check below reads it.
     let cfg = Cfg::build(prog);
-    let work = cfg.n_blocks().saturating_mul(prog.n_regs);
-
-    // Definite initialization.
-    report.init_analysis_skipped = work > INIT_BUDGET;
-    if !report.init_analysis_skipped {
-        let init = run_forward(prog, &cfg, &DefiniteInit);
-        replay(prog, &cfg, &DefiniteInit, &init, |pc, ins, st| {
-            for r in ins.inputs() {
-                if !st.contains(r) {
-                    report.uninit_reads.push((pc, r));
-                }
-            }
-            if matches!(ins, Instr::Halt) {
-                for r in 0..prog.r_out as Reg {
-                    if !st.contains(r) {
-                        report.uninit_reads.push((pc, r));
-                    }
-                }
-            }
-        });
-    }
+    report.uninit_reads = uninit_reads(prog, &cfg);
 
     // Reachability-derived findings.
     for pc in 0..n {
@@ -547,6 +579,64 @@ mod tests {
             .push(Halt);
         let r = verify_program(&b.build().unwrap());
         assert!(r.clean(), "{r}");
+    }
+
+    #[test]
+    fn loop_carried_register_is_clean() {
+        // v1 is written before the loop and again in the latch: the
+        // first write dominates every read, the second changes nothing.
+        let mut b = Builder::new(1, 1);
+        b.push(Move { dst: 1, src: 0 })
+            .label("loop")
+            .if_empty_goto(1, "done")
+            .push(Select { dst: 2, src: 1 })
+            .push(Move { dst: 1, src: 2 })
+            .goto("loop")
+            .label("done")
+            .push(Move { dst: 0, src: 1 })
+            .push(Halt);
+        let r = verify_program(&b.build().unwrap());
+        assert!(r.clean(), "{r}");
+    }
+
+    #[test]
+    fn a_definition_does_not_dominate_its_own_operands() {
+        // v1 <- v1 + v1 on a never-written v1 reads it twice, in a loop
+        // or not; the read after the write is fine.
+        let add = Arith {
+            dst: 1,
+            op: crate::instr::Op::Add,
+            a: 1,
+            b: 1,
+        };
+        let mut b = Builder::new(1, 1);
+        b.push(add.clone()).push(Move { dst: 0, src: 1 }).push(Halt);
+        let r = verify_program(&b.build().unwrap());
+        assert_eq!(r.uninit_reads, vec![(0, 1), (0, 1)], "{r}");
+
+        let mut b = Builder::new(1, 1);
+        b.label("loop")
+            .if_empty_goto(0, "done")
+            .push(add)
+            .push(Select { dst: 0, src: 0 })
+            .goto("loop")
+            .label("done")
+            .push(Halt);
+        let r = verify_program(&b.build().unwrap());
+        assert_eq!(r.uninit_reads, vec![(1, 1), (1, 1)], "{r}");
+    }
+
+    #[test]
+    fn a_definition_in_unreachable_code_initializes_nothing() {
+        let mut b = Builder::new(1, 1);
+        b.goto("live")
+            .push(Singleton { dst: 1, n: 7 })
+            .label("live")
+            .push(Move { dst: 0, src: 1 })
+            .push(Halt);
+        let r = verify_program(&b.build().unwrap());
+        assert_eq!(r.uninit_reads, vec![(2, 1)], "{r}");
+        assert_eq!(r.unreachable, vec![1]);
     }
 
     #[test]
@@ -647,22 +737,5 @@ mod tests {
         let s = r.to_string();
         assert!(s.contains("verify: 2 instrs"), "{s}");
         assert!(s.contains("v3 is read before any write"), "{s}");
-        assert!(!s.contains("skipped"), "{s}");
-
-        // Over `INIT_BUDGET` (one block × that many registers, plus
-        // one) the init check does not run, and the summary line says
-        // so next to the findings that need no per-register state.
-        let p = Program {
-            instrs: vec![Append { dst: 0, a: 0, b: 3 }, Move { dst: 1, src: 0 }],
-            n_regs: INIT_BUDGET + 1,
-            r_in: 1,
-            r_out: 1,
-            trip_hints: vec![],
-        };
-        let r = verify_program(&p);
-        assert!(r.init_analysis_skipped && r.uninit_reads.is_empty());
-        let s = r.to_string();
-        assert!(s.contains("[definite-init skipped: over budget]"), "{s}");
-        assert!(s.contains("pc 1: execution can fall off the end"), "{s}");
     }
 }

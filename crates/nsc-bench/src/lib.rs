@@ -1,8 +1,9 @@
 //! # nsc-bench — experiment harnesses
 //!
 //! One function per evaluation artifact of the paper; each prints a
-//! markdown table of paper-claim vs measured shape.  The `exp_all` binary
-//! runs everything (see the README's "Building and testing").
+//! markdown table of paper-claim vs measured shape and asserts its claim.
+//! [`EXPERIMENTS`] names them for the `exp` binary: `exp <name>` runs one,
+//! `exp all` every one (see the README's "Building and testing").
 
 #![warn(missing_docs)]
 #![allow(clippy::type_complexity)]
@@ -29,7 +30,7 @@ fn header(cols: &[&str]) {
 /// EXP-FIG123 — Valiant's mergesort (Figures 1–3, section 5):
 /// `T(n)/(log n · log log n)` and `W(n)/(n log n)` should flatten; the
 /// direct-merge baseline's `T(n)/log² n` flattens instead.
-pub fn exp_fig123() {
+fn exp_fig123() {
     println!("\n## EXP-FIG123: Valiant mergesort (Figures 1-3)\n");
     println!("claim: T = O(log n log log n); direct-merge baseline T = O(log^2 n)\n");
     let val = nsc_algorithms::valiant::mergesort_def();
@@ -63,7 +64,7 @@ pub fn exp_fig123() {
 /// EXP-T42 — Theorem 4.2: map-recursion → NSC preserves `T` and bounds
 /// `W'`; balanced trees keep `W' = O(W)`, and on the unbalanced staircase
 /// the ε-staged variant grows strictly slower than the plain one.
-pub fn exp_t42() {
+fn exp_t42() {
     println!("\n## EXP-T42: Theorem 4.2 (map-recursion translation)\n");
     println!("claim: T' = O(T); W' = O(W) balanced; staged W' = O(W^(1+eps)) unbalanced\n");
     println!("### balanced (rangesum)\n");
@@ -124,7 +125,7 @@ fn t71_suite() -> Vec<(&'static str, nsc_core::Func)> {
 /// source semantics, keeps `T' = O(T)`, and its register count is fixed.
 /// The optimizer ablation columns report the unoptimized (`·₀`) next to
 /// the default-optimized (`·₁`) target costs.
-pub fn exp_t71() {
+fn exp_t71() {
     println!("\n## EXP-T71: Theorem 7.1 (compilation to the BVRAM)\n");
     println!("claim: outputs agree; T' = O(T); registers independent of input");
     println!("(T'0/W'0 = unoptimized, T'1/W'1 = default optimizer)\n");
@@ -162,7 +163,7 @@ pub fn exp_t71() {
 /// EXP-OPT — the optimizer ablation (the bvram::opt acceptance gate):
 /// for every workload, optimized output is bit-identical, `T'`/`W'` are
 /// never worse, and at least one workload shows a ≥ 15% `W'` cut.
-pub fn exp_opt() {
+fn exp_opt() {
     println!("\n## EXP-OPT: BVRAM optimizer ablation (O0 vs O1)\n");
     println!("claim: bit-identical outputs; T'/W' never worse; >= 15% W' cut somewhere\n");
     use nsc_compile::OptLevel;
@@ -237,7 +238,7 @@ pub fn exp_opt() {
 /// * the cached entry is compiled once per (workload, backend);
 /// * the static plan never loses: per golden at `B = 8`, the planned
 ///   discipline's `W'` is at most 1.25x the other's.
-pub fn exp_batch() {
+fn exp_batch() {
     println!("\n## EXP-BATCH: batched execution (pack vs lanes vs B single runs)\n");
     println!("claim: bit-identical outputs; fused T' ~ amortized; compile-once cache\n");
     use nsc_compile::{Backend, OptLevel};
@@ -352,7 +353,7 @@ pub fn exp_batch() {
 ///   once instead of once per stage;
 /// * workloads with no `map ∘ map` chain report `fused_stages = 0` and
 ///   compile to the identical program fused or not.
-pub fn exp_fusion() {
+fn exp_fusion() {
     println!("\n## EXP-FUSION: source map fusion (fused vs unfused differential)\n");
     println!("claim: bit-identical results incl. fault class; >= 30% pack W' cut on the chain\n");
     use nsc_compile::{Backend, OptLevel, VerifyLevel};
@@ -449,7 +450,7 @@ pub fn exp_fusion() {
 /// the analyzer's own budget* ([`bvram::cost::COST_BUDGET`], blocks ×
 /// registers — the scalar-map kernels pack actually wins on all qualify)
 /// must additionally carry a finite (non-`⊤`) bound.
-pub fn exp_cost() {
+fn exp_cost() {
     println!("\n## EXP-COST: symbolic cost analyzer budget\n");
     println!("claim: analyzing the largest cached pack kernel stays under 2s\n");
     use nsc_compile::{Backend, OptLevel};
@@ -521,7 +522,7 @@ pub fn exp_cost() {
 
 /// EXP-P21 — Proposition 2.1: each BVRAM instruction class runs in
 /// `O(log n)` butterfly steps with oblivious (congestion-1) routing.
-pub fn exp_p21() {
+fn exp_p21() {
     println!("\n## EXP-P21: Proposition 2.1 (butterfly implementation)\n");
     println!("claim: steps = O(log n) on n log n nodes; congestion 1 (oblivious)\n");
     use butterfly::{simulate_instr, InstrClass};
@@ -548,7 +549,7 @@ pub fn exp_p21() {
 
 /// EXP-P32 — Proposition 3.2: Brent-scheduled CREW-with-scan cycles stay
 /// within a constant of `T + W/p` across a `p` sweep.
-pub fn exp_p32() {
+fn exp_p32() {
     println!("\n## EXP-P32: Proposition 3.2 (CREW+scan simulation)\n");
     println!("claim: cycles = O(T + W/p) for every p\n");
     let f = nsc_core::ast::lam(
@@ -573,7 +574,7 @@ pub fn exp_p32() {
 
 /// EXP-P62 — Propositions 6.1/6.2: NC-style scaling — polylog `T(n)` and
 /// polynomial `W(n)` for the suite (growth per 4× n reported).
-pub fn exp_p62() {
+fn exp_p62() {
     println!("\n## EXP-P62: Proposition 6.2 (NC scaling)\n");
     println!("claim: polylog T, polynomial W (growth per 4x n shown)\n");
     let sum = nsc_core::ast::lam(
@@ -613,7 +614,7 @@ pub fn exp_p62() {
 /// EXP-L72 — Lemma 7.2: `SEQ(while)` batches per-element loops with a
 /// fixed structure; work scales with the true iteration mass, time with
 /// the deepest element (plus the documented `O(log n)` reorder).
-pub fn exp_l72() {
+fn exp_l72() {
     println!("\n## EXP-L72: Lemma 7.2 (the Map Lemma on while)\n");
     println!("claim: SEQ(while) time ~ max iterations + O(log n); work ~ total iterations\n");
     use nsc_algebra::nsa::from_nsc::func_to_nsa;
@@ -666,7 +667,7 @@ pub fn exp_l72() {
 /// EXP-L72b — Lemma 7.2's ε-staging ablation: simple (per-round buffer
 /// churn) vs the two-buffer staged batched while on a straggler workload
 /// with payload-heavy early finishers.
-pub fn exp_l72_staging() {
+fn exp_l72_staging() {
     println!("\n## EXP-L72b: Lemma 7.2 staging ablation (simple vs V1/V2)\n");
     println!("claim: staging trades a 2x probe for per-stage (not per-round) buffer flushes\n");
     use nsc_algebra::sa::b::*;
@@ -734,7 +735,7 @@ pub fn exp_l72_staging() {
 
 /// EXP-D1 — Example D.1: `combine` in SA on the paper's shape, plus its
 /// `T = O(1)`, `W = O(n)` scaling.
-pub fn exp_d1() {
+fn exp_d1() {
     println!("\n## EXP-D1: Example D.1 (combine in SA)\n");
     println!("claim: combine is O(1) time, O(n) work\n");
     use nsc_algebra::sa::map_lemma::merge_leaf;
@@ -755,19 +756,27 @@ pub fn exp_d1() {
     }
 }
 
+/// Every experiment, in `exp all` order: the name `exp` takes and the
+/// function it runs.  A new experiment is one row here.
+pub const EXPERIMENTS: [(&str, fn()); 13] = [
+    ("fig123", exp_fig123),
+    ("t42", exp_t42),
+    ("t71", exp_t71),
+    ("opt", exp_opt),
+    ("fusion", exp_fusion),
+    ("batch", exp_batch),
+    ("cost", exp_cost),
+    ("p21", exp_p21),
+    ("p32", exp_p32),
+    ("p62", exp_p62),
+    ("l72", exp_l72),
+    ("l72b", exp_l72_staging),
+    ("d1", exp_d1),
+];
+
 /// Runs every experiment in order.
 pub fn run_all() {
-    exp_fig123();
-    exp_t42();
-    exp_t71();
-    exp_opt();
-    exp_fusion();
-    exp_batch();
-    exp_cost();
-    exp_p21();
-    exp_p32();
-    exp_p62();
-    exp_l72();
-    exp_l72_staging();
-    exp_d1();
+    for (_, run) in EXPERIMENTS {
+        run();
+    }
 }

@@ -11,6 +11,12 @@ use bvram::cfg::Cfg;
 use bvram::{Instr, Program};
 
 /// Pass name used by translation-validation diagnostics.
+///
+/// On compiled code the pass is nearly idle: counted over the stdlib
+/// roster, `workloads::suite()`, the five goldens and their `map(f)`
+/// kernels at `O1` (192 applications), it changes exactly one program —
+/// `stdlib::isqrt_pow2`, 32 → 31 instructions, where `strength` and
+/// `dce` empty an `if` arm and leave `goto` to the next instruction.
 pub const NAME: &str = "jumps";
 
 /// Follows a `Goto` chain from `t` to its final destination.  Returns

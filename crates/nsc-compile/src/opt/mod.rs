@@ -125,10 +125,7 @@ struct Baseline {
 impl Baseline {
     fn of(report: &Report) -> Baseline {
         Baseline {
-            // A skipped init analysis (program over budget) yields an
-            // empty `uninit_reads` vacuously; don't promote that to a
-            // guarantee the next stage must match.
-            init_clean: !report.init_analysis_skipped && report.uninit_reads.is_empty(),
+            init_clean: report.uninit_reads.is_empty(),
             no_fall_off: report.fall_off.is_empty(),
         }
     }

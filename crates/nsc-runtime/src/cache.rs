@@ -140,11 +140,7 @@ pub const KERNEL_OPT_BUDGET: usize = 1 << 20;
 
 /// Verifies a program once at cache insert, before any request can run
 /// it: no structural violations, no use-before-def, no path off the end
-/// ([`bvram::verify::Report::clean`]).  Cheap enough to apply
-/// unconditionally, at a price: a kernel whose `blocks × n_regs` is past
-/// the verifier's `INIT_BUDGET` (the `map(f)` kernel of most branchy
-/// programs) is admitted on structure + fall-off alone — use-before-def
-/// is not checked there, and the report says so.
+/// ([`bvram::verify::Report::clean`]), whatever its size.
 fn verify_artifact(what: &str, program: &Program) -> Result<(), EvalError> {
     let report = verify_program(program);
     if !report.clean() {

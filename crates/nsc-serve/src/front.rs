@@ -17,7 +17,7 @@
 
 use crate::protocol::{self, Request};
 use crate::server::Server;
-use crate::Reply;
+use crate::{Reply, ServeError};
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::net::{TcpListener, TcpStream};
@@ -108,6 +108,11 @@ fn ordered_writer<W: Write>(rx: Receiver<(u64, String)>, mut w: W) -> std::io::R
     Ok(w)
 }
 
+/// The longest request line a connection may send — what one client can
+/// make the server buffer.  Hundreds of times the widest line the
+/// benchmark sends (`data_wide`, 30 KB).
+const MAX_LINE: usize = 8 << 20;
+
 /// One connection's request stream: splits the bytes a front end reads
 /// into lines, numbers the requests and hands each to [`handle_line`].
 ///
@@ -115,12 +120,18 @@ fn ordered_writer<W: Write>(rx: Receiver<(u64, String)>, mut w: W) -> std::io::R
 /// decoded lossily and answered `bad-request` like any other malformed
 /// line, never a read error — blank lines are skipped (and not numbered),
 /// and only newly fed bytes are scanned for `\n`, so a line costs time
-/// linear in its length however many reads deliver it.
+/// linear in its length however many reads deliver it.  A line longer
+/// than [`MAX_LINE`] is not buffered: it is answered `bad-request` at its
+/// `\n`, in order, and the lines after it are served as usual.
 struct RequestLines<'a> {
     server: &'a Arc<Server>,
     out: Sender<(u64, String)>,
-    /// The unterminated tail of what was fed so far; holds no `\n`.
+    /// The unterminated tail of what was fed so far; holds no `\n` and at
+    /// most [`MAX_LINE`] bytes.
     partial: Vec<u8>,
+    /// The line being read outgrew [`MAX_LINE`]: its buffered prefix is
+    /// gone and the rest of it is dropped as it arrives.
+    overlong: bool,
     /// The connection-local number of the next request.
     seq: u64,
 }
@@ -131,6 +142,7 @@ impl<'a> RequestLines<'a> {
             server,
             out,
             partial: Vec::new(),
+            overlong: false,
             seq: 0,
         }
     }
@@ -140,21 +152,39 @@ impl<'a> RequestLines<'a> {
     /// is dropped unread.
     fn feed(&mut self, mut bytes: &[u8]) -> LineOutcome {
         while let Some(pos) = bytes.iter().position(|&b| b == b'\n') {
-            self.partial.extend_from_slice(&bytes[..pos]);
+            self.push(&bytes[..pos]);
             bytes = &bytes[pos + 1..];
             if self.end_line() == LineOutcome::Shutdown {
                 return LineOutcome::Shutdown;
             }
         }
-        self.partial.extend_from_slice(bytes);
+        self.push(bytes);
         LineOutcome::Continue
+    }
+
+    /// Appends `bytes` to the pending line, or gives the line up once it
+    /// is longer than [`MAX_LINE`].
+    fn push(&mut self, bytes: &[u8]) {
+        if self.overlong || self.partial.len() + bytes.len() > MAX_LINE {
+            self.overlong = true;
+            self.partial = Vec::new();
+        } else {
+            self.partial.extend_from_slice(bytes);
+        }
     }
 
     /// Handles the pending tail as a line: at a `\n`, and at EOF — a final
     /// request without a trailing newline is still a request.
     fn end_line(&mut self) -> LineOutcome {
         let line = String::from_utf8_lossy(&self.partial);
-        let outcome = if line.trim().is_empty() {
+        let outcome = if std::mem::take(&mut self.overlong) {
+            self.seq += 1;
+            let e = ServeError::BadRequest(format!("line longer than {MAX_LINE} bytes"));
+            let _ = self
+                .out
+                .send((self.seq - 1, protocol::render_error(None, &e)));
+            LineOutcome::Continue
+        } else if line.trim().is_empty() {
             LineOutcome::Continue
         } else {
             self.seq += 1;
@@ -422,14 +452,15 @@ not json at all\n\
 
     /// Both fronts split lines with the same rules: one byte stream —
     /// two requests in one segment, a request split across three, a line
-    /// that is not UTF-8, a blank line, a final request with no `\n` —
-    /// gets the same reply bytes from the pipe front and from a TCP
-    /// connection.
+    /// that is not UTF-8, a blank line, a line twice [`MAX_LINE`], a final
+    /// request with no `\n` — gets the same reply bytes from the pipe
+    /// front and from a TCP connection.
     #[test]
     fn both_fronts_answer_one_byte_stream_identically() {
         use std::io::Read;
 
-        let segments: [&[u8]; 7] = [
+        let overlong = vec![b'x'; 2 * MAX_LINE];
+        let segments: [&[u8]; 9] = [
             b"{\"fn\": \"sq1\", \"input\": \"[1, 2]\", \"id\": 0}\n\
               {\"fn\": \"double\", \"input\": \"[4]\", \"id\": 1}\n",
             b"{\"fn\": \"sq1\", \"in",
@@ -437,20 +468,24 @@ not json at all\n\
             b" \"id\": 2}\n",
             b"\xff\xfe\n",
             b"\n  \r\n",
+            &overlong,
+            b"\n",
             b"{\"fn\": \"double\", \"input\": \"[5]\", \"id\": 3}",
         ];
 
         let out = shared_buffer();
         // A chain of slices is a `BufRead` that yields them one at a time
         // — a pipe whose writer flushed after each segment.
-        let [s0, s1, s2, s3, s4, s5, s6] = segments;
+        let [s0, s1, s2, s3, s4, s5, s6, s7, s8] = segments;
         let pipe = s0
             .chain(s1)
             .chain(s2)
             .chain(s3)
             .chain(s4)
             .chain(s5)
-            .chain(s6);
+            .chain(s6)
+            .chain(s7)
+            .chain(s8);
         serve_lines(&test_server(), pipe, out.clone()).expect("a non-UTF-8 line is not an error");
         let piped = out.take();
 
@@ -475,7 +510,7 @@ not json at all\n\
 
         assert_eq!(piped, over_tcp);
         let lines: Vec<&str> = piped.lines().collect();
-        assert_eq!(lines.len(), 5, "{piped}");
+        assert_eq!(lines.len(), 6, "{piped}");
         assert_eq!(lines[0], r#"{"id": 0, "output": "[2, 5]"}"#);
         assert_eq!(lines[1], r#"{"id": 1, "output": "[8]"}"#);
         assert_eq!(lines[2], r#"{"id": 2, "output": "[10]"}"#);
@@ -484,7 +519,33 @@ not json at all\n\
             "{}",
             lines[3]
         );
-        assert_eq!(lines[4], r#"{"id": 3, "output": "[10]"}"#);
+        assert_eq!(
+            lines[4],
+            r#"{"error": "bad request: line longer than 8388608 bytes", "kind": "bad-request"}"#
+        );
+        assert_eq!(lines[5], r#"{"id": 3, "output": "[10]"}"#);
+    }
+
+    /// An unterminated line costs the server at most [`MAX_LINE`] bytes
+    /// however much of it arrives: past the cap nothing is buffered, and
+    /// the one reply is sent when the line ends.
+    #[test]
+    fn an_overlong_line_is_dropped_not_buffered() {
+        let server = test_server();
+        let (tx, rx) = channel();
+        let mut lines = RequestLines::new(&server, tx);
+        let read = [b'x'; 4096];
+        for _ in 0..2 * MAX_LINE / read.len() {
+            lines.feed(&read);
+            assert!(lines.partial.len() <= MAX_LINE);
+        }
+        assert!(lines.overlong && lines.partial.capacity() == 0);
+        assert!(rx.try_recv().is_err(), "no reply before the line ends");
+        lines.feed(b"\n");
+        let (seq, reply) = rx.try_recv().expect("answered at its newline");
+        assert!(seq == 0 && reply.contains("bad-request"), "{reply}");
+        assert!(!lines.overlong);
+        server.drain();
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!   mergesort (Figures 1–3) and friends.
 //!
 //! See `README.md` for a tour; `cargo run --release -p nsc-bench --bin
-//! exp_all` prints the paper-vs-measured record.
+//! exp all` prints the paper-vs-measured record.
 
 pub use butterfly as net;
 pub use bvram as machine;
