@@ -440,8 +440,8 @@ fn exp_fusion() {
 }
 
 /// EXP-COST — the symbolic cost analyzer's own budget.  `cost_program`
-/// runs on demand (`nsc cost`, the lint, `nsc bench --explain`, the
-/// optimizer's gate), so it must stay interactive even on the largest
+/// runs on demand (`nsc cost`, the lint, the optimizer's gate), so it
+/// must stay interactive even on the largest
 /// kernel the cache ever holds — the while-heavy `sum` workload's
 /// `map(f)` kernel, which blows past [`nsc_runtime::KERNEL_OPT_BUDGET`]
 /// and ships at full unoptimized size.  Analyzes both cached programs of

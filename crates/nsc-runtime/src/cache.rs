@@ -23,11 +23,11 @@
 //! programs are straight-line, a structural fact of the compiled code
 //! that no request can change (see [`crate::batch`]).
 //!
-//! No **symbolic cost certificate** ([`bvram::cost_program`]) is
-//! derived here: nothing on the serving path reads one, and the analysis
-//! is most of a loop-heavy program's cold-compile time.  Its consumers —
-//! the optimizer's no-regression gate, `nsc cost`, the superlinear lint,
-//! `nsc bench --explain` — each derive it on demand from the program.
+//! No **symbolic cost certificate** ([`bvram::cost`]) is derived here:
+//! nothing on the serving path reads one, and the analysis is most of a
+//! loop-heavy program's cold-compile time.  Its consumers — the
+//! optimizer's no-regression gate, `nsc cost`, the superlinear lint —
+//! each derive it on demand from the program.
 //!
 //! Compilation failures are cached too (negative caching): a function
 //! that does not compile is not retried per request.

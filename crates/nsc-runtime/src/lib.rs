@@ -14,11 +14,13 @@
 //!   applied to request batching) or as *lanes* (rayon-parallel
 //!   per-request runs).  Which one is a static property of the cache
 //!   entry: pack iff the compiled program and its kernel are
-//!   straight-line (no jumps), lanes otherwise.
-//! * [`workloads`] — the shared program builders every bench and
+//!   straight-line (no jumps), lanes otherwise; `nsc run --batch N`
+//!   prints it with the structural fact that chose it.
+//! * [`workloads`] — the shared program builders every test and
 //!   experiment constructs its subjects from.
-//! * [`bench`](mod@bench) — the in-process wall-clock sampler behind
-//!   `nsc bench` (sequential loop vs pack vs lanes).
+//!
+//! This crate keeps no clock: how fast a discipline serves is measured
+//! end to end by `bench/` (declared by `BENCHMARK.json`).
 //!
 //! The batch modes are **semantically invisible**: per-request results —
 //! values and error classification — are bit-identical to a loop of
@@ -27,10 +29,8 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod bench;
 pub mod cache;
 pub mod workloads;
 
 pub use batch::{BatchMode, BatchOutcome, BatchRunner};
-pub use bench::{measure_batches, BenchRecord};
 pub use cache::{CacheKey, CachedProgram, CompileHook, CompiledCache, KERNEL_OPT_BUDGET};

@@ -10,26 +10,23 @@
 //! nsc check   file.nsc                 parse + type check, print signatures
 //! nsc run     file.nsc [options]       evaluate + compile + run, cost table
 //! nsc compile file.nsc [options]       print the compiled BVRAM program
-//! nsc bench   file.nsc [options]       wall-clock the batch runtime
 //! nsc serve   file.nsc [options]       micro-batching request server
 //! ```
 //!
 //! `nsc run --batch N` additionally serves the input `N` times through
 //! the batched runtime (`nsc::runtime`), cross-checking every batched
-//! result against the single-run answer; `nsc bench` measures the
-//! sequential / pack / lanes disciplines in-process; `nsc serve` exposes
+//! result against the single-run answer, and says which discipline ran
+//! and the structural fact that chose it; `nsc serve` exposes
 //! the module's functions over newline-delimited JSON (TCP via `--addr`,
 //! or a pipe via `--stdin`) through the adaptive micro-batching server in
 //! `nsc::serve` — see the README's "Serving" section for the protocol.
 
-use nsc::compile::{
-    compile_nsc_verified, encode_arg, run_compiled_on, Backend, OptLevel, VerifyLevel,
-};
+use nsc::compile::{compile_nsc_verified, run_compiled_on, Backend, OptLevel, VerifyLevel};
 use nsc::core::eval::Evaluator;
 use nsc::core::parse::{parse_module, parse_value, Module};
 use nsc::core::{Cost, EvalError};
 use nsc::machine::cfg::Cfg;
-use nsc::runtime::{measure_batches, BatchMode, BatchRunner, CompiledCache};
+use nsc::runtime::{BatchMode, BatchRunner, CachedProgram, CompiledCache};
 use nsc::serve::{front, ServeConfig, Server};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -50,8 +47,6 @@ USAGE:
                                        bounds: T'/W' as polynomials over the
                                        input register lengths (or ⊤ with the
                                        program counter and reason)
-    nsc bench   <file.nsc> [OPTIONS]   wall-clock batched execution (the
-                                       sequential baseline vs pack vs lanes)
     nsc serve   <file.nsc> [OPTIONS]   adaptive micro-batching server speaking
                                        newline-delimited JSON (requests like
                                        {\"fn\": \"main\", \"input\": \"[1, 2]\"})
@@ -69,12 +64,10 @@ OPTIONS:
     --source-only       (run) skip compilation, evaluate only
     --fuel <n>          abort source evaluation after n rule applications
     --batch <n>         (run) also serve the input n times through the batch
-                        runtime; (bench) measure only batch size n instead of
-                        the default sweep 1, 8, 64
-    --explain           (bench) print the batching mode and the structural
-                        rule that chose it (pack iff the compiled program is
-                        straight-line), with the certified per-request W'
-                        next to the measured W' per batch size
+                        runtime, and print per backend the discipline that
+                        ran and the structural rule that chose it (pack iff
+                        the compiled program and its map(f) kernel are
+                        straight-line)
     --explain-fusion    (compile) print what source-level map fusion did to
                         the entry: how many map∘map stages collapsed and,
                         for each seam that did not, why it was blocked
@@ -107,7 +100,6 @@ struct Opts {
     max_batch: usize,
     queue_cap: usize,
     verify: VerifyLevel,
-    explain: bool,
     explain_fusion: bool,
 }
 
@@ -116,7 +108,7 @@ fn parse_args(mut args: Vec<String>) -> Result<Opts, String> {
         return Err("expected a command and a file".into());
     }
     let cmd = args.remove(0);
-    if !["check", "lint", "run", "compile", "cost", "bench", "serve"].contains(&cmd.as_str()) {
+    if !["check", "lint", "run", "compile", "cost", "serve"].contains(&cmd.as_str()) {
         return Err(format!("unknown command `{cmd}`"));
     }
     let file = args.remove(0);
@@ -135,7 +127,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Opts, String> {
         max_batch: 32,
         queue_cap: 1024,
         verify: VerifyLevel::from_env(),
-        explain: false,
         explain_fusion: false,
     };
     // Silently dropping a flag hides typos; each subcommand accepts only
@@ -145,14 +136,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Opts, String> {
         "lint" => &[],
         "compile" => &["--entry", "--opt", "--verify", "--explain-fusion"],
         "cost" => &["--entry", "--opt"],
-        "bench" => &[
-            "--entry",
-            "--input",
-            "--opt",
-            "--backend",
-            "--batch",
-            "--explain",
-        ],
         "serve" => &[
             "--addr",
             "--stdin",
@@ -214,7 +197,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Opts, String> {
                 }
                 opts.batch = Some(n);
             }
-            "--explain" => opts.explain = true,
             "--explain-fusion" => opts.explain_fusion = true,
             "--addr" => opts.addr = Some(val("--addr")?),
             "--stdin" => opts.stdin = true,
@@ -305,7 +287,6 @@ fn drive(opts: &Opts) -> Result<(), String> {
         "compile" => cmd_compile(opts, &module),
         "cost" => cmd_cost(opts, &module),
         "run" => cmd_run(opts, &module),
-        "bench" => cmd_bench(opts, &module),
         "serve" => cmd_serve(opts, &module),
         _ => unreachable!(),
     }
@@ -398,9 +379,10 @@ fn cmd_compile(opts: &Opts, module: &Module) -> Result<(), String> {
 
 /// The `superlinear-work` lint: compile each pure definition at the
 /// default level and flag it when the symbolic work bound is ω(n) in any
-/// input register length — or `⊤`, which is worse.  A serving system
-/// that registers such a definition gets per-request cost growing faster
-/// than its input.
+/// input register length, or when the analyzer certified no finite bound
+/// (`⊤`, reported with its pc and reason, not as "unbounded").  A serving
+/// system that registers such a definition gets per-request cost growing
+/// faster than its input, or no certificate that it does not.
 fn superlinear_lints(module: &Module) -> Vec<nsc::core::Lint> {
     let mut lints = Vec::new();
     for d in &module.defs {
@@ -417,8 +399,8 @@ fn superlinear_lints(module: &Module) -> Vec<nsc::core::Lint> {
         };
         let report = nsc::machine::cost_program(&compiled.program);
         let message = match &report.work {
-            w @ nsc::machine::CostBound::Top { .. } => {
-                format!("compiled work bound is unbounded: W' <= {w}")
+            nsc::machine::CostBound::Top { pc, reason } => {
+                format!("no finite work bound certified (pc {pc}: {reason})")
             }
             nsc::machine::CostBound::Poly(p) => {
                 let syms: Vec<String> = (0..report.n_syms)
@@ -547,13 +529,16 @@ fn cmd_run(opts: &Opts, module: &Module) -> Result<(), String> {
                 }
                 // Serve the input --batch times through the batched
                 // runtime; every result must equal the single-run answer.
+                // The entry's programs do not depend on the backend its
+                // key names, so one compilation serves every backend.
                 if let Some(b) = opts.batch {
-                    let cache = CompiledCache::new();
+                    let cached = CompiledCache::new()
+                        .get_or_compile(&pure, &def.dom, opts.opt, opts.backends[0])
+                        .map_err(|e| format!("batch compile `{entry}`: {e}"))?;
+                    let mode = explain_mode(&cached);
                     let inputs = vec![input.clone(); b];
                     for &backend in &opts.backends {
-                        let runner =
-                            BatchRunner::from_cache(&cache, &pure, &def.dom, opts.opt, backend)
-                                .map_err(|e| format!("batch compile `{entry}`: {e}"))?;
+                        let runner = BatchRunner::new(Arc::clone(&cached), backend);
                         let outcome = runner.run_batch(&inputs);
                         for (i, r) in outcome.results.iter().enumerate() {
                             match r {
@@ -581,6 +566,7 @@ fn cmd_run(opts: &Opts, module: &Module) -> Result<(), String> {
                             ),
                             outcome.cost,
                         ));
+                        let _ = writeln!(out, "batch/{}: {mode}", backend.name());
                     }
                 }
             }
@@ -593,6 +579,33 @@ fn cmd_run(opts: &Opts, module: &Module) -> Result<(), String> {
         let _ = writeln!(out, "{name:name_w$}  {:>12}  {:>12}", c.time, c.work);
     }
     Ok(())
+}
+
+/// The discipline every batch of `cached` runs under, the structural
+/// fact that chose it (pack iff the single program and its `map(f)`
+/// kernel are straight-line), and the kernel's fused `map∘map` stages.
+fn explain_mode(cached: &CachedProgram) -> String {
+    let why = match cached.mode() {
+        BatchMode::Pack => format!(
+            "straight-line, kernel {} instrs",
+            cached.batch.program.instrs.len()
+        ),
+        BatchMode::Lanes => {
+            let blocks = |p| Cfg::build(p).n_blocks();
+            match blocks(&cached.single.program) {
+                1 => format!(
+                    "control flow in the map(f) kernel, {} blocks",
+                    blocks(&cached.batch.program)
+                ),
+                n => format!("control flow, {n} blocks"),
+            }
+        }
+    };
+    format!(
+        "{}: {why}, fused_stages {}",
+        cached.mode().name(),
+        cached.batch.fused_stages
+    )
 }
 
 fn cmd_serve(opts: &Opts, module: &Module) -> Result<(), String> {
@@ -636,102 +649,4 @@ fn cmd_serve(opts: &Opts, module: &Module) -> Result<(), String> {
         let stdin = std::io::stdin().lock();
         front::serve_lines(&server, stdin, std::io::stdout()).map_err(|e| format!("serving: {e}"))
     }
-}
-
-fn cmd_bench(opts: &Opts, module: &Module) -> Result<(), String> {
-    let entry = entry_name(opts, module)?;
-    let def = module
-        .get(&entry)
-        .ok_or_else(|| format!("no definition named `{entry}`"))?;
-    let input = match &opts.input {
-        Some(src) => parse_value(src).map_err(|e| format!("--input: {e}"))?,
-        None => module.input.clone().ok_or_else(|| {
-            "no input: pass --input '<value>' or add an `input <value>` directive".to_string()
-        })?,
-    };
-    if !def.dom.admits(&input) {
-        return Err(format!(
-            "input {input} does not inhabit `{entry}`'s domain {}",
-            def.dom
-        ));
-    }
-    let pure = module.inlined(&entry).map_err(|e| e.to_string())?;
-    let batches: Vec<usize> = opts.batch.map(|b| vec![b]).unwrap_or(vec![1, 8, 64]);
-    let cache = CompiledCache::new();
-    let mut records = Vec::new();
-    // `--explain`: per backend, the entry's static mode with the rule
-    // that fired, plus the certified per-request W' as information.
-    let mut plans = Vec::new();
-    for &backend in &opts.backends {
-        let runner = BatchRunner::from_cache(&cache, &pure, &def.dom, opts.opt, backend)
-            .map_err(|e| format!("compiling `{entry}`: {e}"))?;
-        records.extend(measure_batches(&entry, &runner, &input, &batches, 5));
-        if opts.explain {
-            let cached = runner.cached();
-            let why = match cached.mode() {
-                BatchMode::Pack => format!(
-                    "straight-line, kernel {} instrs",
-                    cached.batch.program.instrs.len()
-                ),
-                BatchMode::Lanes => {
-                    let blocks = |p| Cfg::build(p).n_blocks();
-                    match blocks(&cached.single.program) {
-                        1 => format!(
-                            "control flow in the map(f) kernel, {} blocks",
-                            blocks(&cached.batch.program)
-                        ),
-                        n => format!("control flow, {n} blocks"),
-                    }
-                }
-            };
-            // The single program's symbolic work bound, evaluated at the
-            // register lengths the input encodes to.
-            let certified = nsc::machine::cost_program(&cached.single.program)
-                .work
-                .as_poly()
-                .zip(encode_arg(&input, runner.dom()).ok())
-                .map(|(work, regs)| {
-                    work.eval(&regs.iter().map(|r| r.len() as u64).collect::<Vec<_>>())
-                });
-            let certified = match certified {
-                None => "⊤".to_string(),
-                Some(u64::MAX) => "saturated (≥ 2^64)".to_string(),
-                Some(w) => w.to_string(),
-            };
-            let fused = cached.batch.fused_stages;
-            plans.push((backend.name(), cached.mode(), why, certified, fused));
-        }
-    }
-
-    use std::io::Write;
-    let mut out = std::io::stdout().lock();
-    let _ = writeln!(
-        out,
-        "{:>8} {:>6} {:>12} {:>14} {:>12} {:>14} {:>9}",
-        "backend", "B", "mode", "wall_ns", "T'", "W'", "speedup"
-    );
-    for r in &records {
-        let _ = writeln!(
-            out,
-            "{:>8} {:>6} {:>12} {:>14} {:>12} {:>14} {:>8.2}x",
-            r.backend, r.batch, r.mode, r.wall_ns, r.t_prime, r.w_prime, r.speedup_vs_sequential
-        );
-    }
-    for (backend, mode, why, certified, fused_stages) in &plans {
-        for &b in &batches {
-            // The measured W' of the chosen discipline, per request.
-            let measured = records
-                .iter()
-                .find(|r| r.backend == *backend && r.batch == b && r.mode == mode.name())
-                .map(|r| (r.w_prime / b.max(1) as u64).to_string())
-                .unwrap_or_else(|| "?".to_string());
-            let _ = writeln!(
-                out,
-                "explain {backend} B={b}: chose {}: {why} (certified per-request W' \
-                 {certified}, measured {measured}, fused_stages {fused_stages})",
-                mode.name()
-            );
-        }
-    }
-    Ok(())
 }

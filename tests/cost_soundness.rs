@@ -142,7 +142,7 @@ fn golden_example_bounds_are_sound_and_finite() {
 /// polynomial degree or collapse it to `⊤` — a rewrite that turns an
 /// `O(n)` certificate into `O(n²)` (or loses it entirely) would silently
 /// corrupt everything that reads these bounds (`nsc cost`, the
-/// superlinear lint, `--explain`).
+/// superlinear lint, the optimizer's no-regression gate).
 /// Swept over the golden examples and the runnable stdlib roster, on
 /// both `T'` and `W'`, checking total degree and per-symbol degrees.
 #[test]

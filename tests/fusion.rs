@@ -164,8 +164,8 @@ fn unsound_fusion_rewrite_is_caught_by_name() {
 }
 
 /// `Compiled::from_parts` documents `fused_stages: 0`; the unfused
-/// entry point must agree so `nsc bench --explain` and serving metrics
-/// can never report phantom stages.
+/// entry point must agree so `nsc run --batch` and serving metrics can
+/// never report phantom stages.
 #[test]
 fn unfused_pipeline_reports_zero_stages() {
     let c: Compiled = compile_nsc_unfused(

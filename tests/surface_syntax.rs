@@ -337,21 +337,31 @@ fn nsc_bin() -> PathBuf {
     p
 }
 
+/// The discipline line `nsc run --batch 8` must print, pinned on one pack
+/// golden and one lanes golden (CI diffs it for all five in release).
+fn batch_mode_line(name: &str) -> Option<&'static str> {
+    match name {
+        "square_plus_one.nsc" => Some("pack: straight-line, kernel 15 instrs, fused_stages 0"),
+        "classify.nsc" => Some("lanes: control flow, 76 blocks, fused_stages 0"),
+        _ => None,
+    }
+}
+
 #[test]
 fn cli_runs_every_example_on_both_backends() {
     let bin = nsc_bin();
     assert!(bin.exists(), "nsc binary not found at {}", bin.display());
     for (name, want) in golden() {
         let path = examples_src_dir().join(name);
+        let mode = batch_mode_line(name);
         let mut outputs = Vec::new();
         for backend in ["seq", "par"] {
-            let out = std::process::Command::new(&bin)
-                .arg("run")
-                .arg(&path)
-                .arg("--backend")
-                .arg(backend)
-                .output()
-                .expect("spawn nsc");
+            let mut cmd = std::process::Command::new(&bin);
+            cmd.arg("run").arg(&path).arg("--backend").arg(backend);
+            if mode.is_some() {
+                cmd.args(["--batch", "8"]);
+            }
+            let out = cmd.output().expect("spawn nsc");
             let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
             assert!(
                 out.status.success(),
@@ -363,15 +373,16 @@ fn cli_runs_every_example_on_both_backends() {
                 stdout.contains(&format!("result = {want}")),
                 "nsc run {name}: expected `result = {want}` in\n{stdout}"
             );
-            // Keep only backend-independent lines (drop the cost table's
-            // backend-named row) and compare seq vs par verbatim.
-            outputs.push(
-                stdout
-                    .lines()
-                    .filter(|l| !l.contains("bvram/"))
-                    .collect::<Vec<_>>()
-                    .join("\n"),
-            );
+            if let Some(line) = mode {
+                let line = format!("batch/{backend}: {line}");
+                assert!(
+                    stdout.lines().any(|l| l == line),
+                    "nsc run {name} --batch 8: expected `{line}` in\n{stdout}"
+                );
+            }
+            // Normalise the backend name in the `bvram/…` and `batch/…`
+            // lines and compare seq vs par verbatim, costs included.
+            outputs.push(stdout.replace("/par", "/seq"));
         }
         assert_eq!(outputs[0], outputs[1], "{name}: seq/par CLI output differs");
     }
@@ -479,6 +490,23 @@ fn cli_reports_errors_with_nonzero_exit() {
         String::from_utf8_lossy(&out.stderr).contains("does not accept `--backend`"),
         "check must reject run-only flags"
     );
+
+    // The in-process sampler and its `--explain` are deleted, not
+    // deprecated: both fail like any unknown command or flag.
+    let spo = examples_src_dir().join("square_plus_one.nsc");
+    let out = std::process::Command::new(&bin)
+        .arg("bench")
+        .arg(&spo)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command `bench`"));
+    let out = std::process::Command::new(&bin)
+        .args(["run", spo.to_str().unwrap(), "--batch", "8", "--explain"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("does not accept `--explain`"));
 }
 
 // ---------------------------------------------------------------------------
@@ -523,6 +551,37 @@ fn cli_lint_matches_goldens() {
             path.display()
         );
     }
+}
+
+/// `⊤` is the analyzer giving up, not a proof of unbounded work: the
+/// `superlinear-work` lint says so and passes on the analyzer's pc and
+/// reason.  The stdlib `index` at `O1` is over the analysis budget.
+#[test]
+fn cli_lint_words_top_as_uncertified_not_unbounded() {
+    let bin = nsc_bin();
+    let index = a::lam(
+        "p",
+        stdlib::index(a::fst(a::var("p")), a::snd(a::var("p")), &Type::Nat),
+    );
+    let dom = Type::prod(Type::seq(Type::Nat), Type::seq(Type::Nat));
+    let path = std::env::temp_dir().join(format!("__nsc_index_{}.nsc", std::process::id()));
+    std::fs::write(&path, format!("fn main : {dom} -> [N] = {index}")).unwrap();
+    let out = std::process::Command::new(&bin)
+        .arg("lint")
+        .arg(&path)
+        .output()
+        .expect("spawn nsc");
+    std::fs::remove_file(&path).ok();
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(
+            "warning[superlinear-work]: in `main`: no finite work bound certified \
+             (pc 0: over analysis budget)"
+        ),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("unbounded"), "{stdout}");
 }
 
 fn cost_fixture_dir() -> PathBuf {
