@@ -337,31 +337,34 @@ fn nsc_bin() -> PathBuf {
     p
 }
 
-/// The discipline line `nsc run --batch 8` must print, pinned on one pack
-/// golden and one lanes golden (CI diffs it for all five in release).
-fn batch_mode_line(name: &str) -> Option<&'static str> {
-    match name {
-        "square_plus_one.nsc" => Some("pack: straight-line, kernel 15 instrs, fused_stages 0"),
-        "classify.nsc" => Some("lanes: control flow, 76 blocks, fused_stages 0"),
-        _ => None,
-    }
+fn run_fixture_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/run")
 }
 
+/// `nsc run <file> --batch 8` on both backends: the seq output must match
+/// `tests/fixtures/run/<stem>.out` byte for byte — source `T`/`W`, the
+/// compiled `T'`/`W'`, the batch row and the discipline line — so every
+/// compiler or optimizer change shows its cost delta in the diff (CI diffs
+/// the same files in release).  The par output must equal the seq output
+/// up to the backend name.
 #[test]
 fn cli_runs_every_example_on_both_backends() {
     let bin = nsc_bin();
     assert!(bin.exists(), "nsc binary not found at {}", bin.display());
     for (name, want) in golden() {
         let path = examples_src_dir().join(name);
-        let mode = batch_mode_line(name);
+        let stem = name.trim_end_matches(".nsc");
+        let golden_path = run_fixture_dir().join(format!("{stem}.out"));
+        let golden_out = std::fs::read_to_string(&golden_path)
+            .unwrap_or_else(|e| panic!("missing run golden {}: {e}", golden_path.display()));
         let mut outputs = Vec::new();
         for backend in ["seq", "par"] {
-            let mut cmd = std::process::Command::new(&bin);
-            cmd.arg("run").arg(&path).arg("--backend").arg(backend);
-            if mode.is_some() {
-                cmd.args(["--batch", "8"]);
-            }
-            let out = cmd.output().expect("spawn nsc");
+            let out = std::process::Command::new(&bin)
+                .arg("run")
+                .arg(&path)
+                .args(["--backend", backend, "--batch", "8"])
+                .output()
+                .expect("spawn nsc");
             let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
             assert!(
                 out.status.success(),
@@ -373,17 +376,16 @@ fn cli_runs_every_example_on_both_backends() {
                 stdout.contains(&format!("result = {want}")),
                 "nsc run {name}: expected `result = {want}` in\n{stdout}"
             );
-            if let Some(line) = mode {
-                let line = format!("batch/{backend}: {line}");
-                assert!(
-                    stdout.lines().any(|l| l == line),
-                    "nsc run {name} --batch 8: expected `{line}` in\n{stdout}"
-                );
-            }
             // Normalise the backend name in the `bvram/…` and `batch/…`
             // lines and compare seq vs par verbatim, costs included.
             outputs.push(stdout.replace("/par", "/seq"));
         }
+        assert_eq!(
+            outputs[0],
+            golden_out,
+            "nsc run {name} --batch 8 diverged from {}",
+            golden_path.display()
+        );
         assert_eq!(outputs[0], outputs[1], "{name}: seq/par CLI output differs");
     }
 }
