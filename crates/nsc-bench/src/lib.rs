@@ -222,6 +222,65 @@ fn exp_opt() {
         "optimizer must cut W' by >= 15% on at least one workload (best {:.1}%)",
         100.0 * best_w_cut
     );
+    pass_census();
+}
+
+/// The pass census: what each `PASSES` row earns, counted by dropping
+/// that row alone and re-optimizing every census program — the goldens
+/// and the workload suite, each as its single program and as its
+/// `map(f)` kernel (kernels over `KERNEL_OPT_BUDGET` ship unoptimized
+/// and are skipped).  `T'` is measured on the golden input (a batch of
+/// one for kernels; `[0 .. 32)` for the suite).
+fn pass_census() {
+    use nsc_compile::opt::{optimize_with, PASSES};
+    use nsc_compile::{compile_nsc_opts, run_compiled, Compiled, OptLevel, VerifyLevel};
+    let mut programs: Vec<(Compiled, Value)> = Vec::new();
+    let suite = t71_suite()
+        .into_iter()
+        .map(|(name, f)| (name, f, Type::seq(Type::Nat), Value::nat_seq(0..32)));
+    let goldens = nsc_runtime::workloads::goldens().into_iter();
+    for (name, f, dom, input) in goldens.chain(suite) {
+        let o0 = |f: &nsc_core::Func, dom: &Type| {
+            compile_nsc_opts(f, dom, OptLevel::O0, VerifyLevel::Off, true).expect(name)
+        };
+        let kernel = o0(&nsc_core::ast::map(f.clone()), &Type::seq(dom.clone()));
+        programs.push((o0(&f, &dom), input.clone()));
+        if kernel.program.instrs.len() <= nsc_runtime::KERNEL_OPT_BUDGET {
+            programs.push((kernel, Value::seq(vec![input])));
+        }
+    }
+    let measure =
+        |c: &Compiled, input: &Value, passes: &[(&'static str, nsc_compile::opt::Pass)]| {
+            let p = optimize_with(c.program.clone(), passes);
+            let c = Compiled::from_parts(p, c.dom.clone(), c.cod.clone());
+            let t = run_compiled(&c, input).map_or(0, |(_, cost)| cost.time);
+            (c.program.instrs.len() as i64, t as i64)
+        };
+    let full: Vec<(i64, i64)> = programs
+        .iter()
+        .map(|(c, input)| measure(c, input, &PASSES))
+        .collect();
+    println!(
+        "\n### pass census: each PASSES row dropped alone, over {} programs\n",
+        programs.len()
+    );
+    header(&["dropped row", "programs changed", "instrs lost", "T' lost"]);
+    for (dropped, _) in PASSES {
+        let rest: Vec<_> = PASSES.into_iter().filter(|(n, _)| *n != dropped).collect();
+        let (mut changed, mut instrs, mut time) = (0, 0i64, 0i64);
+        for ((c, input), &(n1, t1)) in programs.iter().zip(&full) {
+            let (n, t) = measure(c, input, &rest);
+            changed += usize::from((n, t) != (n1, t1));
+            instrs += n - n1;
+            time += t - t1;
+        }
+        row(&[
+            dropped.to_string(),
+            changed.to_string(),
+            instrs.to_string(),
+            time.to_string(),
+        ]);
+    }
 }
 
 /// EXP-BATCH — the batched execution runtime: for each suite workload

@@ -224,12 +224,11 @@ pub fn optimize(prog: Program, level: OptLevel) -> Program {
 /// first pass to break an invariant is reported by name with pc +
 /// instruction diagnostics.
 pub fn optimize_checked(
-    prog: Program,
+    p: Program,
     level: OptLevel,
     verify: VerifyLevel,
     input_stage: &'static str,
 ) -> Result<Program, PassError> {
-    let mut p = prog;
     let base = if verify.enabled() {
         let report = verify_program(&p);
         if !report.ok() {
@@ -248,45 +247,58 @@ pub fn optimize_checked(
     if level == OptLevel::O0 {
         return Ok(p);
     }
-    let check = |pass: &'static str, p: &Program| -> Result<(), PassError> {
-        if verify.enabled() {
-            check_stage(pass, p, base)
-        } else {
-            Ok(())
-        }
-    };
     // Cost-regression validation: snapshot the symbolic `T'`/`W'` bounds
     // of the input and require every pass to keep them non-increasing.
     let mut prev_cost: Option<CostReport> =
         (verify.enabled() && p.instrs.len() <= COST_CHECK_MAX_INSTRS).then(|| cost_program(&p));
-    fn advance_cost(
-        pass: &'static str,
-        p: &Program,
-        prev: &mut Option<CostReport>,
-    ) -> Result<(), PassError> {
-        if let Some(pre) = prev {
+    run_rounds(p, &PASSES, |pass, p| {
+        if verify.enabled() {
+            check_stage(pass, p, base)?;
+        }
+        if let Some(pre) = &mut prev_cost {
             let post = cost_program(p);
             check_cost_regression(pass, pre, &post)?;
-            *prev = Some(post);
+            *pre = post;
         }
         Ok(())
-    }
-    type Pass = fn(&mut Program) -> bool;
-    const PASSES: [(&str, Pass); 6] = [
-        (local::NAME, local::propagate_and_number),
-        (gcse::NAME, gcse::eliminate),
-        (strength::NAME, strength::reduce),
-        (jumps::NAME, jumps::thread_jumps),
-        (dce::NAME, dce::eliminate_dead),
-        (coalesce::NAME, coalesce::coalesce_moves),
-    ];
+    })
+}
+
+/// A rewrite pass: mutates the program, returns whether anything changed.
+pub type Pass = fn(&mut Program) -> bool;
+
+/// The pass pipeline [`optimize`] runs each round, in order, with the
+/// name translation validation reports.
+pub const PASSES: [(&str, Pass); 6] = [
+    (local::NAME, local::propagate_and_number),
+    (gcse::NAME, gcse::eliminate),
+    (strength::NAME, strength::reduce),
+    (jumps::NAME, jumps::thread_jumps),
+    (dce::NAME, dce::eliminate_dead),
+    (coalesce::NAME, coalesce::coalesce_moves),
+];
+
+/// [`optimize`] at [`OptLevel::O1`] over an arbitrary pass list — the
+/// pass census of `exp opt` drops one [`PASSES`] row at a time to count
+/// what each row earns.
+pub fn optimize_with(prog: Program, passes: &[(&'static str, Pass)]) -> Program {
+    run_rounds(prog, passes, |_, _| Ok(())).expect("unchecked rounds are infallible")
+}
+
+/// The round loop: runs `passes` in order until a round changes nothing
+/// (or stops paying), then compacts registers, calling `after` with each
+/// stage's name and output.
+fn run_rounds(
+    mut p: Program,
+    passes: &[(&'static str, Pass)],
+    mut after: impl FnMut(&'static str, &Program) -> Result<(), PassError>,
+) -> Result<Program, PassError> {
     for round in 0..MAX_ROUNDS {
         let before = p.instrs.len();
         let mut changed = false;
-        for (name, pass) in PASSES {
+        for &(name, pass) in passes {
             changed |= pass(&mut p);
-            check(name, &p)?;
-            advance_cost(name, &p, &mut prev_cost)?;
+            after(name, &p)?;
         }
         if !changed {
             break;
@@ -298,8 +310,7 @@ pub fn optimize_checked(
         }
     }
     compact_registers(&mut p);
-    check(COMPACT_NAME, &p)?;
-    advance_cost(COMPACT_NAME, &p, &mut prev_cost)?;
+    after(COMPACT_NAME, &p)?;
     Ok(p)
 }
 
