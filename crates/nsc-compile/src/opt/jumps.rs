@@ -14,8 +14,8 @@ use bvram::{Instr, Program};
 ///
 /// On compiled code the pass is nearly idle: counted over the stdlib
 /// roster, `workloads::suite()`, the five goldens and their `map(f)`
-/// kernels at `O1` (192 applications), it changes exactly one program —
-/// `stdlib::isqrt_pow2`, 32 → 31 instructions, where `strength` and
+/// kernels at `O1`, it changes exactly one program —
+/// `stdlib::isqrt_pow2`, 32 → 31 instructions, where value numbering and
 /// `dce` empty an `if` arm and leave `goto` to the next instruction.
 pub const NAME: &str = "jumps";
 

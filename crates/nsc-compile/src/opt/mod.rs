@@ -8,14 +8,13 @@
 //! post-flattening optimizations of Hielscher's data-parallel locality
 //! work and the rewrite-driven lowerings of Rasch's MDH line):
 //!
-//! * [`local`] — per-block copy propagation and local value numbering
-//!   (`Length`/`Enumerate`/arith/route CSE);
-//! * [`gcse`] — *global* value numbering over single-definition
-//!   registers with dominance-gated rewrites, which hoists the segment
-//!   descriptors and broadcasts the Map Lemma recomputes per block;
-//! * [`strength`] — algebraic strength reduction over constant-fill and
-//!   symbolic-length facts (`x+0`, `x·1`, `x·0`, identity `bm_route`
-//!   → `Move`);
+//! * [`vn`] — value numbering in one dominance-scoped walk: global
+//!   numbers for single-definition registers their definition dominates,
+//!   per-block versions for the rest, each number carrying constant-fill
+//!   and symbolic-length facts.  One rewrite step does copy propagation,
+//!   CSE (which hoists the segment descriptors and broadcasts the Map
+//!   Lemma recomputes per block) and strength reduction (`x+0`, `x·1`,
+//!   `x·0`, identity `bm_route` → `Move`);
 //! * [`jumps`] — jump threading (`goto`-to-`goto` collapse), fallthrough
 //!   `goto` removal, unreachable-code elimination;
 //! * [`dce`] — global liveness-based dead-instruction elimination
@@ -35,11 +34,8 @@
 
 pub mod coalesce;
 pub mod dce;
-mod dom;
-pub mod gcse;
 pub mod jumps;
-pub mod local;
-pub mod strength;
+pub mod vn;
 
 use bvram::{cost_program, verify_program, CostBound, CostReport, Instr, Program, Report};
 use std::fmt;
@@ -269,10 +265,8 @@ pub type Pass = fn(&mut Program) -> bool;
 
 /// The pass pipeline [`optimize`] runs each round, in order, with the
 /// name translation validation reports.
-pub const PASSES: [(&str, Pass); 6] = [
-    (local::NAME, local::propagate_and_number),
-    (gcse::NAME, gcse::eliminate),
-    (strength::NAME, strength::reduce),
+pub const PASSES: [(&str, Pass); 4] = [
+    (vn::NAME, vn::number),
     (jumps::NAME, jumps::thread_jumps),
     (dce::NAME, dce::eliminate_dead),
     (coalesce::NAME, coalesce::coalesce_moves),
@@ -608,9 +602,9 @@ mod tests {
 
     #[test]
     fn undominated_merge_mutant_is_caught_by_name() {
-        // A mutant gcse that merges duplicates without the dominance
-        // check rewrites the join-point read to a register only defined
-        // on one path.  The init-cleanliness baseline catches the
+        // A mutant value numbering that merges duplicates without the
+        // dominance check rewrites the join-point read to a register only
+        // defined on one path.  The init-cleanliness baseline catches the
         // introduced use-before-def and names the pass.
         let mut b = Builder::new(1, 1);
         b.if_empty_goto(0, "skip")
@@ -626,9 +620,9 @@ mod tests {
         assert!(base.init_clean);
         let mut mutated = p.clone();
         mutated.instrs[3] = Move { dst: 0, src: 2 };
-        let err = check_stage("mutant_gcse_undominated", &mutated, base).unwrap_err();
-        assert_eq!(err.pass, "mutant_gcse_undominated");
-        // The real pass leaves the program alone (see gcse's own tests)
+        let err = check_stage("mutant_vn_undominated", &mutated, base).unwrap_err();
+        assert_eq!(err.pass, "mutant_vn_undominated");
+        // The real pass leaves the program alone (see vn's own tests)
         // and the full verified pipeline stays clean on it.
         optimize_checked(p, OptLevel::O1, VerifyLevel::Full, "input").unwrap();
     }
