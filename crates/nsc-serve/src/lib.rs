@@ -92,6 +92,8 @@ pub enum ServeError {
     /// a machine fault, or another evaluation error, exactly as a single
     /// run would classify it.
     Eval(EvalError),
+    /// The batch this request ran in panicked; the shard keeps serving.
+    Internal(String),
 }
 
 impl ServeError {
@@ -108,6 +110,7 @@ impl ServeError {
             ServeError::Eval(EvalError::Omega) => "omega",
             ServeError::Eval(EvalError::MachineFault(_)) => "fault",
             ServeError::Eval(_) => "eval",
+            ServeError::Internal(_) => "internal",
         }
     }
 }
@@ -125,6 +128,7 @@ impl fmt::Display for ServeError {
             }
             ServeError::Compile(msg) => write!(f, "compilation failed: {msg}"),
             ServeError::Eval(e) => write!(f, "{e}"),
+            ServeError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
 }

@@ -126,6 +126,7 @@ struct Inner {
     pack_batches: u64,
     lanes_batches: u64,
     fused_batches: u64,
+    panicked_batches: u64,
 }
 
 impl Metrics {
@@ -174,6 +175,12 @@ impl Metrics {
         }
     }
 
+    /// Batcher side: the current batch panicked before it could run to
+    /// completion (its requests are answered `internal`).
+    pub fn on_panic(&self) {
+        self.inner.lock().unwrap().panicked_batches += 1;
+    }
+
     /// Batcher side: one request of the current batch was answered.
     pub fn on_reply(&self, latency_ns: u64, is_err: bool) {
         self.depth.fetch_sub(1, Ordering::Relaxed);
@@ -209,6 +216,7 @@ impl Metrics {
             lanes_batches: m.lanes_batches,
             fused_batches: m.fused_batches,
             pack_slower: m.pack_batches - m.fused_batches,
+            panicked_batches: m.panicked_batches,
             p50_latency_ns: m.latency_ns.quantile(0.50),
             p99_latency_ns: m.latency_ns.quantile(0.99),
             mean_latency_ns: m.latency_ns.mean(),
@@ -257,6 +265,9 @@ pub struct Snapshot {
     /// faulted the fused run, so the batch paid for both disciplines.  A
     /// rising count says this shard's traffic carries faulting requests.
     pub pack_slower: u64,
+    /// Batches that panicked in the flush hook or the runner; each of
+    /// their requests was answered `internal`, and the shard kept serving.
+    pub panicked_batches: u64,
     /// Median request latency (admission → reply), nanoseconds.
     pub p50_latency_ns: u64,
     /// 99th-percentile request latency, nanoseconds.
@@ -294,6 +305,10 @@ impl Snapshot {
         m.insert("lanes_batches".into(), Json::Num(self.lanes_batches as f64));
         m.insert("fused_batches".into(), Json::Num(self.fused_batches as f64));
         m.insert("pack_slower".into(), Json::Num(self.pack_slower as f64));
+        m.insert(
+            "panicked_batches".into(),
+            Json::Num(self.panicked_batches as f64),
+        );
         m.insert(
             "p50_latency_ns".into(),
             Json::Num(self.p50_latency_ns as f64),
@@ -347,6 +362,7 @@ mod tests {
         m.on_batch(2, Some(nsc_runtime::BatchMode::Pack), false); // replayed
         m.on_reply(1000, false);
         m.on_reply(2000, true);
+        m.on_panic();
         let s = m.snapshot("f", "seq", 3);
         assert_eq!(s.fused_stages, 3);
         assert_eq!(s.submitted, 2);
@@ -359,6 +375,7 @@ mod tests {
         assert_eq!(s.pack_batches, 2);
         assert_eq!(s.fused_batches, 1);
         assert_eq!(s.pack_slower, 1);
+        assert_eq!(s.panicked_batches, 1);
         assert!(s.p50_latency_ns >= 1000);
         let json = s.to_json().render();
         assert!(json.contains("\"mean_batch\": 2"));

@@ -26,6 +26,14 @@
 //! one flush may take (fairness and memory); `max_batch = 1` disables
 //! batching.
 //!
+//! A panic while a batch runs (in the flush hook or the runner) fails
+//! that batch, not the shard: each of its requests is answered
+//! [`ServeError::Internal`], in order, the panic is counted in
+//! [`crate::Snapshot::panicked_batches`], and the batcher goes on to the
+//! next batch.  Every admitted request is answered exactly once, so a
+//! connection's ordered reply stream never waits on a lost sequence
+//! number.
+//!
 //! ### Lifecycle
 //!
 //! The batcher thread compiles the shard's function through the shared
@@ -41,6 +49,7 @@ use nsc_core::parse::parse_value;
 use nsc_core::types::Type;
 use nsc_core::Func;
 use nsc_runtime::{BatchRunner, CompiledCache};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -222,8 +231,31 @@ fn batcher(
     }
 }
 
-/// Runs one flushed batch and replies to every request, in batch order.
+/// Runs one flushed batch and replies to every request, in batch order —
+/// with [`ServeError::Internal`] to all of them if the batch panicked.
 fn execute(batch: Vec<Job>, runner: &BatchRunner, cfg: &ServeConfig, metrics: &Arc<Metrics>) {
+    let results = std::panic::catch_unwind(AssertUnwindSafe(|| run(&batch, runner, cfg, metrics)))
+        .unwrap_or_else(|panic| {
+            metrics.on_panic();
+            let msg = (panic.downcast_ref::<&str>().copied())
+                .or(panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("no message");
+            let e = ServeError::Internal(format!("batch panicked: {msg}"));
+            vec![Err(e); batch.len()]
+        });
+    for (job, result) in batch.into_iter().zip(results) {
+        finish(job, result, metrics);
+    }
+}
+
+/// The flush itself: the hook, then parse, domain-check and run; one
+/// result per request of `batch`.
+fn run(
+    batch: &[Job],
+    runner: &BatchRunner,
+    cfg: &ServeConfig,
+    metrics: &Metrics,
+) -> Vec<Result<String, ServeError>> {
     if let Some(hook) = &cfg.on_flush {
         hook(batch.len());
     }
@@ -268,16 +300,14 @@ fn execute(batch: Vec<Job>, runner: &BatchRunner, cfg: &ServeConfig, metrics: &A
     };
     metrics.on_batch(batch.len(), mode, fused);
     let mut results = results.into_iter();
-    for (job, prep) in batch.into_iter().zip(prepared) {
-        let result = match prep {
-            Err(e) => Err(e),
-            Ok(_) => match results.next().expect("one result per valid request") {
-                Ok(v) => Ok(v.to_string()),
-                Err(e) => Err(ServeError::Eval(e)),
-            },
-        };
-        finish(job, result, metrics);
-    }
+    prepared
+        .into_iter()
+        .map(|prep| {
+            prep?;
+            let result = results.next().expect("one result per valid request");
+            result.map(|v| v.to_string()).map_err(ServeError::Eval)
+        })
+        .collect()
 }
 
 fn finish(job: Job, result: Result<String, ServeError>, metrics: &Arc<Metrics>) {

@@ -18,7 +18,8 @@
 //!   back in request order per connection; `{"cmd": "shutdown"}` drains
 //!   gracefully (every queued request answered first); a request line
 //!   nested far past the JSON parser's depth bound is a `bad-request`,
-//!   not the end of the process.
+//!   not the end of the process; a batch that panics is answered
+//!   `internal`, in order, and the connection keeps being served.
 
 use nsc_core::ast as a;
 use nsc_core::types::Type;
@@ -408,12 +409,14 @@ fn small_branchy_batches_run_as_lanes() {
 
 /// Serves `sq1` and `get` on an ephemeral loopback port; the handle
 /// joins once some client has sent `{"cmd": "shutdown"}`.
-fn start_tcp() -> (
+fn start_tcp(
+    cfg: ServeConfig,
+) -> (
     Arc<Server>,
     std::net::SocketAddr,
     std::thread::JoinHandle<()>,
 ) {
-    let server = server_with(ServeConfig::default());
+    let server = server_with(cfg);
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
     let addr = listener.local_addr().unwrap();
     let server2 = Arc::clone(&server);
@@ -428,7 +431,7 @@ fn start_tcp() -> (
 fn tcp_front_orders_responses_and_drains_on_shutdown() {
     use std::io::{BufRead, BufReader, Write};
 
-    let (server, addr, serving) = start_tcp();
+    let (server, addr, serving) = start_tcp(ServeConfig::default());
     let mut stream = std::net::TcpStream::connect(addr).unwrap();
     // Pipeline across both shards before reading anything; `get` on a
     // 2-element sequence is Ω, classified as such over the wire.
@@ -490,7 +493,7 @@ fn tcp_front_orders_responses_and_drains_on_shutdown() {
 fn tcp_front_answers_a_deeply_nested_line_and_keeps_serving() {
     use std::io::{BufRead, BufReader, Write};
 
-    let (_server, addr, serving) = start_tcp();
+    let (_server, addr, serving) = start_tcp(ServeConfig::default());
     let read_line = |reader: &mut BufReader<std::net::TcpStream>| {
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
@@ -517,4 +520,66 @@ fn tcp_front_answers_a_deeply_nested_line_and_keeps_serving() {
     assert_eq!(read_line(&mut reader), r#"{"ok": "draining"}"#);
     drop(hostile);
     serving.join().expect("accept loop exits after shutdown");
+}
+
+/// A panic inside a flush fails that batch, not the shard: every request
+/// of the batch is answered `internal`, in order, and later requests on
+/// the same connection are answered.  (An unanswered request used to
+/// leave a gap in the connection's ordered reply stream, so nothing after
+/// it was ever written.)
+#[test]
+fn a_panicking_batch_is_answered_internal_and_the_connection_keeps_serving() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let panicked = AtomicBool::new(false);
+    let (server, addr, serving) = start_tcp(ServeConfig {
+        on_flush: Some(Arc::new(move |_size| {
+            if !panicked.swap(true, Ordering::SeqCst) {
+                panic!("injected flush panic");
+            }
+        })),
+        ..ServeConfig::default()
+    });
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    // Hang guard: at the parent of this fix the first read never returns.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut read_line = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("a reply, not a timeout");
+        line.trim().to_string()
+    };
+    for i in 0..4 {
+        writeln!(stream, r#"{{"fn": "sq1", "input": "[{i}]", "id": {i}}}"#).unwrap();
+    }
+    let got: Vec<String> = (0..4).map(|_| read_line()).collect();
+    // The first flush took request 0 and whatever had queued behind it:
+    // that prefix is `internal`, everything after it is served.
+    let failed = got
+        .iter()
+        .take_while(|l| l.contains(r#""kind": "internal""#))
+        .count();
+    assert!(failed >= 1, "{got:?}");
+    for (i, line) in got.iter().enumerate() {
+        if i < failed {
+            assert!(line.contains(&format!(r#""id": {i},"#)), "{line}");
+        } else {
+            assert_eq!(
+                *line,
+                format!(r#"{{"id": {i}, "output": "[{}]"}}"#, i * i + 1)
+            );
+        }
+    }
+    writeln!(stream, r#"{{"fn": "sq1", "input": "[5]", "id": 4}}"#).unwrap();
+    writeln!(stream, r#"{{"cmd": "shutdown"}}"#).unwrap();
+    assert_eq!(read_line(), r#"{"id": 4, "output": "[26]"}"#);
+    assert_eq!(read_line(), r#"{"ok": "draining"}"#);
+    drop(stream);
+    serving.join().expect("accept loop exits after shutdown");
+    let snap = server.snapshots();
+    let sq1 = snap.iter().find(|s| s.function == "sq1").unwrap();
+    assert_eq!((sq1.panicked_batches, sq1.completed), (1, 5));
 }
