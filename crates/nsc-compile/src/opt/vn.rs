@@ -51,12 +51,13 @@ use super::remove_marked;
 use bvram::cfg::Cfg;
 use bvram::{Instr, Op, Program, Reg};
 use std::collections::hash_map::{Entry, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Pass name used by translation-validation diagnostics.
 pub const NAME: &str = "vn";
 
 const NONE: u32 = u32::MAX;
+/// [`Numbering::def`] of a register with several reachable definitions.
+const MANY: u32 = u32::MAX - 1;
 
 /// A value-number key: opcode + operand numbers + immediates.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -83,39 +84,8 @@ enum Len {
     Sum(u32),
 }
 
-/// FxHash, rustc's hasher: the keys are a few small integers, and
-/// SipHash's flooding resistance buys nothing inside a compiler pass.
-#[derive(Default)]
-struct Fx(u64);
-
-impl Fx {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for Fx {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.add(b.into()));
-    }
-    fn write_u32(&mut self, n: u32) {
-        self.add(n.into());
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-}
-
-type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<Fx>>;
-
 /// The length `a + b`, hash-consed (length addition commutes).
-fn sum(sums: &mut FxMap<(Len, Len), u32>, a: Len, b: Len) -> Len {
+fn sum(sums: &mut HashMap<(Len, Len), u32>, a: Len, b: Len) -> Len {
     let next = sums.len() as u32;
     Len::Sum(*sums.entry((a.min(b), a.max(b))).or_insert(next))
 }
@@ -203,10 +173,9 @@ fn key_of(ins: &Instr, v: &[u32]) -> Option<Key> {
 struct Numbering<'a> {
     cfg: &'a Cfg,
     r_in: usize,
-    /// Reachable definitions per register, and the defining pc of a
-    /// single-definition register.
-    count: Vec<u32>,
-    def_pc: Vec<usize>,
+    /// The defining pc of a register with one reachable definition,
+    /// [`MANY`] with several, [`NONE`] with none.
+    def: Vec<u32>,
     /// For an input with exactly one definition: the blocks enterable
     /// after it executes, where the entry value may already be gone.
     post_def: Vec<Option<Box<[bool]>>>,
@@ -215,29 +184,26 @@ struct Numbering<'a> {
     /// being walked, valid while the stamp is current.
     cur: Vec<(u32, u32)>,
     stamp: u32,
-    /// Global number of a single-definition register (`NONE` if its
-    /// value is not run-invariant).
-    global: Vec<u32>,
-    /// Fill of a single-definition non-input register's definition.
-    fill: Vec<Option<u64>>,
-    sums: FxMap<(Len, Len), u32>,
+    /// The number a single-definition register's definition leaves
+    /// (`NONE` until the walk reaches it).
+    def_vn: Vec<u32>,
+    sums: HashMap<(Len, Len), u32>,
 }
 
 impl<'a> Numbering<'a> {
     fn new(prog: &Program, cfg: &'a Cfg) -> Numbering<'a> {
-        let mut count = vec![0u32; prog.n_regs];
-        let mut def_pc = vec![usize::MAX; prog.n_regs];
+        let mut def = vec![NONE; prog.n_regs];
         for (pc, ins) in prog.instrs.iter().enumerate() {
             if let (true, Some(d)) = (cfg.reachable(pc), ins.output()) {
-                count[d as usize] += 1;
-                def_pc[d as usize] = pc;
+                let d = &mut def[d as usize];
+                *d = if *d == NONE { pc as u32 } else { MANY };
             }
         }
         let post_def = (0..prog.r_in)
             .map(|r| {
-                (count[r] == 1).then(|| {
+                (def[r] < MANY).then(|| {
                     let mut seen = vec![false; cfg.n_blocks()].into_boxed_slice();
-                    let mut stack = cfg.succs(cfg.block_of(def_pc[r])).to_vec();
+                    let mut stack = cfg.succs(cfg.block_of(def[r] as usize)).to_vec();
                     while let Some(b) = stack.pop() {
                         if !std::mem::replace(&mut seen[b as usize], true) {
                             stack.extend(cfg.succs(b as usize));
@@ -250,15 +216,13 @@ impl<'a> Numbering<'a> {
         let mut n = Numbering {
             cfg,
             r_in: prog.r_in,
-            count,
-            def_pc,
+            def,
             post_def,
             vals: Vec::new(),
             cur: vec![(NONE, 0); prog.n_regs],
             stamp: 0,
-            global: vec![NONE; prog.n_regs],
-            fill: vec![None; prog.n_regs],
-            sums: FxMap::default(),
+            def_vn: vec![NONE; prog.n_regs],
+            sums: HashMap::new(),
         };
         // Entry numbers of the inputs are the first `r_in` numbers.
         for r in 0..prog.r_in as Reg {
@@ -284,14 +248,19 @@ impl<'a> Numbering<'a> {
     /// value: `r` is never rewritten, or rewritten by a single
     /// instruction no path carries to `pc`.
     fn entry_reaches(&self, r: usize, pc: usize) -> bool {
-        match (self.count[r], &self.post_def[r]) {
-            (0, _) => true,
-            (1, Some(post)) => {
-                let (bd, bu) = (self.cfg.block_of(self.def_pc[r]), self.cfg.block_of(pc));
-                !(post[bu] || (bd == bu && pc > self.def_pc[r]))
+        match (self.def[r], &self.post_def[r]) {
+            (NONE, _) => true,
+            (d, Some(post)) => {
+                let (bd, bu) = (self.cfg.block_of(d as usize), self.cfg.block_of(pc));
+                !(post[bu] || (bd == bu && pc > d as usize))
             }
             _ => false,
         }
+    }
+
+    /// The defining pc of a single-definition register.
+    fn single_def(&self, r: usize) -> Option<usize> {
+        (self.def[r] < MANY).then_some(self.def[r] as usize)
     }
 
     /// The number `r` holds at `pc`, if known without a new version.
@@ -300,8 +269,12 @@ impl<'a> Numbering<'a> {
         let (v, stamp) = self.cur[i];
         if stamp == self.stamp {
             Some(v)
-        } else if self.count[i] == 1 && self.cfg.pc_dominates(self.def_pc[i], pc) {
-            (self.global[i] != NONE).then_some(self.global[i])
+        } else if self
+            .single_def(i)
+            .is_some_and(|d| self.cfg.pc_dominates(d, pc))
+        {
+            let v = self.def_vn[i];
+            self.vals[v as usize].global.then_some(v)
         } else {
             (i < self.r_in && self.entry_reaches(i, pc)).then_some(i as u32)
         }
@@ -324,7 +297,12 @@ impl<'a> Numbering<'a> {
                 // A new per-block version; a single-definition register
                 // keeps its definition's fill (a read its definition does
                 // not dominate sees that value or the empty vector).
-                let v = self.fresh(r, false, self.fill[r as usize], None);
+                let i = r as usize;
+                let def = self.def_vn[i];
+                let fill = (i >= self.r_in && def != NONE)
+                    .then(|| self.vals[def as usize].fill)
+                    .flatten();
+                let v = self.fresh(r, false, fill, None);
                 self.cur[r as usize] = (v, self.stamp);
                 v
             }
@@ -342,14 +320,8 @@ impl<'a> Numbering<'a> {
     fn define(&mut self, dst: Reg, v: u32, pc: usize) {
         let d = dst as usize;
         self.cur[d] = (v, self.stamp);
-        if self.count[d] == 1 {
-            let val = self.vals[v as usize];
-            if val.global {
-                self.global[d] = v;
-            }
-            if d >= self.r_in {
-                self.fill[d] = val.fill;
-            }
+        if self.single_def(d) == Some(pc) {
+            self.def_vn[d] = v;
         }
         if self.holder(v, pc).is_none() {
             self.vals[v as usize].leader = dst;
@@ -357,23 +329,21 @@ impl<'a> Numbering<'a> {
     }
 
     /// Whether numbers `v` are all run-invariant.
-    fn global(&self, v: &[u32]) -> bool {
+    fn all_global(&self, v: &[u32]) -> bool {
         v.iter().all(|&x| self.vals[x as usize].global)
     }
 
     /// A new number for a computation missing from the table, with the
     /// fill and length facts its operands (`v`) imply.
-    fn compute(&mut self, ins: &Instr, v: &[u32]) -> u32 {
-        let global = self.global(v);
+    fn compute(&mut self, ins: &Instr, v: &[u32], global: bool) -> u32 {
         let arg = |i: usize| self.vals[v[i] as usize];
-        let (one, zero) = (Len::One, Len::Zero);
         let (fill, len) = match *ins {
-            Instr::Singleton { n, .. } => (Some(n), Some(one)),
+            Instr::Singleton { n, .. } => (Some(n), Some(Len::One)),
             // Vacuous fill: `[]` is all-zeros (and all-anything).
-            Instr::Empty { .. } => (Some(0), Some(zero)),
-            Instr::Length { .. } => ((arg(0).len == zero).then_some(0), Some(one)),
+            Instr::Empty { .. } => (Some(0), Some(Len::Zero)),
+            Instr::Length { .. } => ((arg(0).len == Len::Zero).then_some(0), Some(Len::One)),
             // enumerate of a singleton is `[0]`.
-            Instr::Enumerate { .. } => ((arg(0).len == one).then_some(0), Some(arg(0).len)),
+            Instr::Enumerate { .. } => ((arg(0).len == Len::One).then_some(0), Some(arg(0).len)),
             Instr::Arith { op, .. } => {
                 // Same-operand identities hold once the arith completed
                 // (`m −̇ m = 0`, `m = m`, `m ≤ m`; for div/mod a zero
@@ -402,7 +372,7 @@ impl<'a> Numbering<'a> {
                 let s = arg(0);
                 let len = match s.fill {
                     // All-zero source selects to the empty vector.
-                    Some(0) => Some(zero),
+                    Some(0) => Some(Len::Zero),
                     // Nonzero fill: select is the identity.
                     Some(_) => Some(s.len),
                     None => None,
@@ -477,7 +447,7 @@ pub fn number(prog: &mut Program) -> bool {
     let mut st = Numbering::new(prog, &cfg);
     // Keys over a per-block version only ever match inside their block:
     // they live in a table cleared per block, global keys in their own.
-    let (mut block_keys, mut global_keys) = (FxMap::default(), FxMap::default());
+    let (mut block_keys, mut global_keys) = (HashMap::new(), HashMap::new());
     let mut delete = vec![false; prog.instrs.len()];
     let mut changed = false;
     let mut v = Vec::with_capacity(4);
@@ -498,7 +468,8 @@ pub fn number(prog: &mut Program) -> bool {
                 (Some(src), v[0])
             } else {
                 let key = key_of(ins, &v).expect("computes a value");
-                let keys = if st.global(&v) {
+                let global = st.all_global(&v);
+                let keys = if global {
                     &mut global_keys
                 } else {
                     &mut block_keys
@@ -510,7 +481,7 @@ pub fn number(prog: &mut Program) -> bool {
                     }
                     Entry::Vacant(slot) => match st.identity(ins, &v) {
                         Some((src, x)) => (Some(src), x),
-                        None => (None, *slot.insert(st.compute(ins, &v))),
+                        None => (None, *slot.insert(st.compute(ins, &v, global))),
                     },
                 }
             };
