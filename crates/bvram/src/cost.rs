@@ -22,7 +22,7 @@
 //! Soundness: for every successful run with input lengths `ℓ`,
 //! `stats.time ≤ T'(ℓ)` and `stats.work ≤ W'(ℓ)` (`Top` evaluates to
 //! "unbounded" and is vacuously sound).  The suite-wide proptest in
-//! `tests/cost_soundness.rs` enforces this against both backends.
+//! `tests/cost_soundness.rs` enforces this against the interpreter.
 
 use crate::cfg::Cfg;
 use crate::instr::{Instr, Reg};

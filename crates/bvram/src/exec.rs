@@ -6,17 +6,12 @@
 //! **work complexity** `W` is the sum over executed instructions of the
 //! lengths of their input and output registers.
 //!
-//! One loop serves both backends.  [`Machine::par`]`(_, true)` differs in
-//! one respect: a destination whose length is known up front (`Arith`,
-//! `Enumerate`, `BmRoute`, `SbmRoute`) and is at least [`GRAIN`] is filled
-//! in `GRAIN`-sized chunks on worker threads ([`crate::par`]) — same
-//! recycled buffer, aliasing analysis, invariant checks and `Stats`.
-//! Below `GRAIN` it runs literally the sequential code.  `Select`'s output
-//! length is data-dependent, so both backends run its sequential body
-//! (rayon's `filter().collect()` is sequential in the vendored shim).
+//! One machine, one loop: every instruction body runs sequentially on the
+//! calling thread.  Parallelism on a real host is across requests — one
+//! warm machine per worker thread ([`crate::lanes`]) — not inside one
+//! instruction.
 
 use crate::instr::{Instr, Op};
-use crate::par::{self, GRAIN};
 use crate::program::Program;
 use std::fmt;
 
@@ -106,40 +101,29 @@ pub struct RunOutcome {
     pub stats: Stats,
 }
 
-/// The BVRAM interpreter (sequential reference; optionally with threaded
-/// fills of long destinations, see the module docs).
+/// The BVRAM interpreter.
 #[derive(Debug)]
 pub struct Machine {
     regs: Vec<Vector>,
     step_limit: u64,
-    /// Fill destinations of length ≥ [`GRAIN`] on worker threads.
-    par: bool,
 }
 
 /// Computes `bm_route`.
 pub fn bm_route(bound_len: usize, counts: &[u64], values: &[u64]) -> Result<Vector, &'static str> {
     let mut out = Vec::new();
-    bm_route_into(&mut out, false, bound_len, counts, values)?;
+    bm_route_into(&mut out, bound_len, counts, values)?;
     Ok(out)
 }
 
 /// [`bm_route`] into a caller-supplied buffer so the interpreter hot path
-/// can recycle allocations; with `par`, an output of at least [`GRAIN`]
-/// elements is filled in chunks on worker threads.
+/// can recycle allocations.
 fn bm_route_into(
     out: &mut Vector,
-    par: bool,
     bound_len: usize,
     counts: &[u64],
     values: &[u64],
 ) -> Result<(), &'static str> {
     validate_bm(bound_len, counts, values)?;
-    if par && bound_len >= GRAIN {
-        out.resize(bound_len, 0);
-        let offs = par::offsets(counts.iter().copied());
-        par::route_fill(out, &offs, |src, _| values[src]);
-        return Ok(());
-    }
     out.clear();
     out.reserve(bound_len);
     for (c, v) in counts.iter().zip(values) {
@@ -159,32 +143,19 @@ pub fn sbm_route(
     segs: &[u64],
 ) -> Result<Vector, &'static str> {
     let mut out = Vec::new();
-    sbm_route_into(&mut out, false, bound_len, counts, data, segs)?;
+    sbm_route_into(&mut out, bound_len, counts, data, segs)?;
     Ok(out)
 }
 
-/// [`sbm_route`] into a caller-supplied buffer; `par` as for
-/// [`bm_route_into`] (the output length `Σ counts[i]·segs[i]` is summed
-/// first, which is the one extra pass a `par` machine pays below `GRAIN`).
+/// [`sbm_route`] into a caller-supplied buffer.
 fn sbm_route_into(
     out: &mut Vector,
-    par: bool,
     bound_len: usize,
     counts: &[u64],
     data: &[u64],
     segs: &[u64],
 ) -> Result<(), &'static str> {
     validate_sbm(bound_len, counts, data, segs)?;
-    let reps = || counts.iter().zip(segs).map(|(c, s)| c * s);
-    if par && reps().sum::<u64>() >= GRAIN as u64 {
-        let out_offs = par::offsets(reps());
-        let data_offs = par::offsets(segs.iter().copied());
-        out.resize(out_offs[counts.len()] as usize, 0);
-        par::route_fill(out, &out_offs, |seg, rel| {
-            data[(data_offs[seg] + rel % segs[seg]) as usize]
-        });
-        return Ok(());
-    }
     out.clear();
     let mut pos = 0usize;
     for (c, s) in counts.iter().zip(segs) {
@@ -198,8 +169,8 @@ fn sbm_route_into(
     Ok(())
 }
 
-/// The `bm_route` invariants, checked in a fixed order so every backend
-/// reports the identical fault message.
+/// The `bm_route` invariants, checked in a fixed order so a violation
+/// always reports the same fault message.
 fn validate_bm(bound_len: usize, counts: &[u64], values: &[u64]) -> Result<(), &'static str> {
     if counts.len() != values.len() {
         return Err("bm_route: |counts| != |values|");
@@ -211,8 +182,8 @@ fn validate_bm(bound_len: usize, counts: &[u64], values: &[u64]) -> Result<(), &
     Ok(())
 }
 
-/// The `sbm_route` invariants, checked in a fixed order so every backend
-/// reports the identical fault message.
+/// The `sbm_route` invariants, checked in a fixed order so a violation
+/// always reports the same fault message.
 fn validate_sbm(
     bound_len: usize,
     counts: &[u64],
@@ -248,7 +219,7 @@ fn reg_pair_mut(regs: &mut [Vector], i: usize, j: usize) -> (&mut Vector, &Vecto
 // Aliasing-aware instruction bodies: each recycles the destination buffer
 // instead of allocating.
 
-/// `dst[i] ← op(a[i], b[i])`, sequentially; `dst` is the destination's
+/// `dst[i] ← op(a[i], b[i])`; `dst` is the destination's
 /// own buffer and a `None` operand aliases it (updated in place).  `None`
 /// on an arithmetic fault.
 fn arith_fill(op: Op, dst: &mut Vector, a: Option<&[u64]>, b: Option<&[u64]>) -> Option<()> {
@@ -309,7 +280,7 @@ fn exec_append(regs: &mut [Vector], dst: usize, a: usize, b: usize) {
     }
 }
 
-/// `Vdst ← σ(Vsrc)`, sequentially (in-place `retain` when aliased).
+/// `Vdst ← σ(Vsrc)` (in-place `retain` when aliased).
 fn exec_select(regs: &mut [Vector], dst: usize, src: usize) {
     if dst == src {
         regs[dst].retain(|x| *x != 0);
@@ -322,20 +293,11 @@ fn exec_select(regs: &mut [Vector], dst: usize, src: usize) {
 }
 
 impl Machine {
-    /// A sequential machine sized for the program, with no step limit.
+    /// A machine sized for the program, with no step limit.
     pub fn new(n_regs: usize) -> Self {
-        Machine::par(n_regs, false)
-    }
-
-    /// [`Machine::new`], choosing whether destinations of length ≥
-    /// [`GRAIN`] are filled on worker threads (`par = true`, the `par`
-    /// backend) or by the sequential bodies.  Outputs, `Stats` and faults
-    /// are bit-for-bit the same either way.
-    pub fn par(n_regs: usize, par: bool) -> Self {
         Machine {
             regs: vec![Vec::new(); n_regs],
             step_limit: u64::MAX,
-            par,
         }
     }
 
@@ -452,12 +414,7 @@ impl Machine {
                     let mut out = std::mem::take(&mut self.regs[dst]);
                     let va = (a != dst).then(|| &self.regs[a][..]);
                     let vb = (b != dst).then(|| &self.regs[b][..]);
-                    let done = if self.par && la >= GRAIN {
-                        out.resize(la, 0);
-                        par::arith_fill(*op, &mut out, va, vb)
-                    } else {
-                        arith_fill(*op, &mut out, va, vb)
-                    };
+                    let done = arith_fill(*op, &mut out, va, vb);
                     self.regs[dst] = out;
                     done.ok_or(MachineError::Arithmetic { at: pc })?;
                 }
@@ -479,13 +436,8 @@ impl Machine {
                 Instr::Enumerate { dst, src } => {
                     let n = self.regs[*src as usize].len();
                     let d = &mut self.regs[*dst as usize];
-                    if self.par && n >= GRAIN {
-                        d.resize(n, 0);
-                        par::enumerate_fill(d);
-                    } else {
-                        d.clear();
-                        d.extend(0..n as u64);
-                    }
+                    d.clear();
+                    d.extend(0..n as u64);
                 }
                 Instr::BmRoute {
                     dst,
@@ -505,7 +457,7 @@ impl Machine {
                         std::mem::take(&mut self.regs[dst])
                     };
                     let (counts, values) = (&self.regs[counts], &self.regs[values]);
-                    bm_route_into(&mut out, self.par, bound_len, counts, values)
+                    bm_route_into(&mut out, bound_len, counts, values)
                         .map_err(|what| MachineError::RouteInvariant { at: pc, what })?;
                     self.regs[dst] = out;
                 }
@@ -526,7 +478,7 @@ impl Machine {
                     };
                     let (counts, data, segs) =
                         (&self.regs[counts], &self.regs[data], &self.regs[segs]);
-                    sbm_route_into(&mut out, self.par, bound_len, counts, data, segs)
+                    sbm_route_into(&mut out, bound_len, counts, data, segs)
                         .map_err(|what| MachineError::RouteInvariant { at: pc, what })?;
                     self.regs[dst] = out;
                 }

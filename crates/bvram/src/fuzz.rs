@@ -1,6 +1,6 @@
 //! Deterministic generation of random straight-line BVRAM programs for
-//! differential testing (sequential vs rayon backend, optimized vs
-//! unoptimized).
+//! differential testing (lanes vs single runs, optimized vs unoptimized,
+//! the static checks vs the interpreter).
 //!
 //! The decoder turns a slice of random words into a `Halt`-terminated
 //! straight-line program over [`FUZZ_REGS`] registers, tracking simulated
@@ -170,8 +170,8 @@ pub fn decode_program(words: &[u64], input_lens: [usize; FUZZ_INPUTS], r_out: us
             }
             _ => {
                 // Unconstrained route: validity depends on the data, so
-                // this exercises the invariant-fault paths; both backends
-                // must agree on whether (and how) it faults.
+                // this exercises the invariant-fault paths; both
+                // executions must agree on whether (and how) it faults.
                 b.push(Instr::BmRoute {
                     dst: d,
                     bound: a,

@@ -12,10 +12,11 @@
 //!   lanes, so per-lane allocation drops to near zero.  This is the
 //!   sequential baseline every batching mode is measured against.
 //! * [`run_lanes_rayon`] — distribute the lanes over worker threads
-//!   (rayon), **one machine per worker**, optionally with threaded fills
-//!   inside each lane ([`Machine::par`]).  Results are returned in lane
+//!   (rayon), **one machine per worker**.  Results are returned in lane
 //!   order and are bit-for-bit identical to [`run_lanes_seq`] — including
-//!   per-lane faults, which never abort the other lanes.
+//!   per-lane faults, which never abort the other lanes.  This is the
+//!   workspace's one form of host parallelism: across requests, the
+//!   outermost level with enough work, never inside one instruction.
 //!
 //! The *pack* alternative — fusing the lanes into a single program run
 //! over lane-offset registers — is not expressible at this level for an
@@ -45,16 +46,13 @@ pub fn run_lanes_seq(
 }
 
 /// Runs the lanes in parallel across worker threads, one machine per
-/// worker; with `inner_par` each lane's machine additionally fills long
-/// destinations on worker threads ([`Machine::par`]; nested parallelism —
-/// worth it only when individual lanes are large).
+/// worker.
 ///
 /// Semantics are identical to [`run_lanes_seq`]: results come back in
 /// lane order and a faulting lane never disturbs its neighbours.
 pub fn run_lanes_rayon(
     prog: &Program,
     lanes: Vec<Vec<Vector>>,
-    inner_par: bool,
 ) -> Vec<Result<RunOutcome, MachineError>> {
     let n = lanes.len();
     if n == 0 {
@@ -74,7 +72,7 @@ pub fn run_lanes_rayon(
     slots.par_chunks_mut(chunk).for_each(|chunk_slots| {
         // One machine per worker chunk, reused across its lanes (warm
         // buffers), mirroring run_lanes_seq within the chunk.
-        let mut m = Machine::par(prog.n_regs, inner_par);
+        let mut m = Machine::new(prog.n_regs);
         for s in chunk_slots {
             let inputs = s.0.take().expect("lane inputs present");
             s.1 = Some(m.run_owned(prog, inputs));
@@ -128,11 +126,10 @@ mod tests {
             .map(|l| crate::exec::run_program(&p, l))
             .collect();
         let seq = run_lanes_seq(&p, lanes.clone());
-        let par = run_lanes_rayon(&p, lanes.clone(), false);
-        let par2 = run_lanes_rayon(&p, lanes, true);
+        let par = run_lanes_rayon(&p, lanes);
         for (i, s) in singles.iter().enumerate() {
             let s = s.as_ref().unwrap();
-            for got in [&seq[i], &par[i], &par2[i]] {
+            for got in [&seq[i], &par[i]] {
                 let got = got.as_ref().unwrap();
                 assert_eq!(got.outputs, s.outputs, "lane {i}");
                 assert_eq!(got.stats, s.stats, "lane {i}");
@@ -157,11 +154,7 @@ mod tests {
             vec![vec![6], vec![0]], // faults
             vec![vec![8], vec![4]],
         ];
-        for results in [
-            run_lanes_seq(&p, lanes.clone()),
-            run_lanes_rayon(&p, lanes.clone(), false),
-            run_lanes_rayon(&p, lanes, true),
-        ] {
+        for results in [run_lanes_seq(&p, lanes.clone()), run_lanes_rayon(&p, lanes)] {
             assert_eq!(results[0].as_ref().unwrap().outputs[0], vec![3, 3]);
             assert!(matches!(
                 results[1].as_ref().unwrap_err(),
@@ -175,7 +168,7 @@ mod tests {
     fn empty_batch_and_bad_arity() {
         let p = square_plus_index();
         assert!(run_lanes_seq(&p, Vec::new()).is_empty());
-        assert!(run_lanes_rayon(&p, Vec::new(), false).is_empty());
+        assert!(run_lanes_rayon(&p, Vec::new()).is_empty());
         let results = run_lanes_seq(&p, vec![vec![]]);
         assert!(matches!(
             results[0].as_ref().unwrap_err(),

@@ -14,11 +14,9 @@
 //! Cost model: `T` = instructions executed, `W` = Σ lengths of the input
 //! and output registers of each executed instruction.
 //!
-//! Backends: one interpreter, [`exec::Machine`].  `Machine::new` is the
-//! sequential reference; `Machine::par(_, true)` additionally fills
-//! destinations of at least [`par::GRAIN`] elements in chunks on worker
-//! threads ([`par`]) — same loop, same accounting, bit-for-bit identical
-//! results, and below `GRAIN` literally the same code.
+//! One interpreter, [`exec::Machine`], runs every program.  Host
+//! parallelism is across requests ([`lanes`]: one warm machine per worker
+//! thread), not inside an instruction.
 #![warn(missing_docs)]
 
 pub mod analysis;
@@ -28,7 +26,6 @@ pub mod exec;
 pub mod fuzz;
 pub mod instr;
 pub mod lanes;
-pub mod par;
 pub mod program;
 pub mod verify;
 

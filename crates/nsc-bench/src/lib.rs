@@ -294,13 +294,13 @@ fn pass_census() {
 /// * pack amortizes `T'`: at `B = 64` the fused run's `T'` beats the
 ///   sequential loop's `Σ T'` on every *loop-free* workload (and on at
 ///   least one workload overall);
-/// * the cached entry is compiled once per (workload, backend);
+/// * the cached entry is compiled once per workload;
 /// * the static plan never loses: per golden at `B = 8`, the planned
 ///   discipline's `W'` is at most 1.25x the other's.
 fn exp_batch() {
     println!("\n## EXP-BATCH: batched execution (pack vs lanes vs B single runs)\n");
     println!("claim: bit-identical outputs; fused T' ~ amortized; compile-once cache\n");
-    use nsc_compile::{Backend, OptLevel};
+    use nsc_compile::OptLevel;
     use nsc_runtime::{BatchMode, BatchRunner, CompiledCache};
     header(&[
         "program",
@@ -317,8 +317,7 @@ fn exp_batch() {
     let mut amortized = 0usize;
     for (name, f) in t71_suite() {
         let dom = Type::seq(Type::Nat);
-        let runner =
-            BatchRunner::from_cache(&cache, &f, &dom, OptLevel::O1, Backend::Seq).expect(name);
+        let runner = BatchRunner::from_cache(&cache, &f, &dom, OptLevel::O1).expect(name);
         let mut packed_beats_loop_at_64 = false;
         for b in [1usize, 8, 64] {
             let inputs: Vec<Value> = (0..b as u64)
@@ -369,14 +368,13 @@ fn exp_batch() {
     assert_eq!(
         cache.compiles(),
         t71_suite().len(),
-        "one compilation per (workload, backend) key"
+        "one compilation per workload"
     );
 
     println!("\nplanned mode per golden at B=8 (must not do > 1.25x the other's W'):\n");
     header(&["golden", "planned", "W' pack", "W' lanes"]);
     for (stem, f, dom, input) in nsc_runtime::workloads::goldens() {
-        let runner =
-            BatchRunner::from_cache(&cache, &f, &dom, OptLevel::O1, Backend::Seq).expect(stem);
+        let runner = BatchRunner::from_cache(&cache, &f, &dom, OptLevel::O1).expect(stem);
         let inputs = vec![input; 8];
         let planned = runner.plan(&inputs);
         let pack = runner.run_batch_mode(&inputs, BatchMode::Pack).cost.work;
@@ -404,7 +402,7 @@ fn exp_batch() {
 ///
 /// * for every workload — the chained-map pair plus the shared suite —
 ///   the fused and unfused compile pipelines agree **bit for bit per
-///   input on both backends**, including error classification (an `Ω`
+///   input**, including error classification (an `Ω`
 ///   input faults as `Ω` through both; neither ever turns it into a
 ///   machine fault or a value);
 /// * on the chained-map workload the fused pack kernel (`map(chain)`)
@@ -415,7 +413,7 @@ fn exp_batch() {
 fn exp_fusion() {
     println!("\n## EXP-FUSION: source map fusion (fused vs unfused differential)\n");
     println!("claim: bit-identical results incl. fault class; >= 30% pack W' cut on the chain\n");
-    use nsc_compile::{Backend, OptLevel, VerifyLevel};
+    use nsc_compile::{OptLevel, VerifyLevel};
     use nsc_core::ast;
     let verify = VerifyLevel::from_env();
     let dom = Type::seq(Type::Nat);
@@ -439,16 +437,9 @@ fn exp_fusion() {
             Value::nat_seq(0..8),
             Value::nat_seq(0..0),
         ] {
-            for backend in [Backend::Seq, Backend::Par] {
-                let a = nsc_compile::run_compiled_on(&fused, &input, backend).map(|p| p.0);
-                let b = nsc_compile::run_compiled_on(&unfused, &input, backend).map(|p| p.0);
-                assert_eq!(
-                    a,
-                    b,
-                    "{name}: fused and unfused disagree on {input} ({} backend)",
-                    backend.name()
-                );
-            }
+            let a = nsc_compile::run_compiled(&fused, &input).map(|p| p.0);
+            let b = nsc_compile::run_compiled(&unfused, &input).map(|p| p.0);
+            assert_eq!(a, b, "{name}: fused and unfused disagree on {input}");
         }
         if f == &nsc_runtime::workloads::chained_maps() {
             assert_eq!(fused.fused_stages, 2, "{name}: three stages collapse twice");
@@ -512,7 +503,7 @@ fn exp_fusion() {
 fn exp_cost() {
     println!("\n## EXP-COST: symbolic cost analyzer budget\n");
     println!("claim: analyzing the largest cached pack kernel stays under 2s\n");
-    use nsc_compile::{Backend, OptLevel};
+    use nsc_compile::OptLevel;
     use nsc_runtime::{BatchRunner, CompiledCache};
     header(&[
         "program",
@@ -528,8 +519,7 @@ fn exp_cost() {
     let mut scalar_maps = 0usize;
     for (name, f) in t71_suite() {
         let dom = Type::seq(Type::Nat);
-        let runner =
-            BatchRunner::from_cache(&cache, &f, &dom, OptLevel::O1, Backend::Seq).expect(name);
+        let runner = BatchRunner::from_cache(&cache, &f, &dom, OptLevel::O1).expect(name);
         let entry = runner.cached();
         for (what, art) in [("single", &entry.single), ("pack", &entry.batch)] {
             let t0 = std::time::Instant::now();

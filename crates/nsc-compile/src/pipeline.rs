@@ -161,44 +161,11 @@ pub fn eval_error_of(e: MachineError) -> E {
     }
 }
 
-/// How the one BVRAM interpreter ([`Machine`]) fills long destination
-/// registers; outputs, `Stats` and faults are bit-for-bit the same.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Backend {
-    /// Sequential fills — the reference machine.
-    #[default]
-    Seq,
-    /// Destinations of at least [`bvram::par::GRAIN`] elements are filled
-    /// in chunks on rayon worker threads; below that, literally the
-    /// sequential code.
-    Par,
-}
-
-impl Backend {
-    /// The backend's CLI name (`seq`/`par`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Seq => "seq",
-            Backend::Par => "par",
-        }
-    }
-
-    /// A machine for this backend.
-    pub fn machine(self, n_regs: usize) -> Machine {
-        Machine::par(n_regs, self == Backend::Par)
-    }
-}
-
 /// Runs a compiled program on an NSC value; returns the decoded NSC result
 /// and the machine's `(T, W)`.
 pub fn run_compiled(c: &Compiled, arg: &Value) -> Result<(Value, Cost), E> {
-    run_compiled_on(c, arg, Backend::Seq)
-}
-
-/// [`run_compiled`] on a chosen [`Backend`].
-pub fn run_compiled_on(c: &Compiled, arg: &Value, backend: Backend) -> Result<(Value, Cost), E> {
     let regs = encode_arg(arg, &c.dom)?;
-    let out = run_program_on(&c.program, regs, backend)?;
+    let out = run_encoded(&c.program, regs)?;
     let val = decode_result(&out.outputs, &c.cod)?;
     Ok((val, Cost::new(out.stats.time, out.stats.work)))
 }
@@ -206,7 +173,7 @@ pub fn run_compiled_on(c: &Compiled, arg: &Value, backend: Backend) -> Result<(V
 /// Encodes an NSC argument of type `dom` into the program's input
 /// registers (`COMPILE(dom)` flattening + the fixed register layout).
 ///
-/// Split out of [`run_compiled_on`] so callers that run the same program
+/// Split out of [`run_compiled`] so callers that run the same program
 /// many times — the batch runtime — can encode on one thread and execute
 /// elsewhere (register vectors are plain `Vec<u64>`s, hence `Send`,
 /// unlike [`Value`]).
@@ -222,17 +189,36 @@ pub fn decode_result(outputs: &[Vector], cod: &Type) -> Result<Value, E> {
     decode(&flat, cod)
 }
 
-/// Executes a program on already-encoded input registers, on a chosen
-/// backend, mapping machine faults onto NSC error semantics.
-pub fn run_program_on(
-    prog: &Program,
-    regs: Vec<Vector>,
-    backend: Backend,
-) -> Result<RunOutcome, E> {
-    backend
-        .machine(prog.n_regs)
+/// Executes a program on already-encoded input registers, mapping
+/// machine faults onto NSC error semantics.
+pub fn run_encoded(prog: &Program, regs: Vec<Vector>) -> Result<RunOutcome, E> {
+    Machine::new(prog.n_regs)
         .run_owned(prog, regs)
         .map_err(eval_error_of)
+}
+
+/// The machine argument of [`run_program_on`].  There is one BVRAM
+/// interpreter, and both paths name it: `Backend::Seq` and `Backend::Par`
+/// are the same value.  Kept only because `bench/src/replay.rs` spells
+/// both and `bench/` is frozen; ROADMAP item 1 removes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Backend {
+    /// The one interpreter, [`Machine`].
+    #[default]
+    Seq,
+}
+
+impl Backend {
+    /// Another name for [`Backend::Seq`]: the one interpreter.
+    #[allow(non_upper_case_globals)]
+    pub const Par: Backend = Backend::Seq;
+}
+
+/// [`run_encoded`] with an unused machine argument, kept only because
+/// `bench/src/replay.rs` calls it and `bench/` is frozen; ROADMAP item 1
+/// removes it.  Everything else calls [`run_encoded`].
+pub fn run_program_on(prog: &Program, regs: Vec<Vector>, _: Backend) -> Result<RunOutcome, E> {
+    run_encoded(prog, regs)
 }
 
 /// Differential run: NSC evaluator vs compiled BVRAM; returns
@@ -446,26 +432,6 @@ mod tests {
                     "{name} at n={n}: optimizer regressed cost {t0:?} -> {t1:?}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn par_backend_matches_seq_backend() {
-        let f = a::map(a::while_(
-            a::lam("x", a::lt(a::nat(0), a::var("x"))),
-            a::lam("x", a::rshift(a::var("x"), a::nat(1))),
-        ));
-        let c = compile_nsc(&f, &Type::seq(Type::Nat)).unwrap();
-        for n in [0u64, 1, 7, 64] {
-            let arg = Value::nat_seq((0..n).map(|i| i * 3 % 19));
-            let (vs, cs) = run_compiled_on(&c, &arg, Backend::Seq).unwrap();
-            let (vp, cp) = run_compiled_on(&c, &arg, Backend::Par).unwrap();
-            assert_eq!(vs, vp, "outputs diverge at n={n}");
-            assert_eq!(
-                (cs.time, cs.work),
-                (cp.time, cp.work),
-                "stats diverge at n={n}"
-            );
         }
     }
 

@@ -12,11 +12,9 @@
 //!   to serving — the same flattening that batches the iterations of a
 //!   `while` under `map` (Lemma 7.2) batches independent requests.
 //! * **Lanes** — run the single-request program over the `B` requests in
-//!   parallel worker threads ([`bvram::run_lanes_rayon`]), on the `par`
-//!   backend additionally with threaded fills inside each lane
-//!   ([`bvram::Machine::par`]).  No encoding
-//!   overhead and no cross-request coupling, but every request pays the
-//!   full per-run `T'`.
+//!   parallel worker threads ([`bvram::run_lanes_rayon`], one warm machine
+//!   per worker).  No encoding overhead and no cross-request coupling, but
+//!   every request pays the full per-run `T'`.
 //!
 //! **Decision rule** ([`BatchMode::of`], stored as
 //! [`CachedProgram::mode`]): pack iff the single-request program and its
@@ -40,7 +38,7 @@
 
 use crate::cache::{CachedProgram, CompiledCache};
 use bvram::{Instr, Program};
-use nsc_compile::pipeline::{decode_result, encode_arg, eval_error_of, run_program_on};
+use nsc_compile::pipeline::{decode_result, encode_arg, eval_error_of, run_encoded};
 use nsc_compile::{Backend, OptLevel};
 use nsc_core::cost::Cost;
 use nsc_core::error::EvalError;
@@ -103,18 +101,24 @@ pub struct BatchOutcome {
     pub cost: Cost,
 }
 
-/// A handle running batches against one shared [`CachedProgram`] on one
-/// backend (`Send + Sync`; building one is an `Arc` clone).
+/// A handle running batches against one shared [`CachedProgram`]
+/// (`Send + Sync`; building one is an `Arc` clone).
 #[derive(Debug)]
 pub struct BatchRunner {
     cached: Arc<CachedProgram>,
-    backend: Backend,
 }
 
 impl BatchRunner {
     /// Wraps a cache entry.
-    pub fn new(cached: Arc<CachedProgram>, backend: Backend) -> BatchRunner {
-        BatchRunner { cached, backend }
+    pub fn of(cached: Arc<CachedProgram>) -> BatchRunner {
+        BatchRunner { cached }
+    }
+
+    /// [`BatchRunner::of`] with an unused machine argument, kept only
+    /// because `bench/src/replay.rs` calls it and `bench/` is frozen;
+    /// ROADMAP item 1 removes it.
+    pub fn new(cached: Arc<CachedProgram>, _: Backend) -> BatchRunner {
+        BatchRunner::of(cached)
     }
 
     /// Compiles (or fetches) `f : dom → …` from `cache` and wraps it.
@@ -123,22 +127,13 @@ impl BatchRunner {
         f: &Func,
         dom: &Type,
         opt: OptLevel,
-        backend: Backend,
     ) -> Result<BatchRunner, EvalError> {
-        Ok(BatchRunner::new(
-            cache.get_or_compile(f, dom, opt, backend)?,
-            backend,
-        ))
+        Ok(BatchRunner::of(cache.entry(f, dom, opt)?))
     }
 
     /// The shared cache entry this runner executes.
     pub fn cached(&self) -> &Arc<CachedProgram> {
         &self.cached
-    }
-
-    /// The backend this runner executes on.
-    pub fn backend(&self) -> Backend {
-        self.backend
     }
 
     /// The NSC domain type of the single-request program.  Serving
@@ -157,7 +152,7 @@ impl BatchRunner {
     /// batch mode is measured against and must agree with).
     pub fn run_single(&self, arg: &Value) -> Result<(Value, Cost), EvalError> {
         let regs = encode_arg(arg, self.dom())?;
-        let out = run_program_on(&self.cached.single.program, regs, self.backend)?;
+        let out = run_encoded(&self.cached.single.program, regs)?;
         let val = decode_result(&out.outputs, self.cod())?;
         Ok((val, Cost::new(out.stats.time, out.stats.work)))
     }
@@ -188,7 +183,7 @@ impl BatchRunner {
         let fused = (|| -> Result<(Vec<Value>, Cost), EvalError> {
             let seqv = Value::seq(inputs.to_vec());
             let regs = encode_arg(&seqv, &self.cached.batch.dom)?;
-            let out = run_program_on(&self.cached.batch.program, regs, self.backend)?;
+            let out = run_encoded(&self.cached.batch.program, regs)?;
             let val = decode_result(&out.outputs, &self.cached.batch.cod)?;
             let items = val
                 .as_seq()
@@ -233,11 +228,7 @@ impl BatchRunner {
                 Err(e) => results[i] = Some(Err(e)),
             }
         }
-        let outs = bvram::run_lanes_rayon(
-            &self.cached.single.program,
-            lanes,
-            self.backend == Backend::Par,
-        );
+        let outs = bvram::run_lanes_rayon(&self.cached.single.program, lanes);
         let mut cost = Cost::ZERO;
         for (i, out) in idx.into_iter().zip(outs) {
             results[i] = Some(match out {
@@ -265,9 +256,9 @@ mod tests {
     use super::*;
     use nsc_core::ast as a;
 
-    fn runner(f: Func, dom: Type, backend: Backend) -> BatchRunner {
+    fn runner(f: Func, dom: Type) -> BatchRunner {
         let cache = CompiledCache::new();
-        BatchRunner::from_cache(&cache, &f, &dom, OptLevel::O1, backend).unwrap()
+        BatchRunner::from_cache(&cache, &f, &dom, OptLevel::O1).unwrap()
     }
 
     #[test]
@@ -276,7 +267,7 @@ mod tests {
             "x",
             a::add(a::mul(a::var("x"), a::var("x")), a::nat(1)),
         ));
-        let r = runner(f, Type::seq(Type::Nat), Backend::Seq);
+        let r = runner(f, Type::seq(Type::Nat));
         let inputs: Vec<Value> = (0..9u64).map(|i| Value::nat_seq(0..i)).collect();
         let singles: Vec<_> = inputs
             .iter()
@@ -293,7 +284,7 @@ mod tests {
     fn pack_amortizes_t_prime() {
         // The whole point: a fused batch of B pays ~one T', not B.
         let f = a::map(a::lam("x", a::add(a::var("x"), a::nat(1))));
-        let r = runner(f, Type::seq(Type::Nat), Backend::Seq);
+        let r = runner(f, Type::seq(Type::Nat));
         let inputs: Vec<Value> = (0..64).map(|_| Value::nat_seq(0..16)).collect();
         let mut seq_cost = Cost::ZERO;
         for v in &inputs {
@@ -313,31 +304,29 @@ mod tests {
     fn faulting_requests_classify_identically_in_both_modes() {
         // get(x) is Ω unless x is a singleton.
         let f = a::lam("x", a::get(a::var("x")));
-        for backend in [Backend::Seq, Backend::Par] {
-            let r = runner(f.clone(), Type::seq(Type::Nat), backend);
-            let inputs = vec![
-                Value::nat_seq([7]),
-                Value::nat_seq([1, 2]), // Ω
-                Value::nat_seq([9]),
-                Value::nat_seq([]), // Ω
-            ];
-            let singles: Vec<_> = inputs
-                .iter()
-                .map(|v| r.run_single(v).map(|p| p.0))
-                .collect();
-            assert!(singles[1].is_err() && singles[3].is_err());
-            for mode in [BatchMode::Pack, BatchMode::Lanes] {
-                let out = r.run_batch_mode(&inputs, mode);
-                assert_eq!(out.results, singles, "{backend:?}/{mode:?}");
-                assert!(!out.fused, "a faulting lane forces per-request execution");
-            }
+        let r = runner(f, Type::seq(Type::Nat));
+        let inputs = vec![
+            Value::nat_seq([7]),
+            Value::nat_seq([1, 2]), // Ω
+            Value::nat_seq([9]),
+            Value::nat_seq([]), // Ω
+        ];
+        let singles: Vec<_> = inputs
+            .iter()
+            .map(|v| r.run_single(v).map(|p| p.0))
+            .collect();
+        assert!(singles[1].is_err() && singles[3].is_err());
+        for mode in [BatchMode::Pack, BatchMode::Lanes] {
+            let out = r.run_batch_mode(&inputs, mode);
+            assert_eq!(out.results, singles, "{mode:?}");
+            assert!(!out.fused, "a faulting lane forces per-request execution");
         }
     }
 
     #[test]
     fn empty_batch() {
         let f = a::map(a::lam("x", a::var("x")));
-        let r = runner(f, Type::seq(Type::Nat), Backend::Seq);
+        let r = runner(f, Type::seq(Type::Nat));
         for mode in [BatchMode::Pack, BatchMode::Lanes] {
             let out = r.run_batch_mode(&[], mode);
             assert!(out.results.is_empty());
@@ -350,7 +339,7 @@ mod tests {
     #[test]
     fn mode_choice_follows_program_structure() {
         let inc = a::map(a::lam("x", a::add(a::var("x"), a::nat(1))));
-        let r = runner(inc, Type::seq(Type::Nat), Backend::Seq);
+        let r = runner(inc, Type::seq(Type::Nat));
         assert_eq!(r.cached().mode(), BatchMode::Pack);
         let small: Vec<Value> = (0..8).map(|_| Value::nat_seq(0..4)).collect();
         let big: Vec<Value> = (0..2).map(|_| Value::nat_seq(0..1 << 16)).collect();
@@ -363,7 +352,7 @@ mod tests {
             "x",
             a::cond(a::lt(a::var("x"), a::nat(2)), a::nat(0), a::var("x")),
         ));
-        let r = runner(branchy, Type::seq(Type::Nat), Backend::Seq);
+        let r = runner(branchy, Type::seq(Type::Nat));
         for inputs in [&[][..], &small, &big] {
             assert_eq!(r.plan(inputs), BatchMode::Lanes);
         }
@@ -373,7 +362,7 @@ mod tests {
             a::lam("x", a::lt(a::nat(0), a::var("x"))),
             a::lam("x", a::rshift(a::var("x"), a::nat(1))),
         );
-        let r = runner(halve, Type::Nat, Backend::Seq);
+        let r = runner(halve, Type::Nat);
         let tiny: Vec<Value> = vec![Value::nat(1), Value::nat(2)];
         let huge: Vec<Value> = (0..512u64)
             .map(|i| Value::nat(u64::MAX >> (i % 64)))

@@ -2,7 +2,7 @@
 //!
 //! Serving traffic means the same handler function is compiled once and
 //! executed millions of times, so the Theorem 7.1 pipeline must run
-//! exactly once per distinct `(function, opt level, backend)` — under
+//! exactly once per distinct `(function, opt level)` — under
 //! arbitrary thread contention.  [`CompiledCache`] guarantees that: the
 //! first thread to request a key runs the compiler, every concurrent
 //! requester blocks on that one compilation, and everybody gets the same
@@ -62,18 +62,13 @@ pub struct CacheKey {
     pub source: String,
     /// Optimization level the programs were compiled at.
     pub opt: OptLevel,
-    /// Backend the entry serves (the program text is backend-independent,
-    /// but serving systems tune and account per backend, so entries are
-    /// kept distinct).
-    pub backend: Backend,
 }
 
 impl CacheKey {
-    fn of(f: &Func, dom: &Type, opt: OptLevel, backend: Backend) -> CacheKey {
+    fn of(f: &Func, dom: &Type, opt: OptLevel) -> CacheKey {
         CacheKey {
             source: format!("{f} : {dom}"),
             opt,
-            backend,
         }
     }
 }
@@ -189,19 +184,31 @@ impl CompiledCache {
         self.len() == 0
     }
 
-    /// Returns the cached entry for `(f, opt, backend)`, compiling *both*
-    /// programs (single and pack kernel) on the first request.  Blocks if
-    /// another thread is currently compiling the same key; never compiles
-    /// a key twice — including failed compilations, whose error is cached
-    /// and returned to every requester.
+    /// [`CompiledCache::entry`] with an unused machine argument, kept
+    /// only because `bench/src/replay.rs` calls it and `bench/` is frozen;
+    /// ROADMAP item 1 removes it.
     pub fn get_or_compile(
         &self,
         f: &Func,
         dom: &Type,
         opt: OptLevel,
-        backend: Backend,
+        _: Backend,
     ) -> Result<Arc<CachedProgram>, EvalError> {
-        let key = CacheKey::of(f, dom, opt, backend);
+        self.entry(f, dom, opt)
+    }
+
+    /// Returns the cached entry for `(f, opt)`, compiling *both* programs
+    /// (single and pack kernel) on the first request.  Blocks if another
+    /// thread is currently compiling the same key; never compiles a key
+    /// twice — including failed compilations, whose error is cached and
+    /// returned to every requester.
+    pub fn entry(
+        &self,
+        f: &Func,
+        dom: &Type,
+        opt: OptLevel,
+    ) -> Result<Arc<CachedProgram>, EvalError> {
+        let key = CacheKey::of(f, dom, opt);
         let cell = {
             let mut map = self.map.lock().unwrap();
             map.entry(key.clone()).or_default().clone()
@@ -278,30 +285,22 @@ mod tests {
     fn second_lookup_hits_the_cache() {
         let cache = CompiledCache::new();
         let dom = Type::seq(Type::Nat);
-        let p1 = cache
-            .get_or_compile(&inc(), &dom, OptLevel::O1, Backend::Seq)
-            .unwrap();
-        let p2 = cache
-            .get_or_compile(&inc(), &dom, OptLevel::O1, Backend::Seq)
-            .unwrap();
+        let p1 = cache.entry(&inc(), &dom, OptLevel::O1).unwrap();
+        let p2 = cache.entry(&inc(), &dom, OptLevel::O1).unwrap();
         assert!(Arc::ptr_eq(&p1, &p2), "same shared entry");
         assert_eq!(cache.compiles(), 1);
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
-    fn opt_level_and_backend_are_part_of_the_key() {
+    fn opt_level_is_part_of_the_key() {
         let cache = CompiledCache::new();
         let dom = Type::seq(Type::Nat);
-        for (opt, backend) in [
-            (OptLevel::O0, Backend::Seq),
-            (OptLevel::O1, Backend::Seq),
-            (OptLevel::O1, Backend::Par),
-        ] {
-            cache.get_or_compile(&inc(), &dom, opt, backend).unwrap();
+        for opt in [OptLevel::O0, OptLevel::O1, OptLevel::O1] {
+            cache.entry(&inc(), &dom, opt).unwrap();
         }
-        assert_eq!(cache.compiles(), 3);
-        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.compiles(), 2);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -309,12 +308,8 @@ mod tests {
         let cache = CompiledCache::new();
         // `y` is unbound: translation fails.
         let broken = a::lam("x", a::add(a::var("x"), a::var("y")));
-        let e1 = cache
-            .get_or_compile(&broken, &Type::Nat, OptLevel::O1, Backend::Seq)
-            .unwrap_err();
-        let e2 = cache
-            .get_or_compile(&broken, &Type::Nat, OptLevel::O1, Backend::Seq)
-            .unwrap_err();
+        let e1 = cache.entry(&broken, &Type::Nat, OptLevel::O1).unwrap_err();
+        let e2 = cache.entry(&broken, &Type::Nat, OptLevel::O1).unwrap_err();
         assert_eq!(e1, e2);
         assert_eq!(cache.compiles(), 1, "negative result cached");
     }
@@ -336,9 +331,7 @@ mod tests {
         let dom = Type::seq(Type::Nat);
         // Tiny scalar-map kernel: the optimizer runs (registers shrink
         // vs the unoptimized lowering).
-        let entry = cache
-            .get_or_compile(&inc(), &dom, OptLevel::O1, Backend::Seq)
-            .unwrap();
+        let entry = cache.entry(&inc(), &dom, OptLevel::O1).unwrap();
         let k0 = compile_nsc_with(&ast::map(inc()), &Type::seq(dom.clone()), OptLevel::O0).unwrap();
         assert!(entry.batch.program.instrs.len() < k0.program.instrs.len());
         assert!(entry.batch.program.instrs.len() <= KERNEL_OPT_BUDGET);
@@ -346,9 +339,7 @@ mod tests {
         // A while-loop kernel blows past the budget and ships unoptimized
         // (identical to its O0 lowering).
         let f = a::lam("x", nsc_core::stdlib::numeric::sum_seq(a::var("x")));
-        let entry = cache
-            .get_or_compile(&f, &dom, OptLevel::O1, Backend::Seq)
-            .unwrap();
+        let entry = cache.entry(&f, &dom, OptLevel::O1).unwrap();
         let k0 = compile_nsc_with(&ast::map(f), &Type::seq(dom), OptLevel::O0).unwrap();
         assert!(
             k0.program.instrs.len() > KERNEL_OPT_BUDGET,

@@ -5,7 +5,7 @@
 //! *cheap at scale*:
 //!
 //! * [`cache::CompiledCache`] — a thread-safe compile-once cache keyed by
-//!   `(function, opt level, backend)`.  Each entry holds the optimized
+//!   `(function, opt level)`.  Each entry holds the optimized
 //!   program **and** the function's Map-Lemma batch kernel `map(f)`,
 //!   compiled alongside it.
 //! * [`batch::BatchRunner`] — executes `B` independent requests against

@@ -1,6 +1,5 @@
 //! The batch runtime's core contract, property-tested: `run_batch` —
-//! in **both** pack and lanes modes, on **both** backends — is
-//! bit-identical to a loop of single runs, in per-request *outputs* and
+//! in **both** pack and lanes modes — is bit-identical to a loop of single runs, in per-request *outputs* and
 //! per-request *fault/divergence classification*.
 //!
 //! Coverage:
@@ -13,19 +12,16 @@
 //! * random straight-line BVRAM programs from `bvram::fuzz` through the
 //!   multi-lane entry points (pack is source-level — the Map Lemma — so
 //!   raw programs batch via lanes; see `nsc_runtime::batch` docs);
-//! * batches whose packed register lengths straddle the rayon `GRAIN`,
-//!   so the `par` machine's threaded and sequential fills both serve
-//!   batched traffic.
+//! * a batch whose packed registers are far longer than any one
+//!   request's.
 //!
-//! The suite (18 compiled functions, each with its `map(f)` pack kernel,
-//! served on both backends from one shared entry) is compiled once per
+//! The suite (18 compiled functions, each with its `map(f)` pack kernel)
+//! is compiled once per
 //! test thread through a `CompiledCache` and reused across proptest
 //! cases — which is also the runtime's intended usage pattern.  The
 //! compiler recurses with program depth, so the stdlib sweep runs on a
 //! dedicated big-stack worker thread exactly like the `nsc` CLI driver.
 
-use bvram::par::GRAIN;
-use nsc_compile::Backend;
 use nsc_core::ast as a;
 use nsc_core::stdlib;
 use nsc_core::types::Type;
@@ -33,7 +29,6 @@ use nsc_core::value::Value;
 use nsc_runtime::{BatchMode, BatchRunner, CompiledCache};
 use proptest::prelude::*;
 use std::cell::OnceCell;
-use std::sync::Arc;
 
 /// Runs `f` on a thread with enough stack for the deepest stdlib
 /// compilations (`map(combine_flags)` and friends), mirroring
@@ -92,9 +87,7 @@ type Gen = Box<dyn Fn(&mut Words) -> Value>;
 
 struct Subject {
     name: &'static str,
-    /// One runner per backend (seq, par), sharing the cache entry's key
-    /// modulo backend.
-    runners: Vec<BatchRunner>,
+    runner: BatchRunner,
     gen: Gen,
 }
 
@@ -105,17 +98,9 @@ fn subject(
     dom: Type,
     gen: Gen,
 ) -> Subject {
-    // Compile once and serve the same shared entry on both backends (the
-    // program text is backend-independent; keying per backend is a
-    // serving-accounting choice the test does not need to pay twice for).
-    let entry = cache
-        .get_or_compile(&f, &dom, nsc_compile::OptLevel::O1, Backend::Seq)
+    let runner = BatchRunner::from_cache(cache, &f, &dom, nsc_compile::OptLevel::O1)
         .unwrap_or_else(|e| panic!("compiling {name}: {e}"));
-    let runners = vec![
-        BatchRunner::new(Arc::clone(&entry), Backend::Seq),
-        BatchRunner::new(entry, Backend::Par),
-    ];
-    Subject { name, runners, gen }
+    Subject { name, runner, gen }
 }
 
 fn pair_seq(w: &mut Words) -> Value {
@@ -423,33 +408,30 @@ fn with_suite<R>(f: impl FnOnce(&[Subject]) -> R) -> R {
 }
 
 /// The per-subject equivalence check: for one batch of inputs, both
-/// modes on both backends must reproduce the single-run loop exactly.
+/// modes must reproduce the single-run loop exactly.
 fn check_batch(s: &Subject, inputs: &[Value]) {
-    for runner in &s.runners {
-        let backend = runner.backend().name();
-        let singles: Vec<_> = inputs
-            .iter()
-            .map(|v| runner.run_single(v).map(|p| p.0))
-            .collect();
-        for mode in [BatchMode::Pack, BatchMode::Lanes] {
-            let out = runner.run_batch_mode(inputs, mode);
-            assert_eq!(
-                out.results, singles,
-                "{}/{backend}/{:?}: batch diverges from single runs",
-                s.name, mode
-            );
-        }
-        // `run_batch` dispatches to the entry's static mode — both
-        // candidate disciplines are verified above, so there is no third
-        // execution to check.
+    let singles: Vec<_> = inputs
+        .iter()
+        .map(|v| s.runner.run_single(v).map(|p| p.0))
+        .collect();
+    for mode in [BatchMode::Pack, BatchMode::Lanes] {
+        let out = s.runner.run_batch_mode(inputs, mode);
+        assert_eq!(
+            out.results, singles,
+            "{}/{:?}: batch diverges from single runs",
+            s.name, mode
+        );
     }
+    // `run_batch` dispatches to the entry's static mode — both candidate
+    // disciplines are verified above, so there is no third execution to
+    // check.
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Every stdlib function, random batches (size 0..7) of random
-    /// valid-and-faulting inputs, both modes, both backends.  No `#[test]`
+    /// valid-and-faulting inputs, both modes.  No `#[test]`
     /// attribute: the generated fn is driven by the big-stack wrapper
     /// below (the suite's compilations out-recurse the default stack).
     fn stdlib_batches_inner(
@@ -476,25 +458,18 @@ proptest! {
 
     /// Random straight-line BVRAM programs: the multi-lane entry points
     /// (the raw-program face of lanes mode) against a loop of single
-    /// runs — outputs, stats, and per-lane faults, with lane sizes
-    /// straddling the rayon GRAIN.
+    /// runs — outputs, stats, and per-lane faults.
     #[test]
     fn fuzz_program_lanes_match_single_run_loops(
         words in proptest::collection::vec(0u64..u64::MAX, 1..30),
         lens in proptest::collection::vec(0usize..12, 1..10),
-        straddle in 0u64..2,
     ) {
         use bvram::fuzz::{decode_program, FUZZ_REGS, FUZZ_INPUTS};
         let mut w = Words::new(&words);
         let lanes: Vec<Vec<Vec<u64>>> = lens
             .iter()
-            .enumerate()
-            .map(|(li, len)| {
-                let mut n0 = *len;
-                if straddle == 1 && li == 0 {
-                    n0 = GRAIN + (w.pick(64) as usize);
-                }
-                let mut lane = vec![(0..n0 as u64).map(|_| w.pick(50)).collect::<Vec<u64>>()];
+            .map(|len| {
+                let mut lane = vec![(0..*len as u64).map(|_| w.pick(50)).collect::<Vec<u64>>()];
                 for _ in 1..FUZZ_INPUTS {
                     lane.push((0..w.pick(8)).map(|_| w.pick(50)).collect());
                 }
@@ -509,10 +484,9 @@ proptest! {
             .map(|l| bvram::run_program(&prog, l))
             .collect();
         let seq = bvram::run_lanes_seq(&prog, lanes.clone());
-        let ray = bvram::run_lanes_rayon(&prog, lanes.clone(), false);
-        let ray_inner = bvram::run_lanes_rayon(&prog, lanes, true);
+        let ray = bvram::run_lanes_rayon(&prog, lanes);
         for (i, want) in singles.iter().enumerate() {
-            for (which, got) in [("seq", &seq[i]), ("rayon", &ray[i]), ("rayon+par", &ray_inner[i])] {
+            for (which, got) in [("seq", &seq[i]), ("rayon", &ray[i])] {
                 match (want, got) {
                     (Ok(a), Ok(b)) => {
                         prop_assert_eq!(&a.outputs, &b.outputs, "lane {} outputs ({})", i, which);
@@ -526,30 +500,24 @@ proptest! {
     }
 }
 
-/// Packed register lengths straddling GRAIN: B·n crosses the rayon
-/// grain, so the Par backend's parallel instruction paths execute under
-/// pack while each individual request stays below the grain.
+/// A wide batch: 18 requests of 257 elements pack into registers of
+/// 4,626, far longer than any one request's, and both modes still agree
+/// with the single runs.
 #[test]
-fn packed_batches_straddle_grain() {
+fn wide_packed_batches_match_single_runs() {
     let cache = CompiledCache::new();
     let f = nsc_runtime::workloads::map_square_plus_one();
     let dom = Type::seq(Type::Nat);
-    let n = 257u64; // per-request length
-    let b = GRAIN / n as usize + 2; // B*n > GRAIN
-    assert!(n < GRAIN as u64 && n * b as u64 > GRAIN as u64);
-    let inputs: Vec<Value> = (0..b as u64)
-        .map(|i| Value::nat_seq((0..n).map(move |j| (i * 31 + j) % 97)))
+    let inputs: Vec<Value> = (0..18u64)
+        .map(|i| Value::nat_seq((0..257).map(move |j| (i * 31 + j) % 97)))
         .collect();
-    for backend in [Backend::Seq, Backend::Par] {
-        let runner =
-            BatchRunner::from_cache(&cache, &f, &dom, nsc_compile::OptLevel::O1, backend).unwrap();
-        let singles: Vec<_> = inputs
-            .iter()
-            .map(|v| runner.run_single(v).map(|p| p.0))
-            .collect();
-        for mode in [BatchMode::Pack, BatchMode::Lanes] {
-            let out = runner.run_batch_mode(&inputs, mode);
-            assert_eq!(out.results, singles, "{backend:?}/{mode:?}");
-        }
+    let runner = BatchRunner::from_cache(&cache, &f, &dom, nsc_compile::OptLevel::O1).unwrap();
+    let singles: Vec<_> = inputs
+        .iter()
+        .map(|v| runner.run_single(v).map(|p| p.0))
+        .collect();
+    for mode in [BatchMode::Pack, BatchMode::Lanes] {
+        let out = runner.run_batch_mode(&inputs, mode);
+        assert_eq!(out.results, singles, "{mode:?}");
     }
 }

@@ -3,7 +3,7 @@
 //! compile hook *and* the cache's own counter) and must all observe the
 //! very same shared `CachedProgram`.
 
-use nsc_compile::{Backend, OptLevel};
+use nsc_compile::OptLevel;
 use nsc_core::ast as a;
 use nsc_core::types::Type;
 use nsc_core::value::Value;
@@ -30,7 +30,6 @@ fn n_threads_compile_exactly_once_and_share_the_program() {
         cache.set_compile_hook(Box::new(move |key| {
             hook_count.fetch_add(1, Ordering::SeqCst);
             assert_eq!(key.opt, OptLevel::O1);
-            assert_eq!(key.backend, Backend::Seq);
         }));
     }
     let barrier = Arc::new(Barrier::new(THREADS));
@@ -44,11 +43,9 @@ fn n_threads_compile_exactly_once_and_share_the_program() {
                 let f = handler();
                 let dom = Type::seq(Type::Nat);
                 barrier.wait(); // maximal contention on the cold key
-                let entry = cache
-                    .get_or_compile(&f, &dom, OptLevel::O1, Backend::Seq)
-                    .expect("compiles");
+                let entry = cache.entry(&f, &dom, OptLevel::O1).expect("compiles");
                 // Prove the entry is actually runnable from this thread.
-                let runner = BatchRunner::new(Arc::clone(&entry), Backend::Seq);
+                let runner = BatchRunner::of(Arc::clone(&entry));
                 let arg = Value::nat_seq(0..4 + t as u64);
                 let (got, _) = runner.run_single(&arg).unwrap();
                 let (want, _) = nsc_core::eval::apply_func(&handler(), arg).unwrap();
@@ -85,14 +82,17 @@ fn distinct_keys_compile_independently_under_contention() {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 // Three distinct keys spread over the threads.
-                let (f, opt, backend) = match t % 3 {
-                    0 => (handler(), OptLevel::O1, Backend::Seq),
-                    1 => (handler(), OptLevel::O0, Backend::Seq),
-                    _ => (handler(), OptLevel::O1, Backend::Par),
+                let (f, opt) = match t % 3 {
+                    0 => (handler(), OptLevel::O1),
+                    1 => (handler(), OptLevel::O0),
+                    _ => (
+                        a::map(a::lam("x", a::add(a::var("x"), a::nat(1)))),
+                        OptLevel::O1,
+                    ),
                 };
                 barrier.wait();
                 cache
-                    .get_or_compile(&f, &Type::seq(Type::Nat), opt, backend)
+                    .entry(&f, &Type::seq(Type::Nat), opt)
                     .expect("compiles")
             })
         })

@@ -4,7 +4,7 @@
 //! hands each request line to one request path ([`handle_line`]), and
 //! share one guarantee: **responses are written in request order per
 //! connection**.
-//! A connection may hit several shards (different functions/backends)
+//! A connection may hit several shards (one per function)
 //! whose batches complete out of order, so each connection runs a writer
 //! with a reorder buffer keyed by the connection-local request sequence
 //! number — shard-level FIFO plus connection-level reordering gives
@@ -59,17 +59,11 @@ pub fn handle_line(
             let _ = out.send((seq, protocol::render_draining()));
             LineOutcome::Shutdown
         }
-        Ok(Request::Call {
-            fn_name,
-            input,
-            backend,
-            id,
-        }) => {
+        Ok(Request::Call { fn_name, input, id }) => {
             let reply_out = out.clone();
             let reply_id = id.clone();
             let submitted = server.submit(
                 &fn_name,
-                backend,
                 input,
                 Box::new(move |r: Reply| {
                     let line = match &r.result {
@@ -443,10 +437,49 @@ not json at all\n\
         // serve_lines drained the server.
         assert_eq!(
             server
-                .submit("sq1", None, "[1]".into(), Box::new(|_| {}))
+                .submit("sq1", "[1]".into(), Box::new(|_| {}))
                 .unwrap_err()
                 .kind(),
             "shutdown"
+        );
+    }
+
+    /// There is one machine: on one connection, a call naming the `par`
+    /// backend is answered `bad-request` in its place, and the calls
+    /// around it — one naming `seq`, one naming none — are served.
+    #[test]
+    fn a_par_backend_request_is_refused_in_order() {
+        use std::io::Read;
+
+        let server = test_server();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+        let addr = listener.local_addr().unwrap();
+        let serving = std::thread::spawn(move || serve_tcp(&server, listener).unwrap());
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(
+                b"{\"fn\": \"sq1\", \"input\": \"[1, 2]\", \"id\": 0}\n\
+                  {\"fn\": \"sq1\", \"input\": \"[3]\", \"backend\": \"par\", \"id\": 1}\n\
+                  {\"fn\": \"double\", \"input\": \"[4]\", \"backend\": \"seq\", \"id\": 2}\n",
+            )
+            .unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut replies = String::new();
+        stream.read_to_string(&mut replies).unwrap();
+        let mut stop = TcpStream::connect(addr).unwrap();
+        stop.write_all(b"{\"cmd\": \"shutdown\"}").unwrap();
+        drop(stop);
+        serving.join().expect("accept loop exits after shutdown");
+
+        let lines: Vec<&str> = replies.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                r#"{"id": 0, "output": "[2, 5]"}"#,
+                r#"{"error": "bad request: `backend` must be \"seq\", the one machine", "id": 1, "kind": "bad-request"}"#,
+                r#"{"id": 2, "output": "[8]"}"#,
+            ],
+            "{replies}"
         );
     }
 

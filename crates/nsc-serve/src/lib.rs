@@ -8,8 +8,7 @@
 //! * [`server::Server`] — the function registry and shard directory.
 //!   Callers [`Server::submit`](server::Server::submit) one request
 //!   (function name + NSC value literal text) and get the reply through a
-//!   callback; requests are routed to a **shard** per
-//!   `(function, backend)`.
+//!   callback; requests are routed to a **shard** per function.
 //! * [`shard`] — each shard owns a *bounded* MPSC admission queue (a full
 //!   queue rejects with [`ServeError::Overloaded`] instead of growing
 //!   without bound) and a batcher thread with **one flush rule**: block

@@ -197,11 +197,10 @@ impl Metrics {
     /// fusion collapsed in its pack kernel), passed through so the
     /// metrics reply reports compile-time and run-time batching facts
     /// together.
-    pub fn snapshot(&self, function: &str, backend: &'static str, fused_stages: usize) -> Snapshot {
+    pub fn snapshot(&self, function: &str, fused_stages: usize) -> Snapshot {
         let m = self.inner.lock().unwrap();
         Snapshot {
             function: function.to_string(),
-            backend,
             fused_stages,
             queue_depth: self.depth.load(Ordering::Relaxed),
             submitted: m.submitted,
@@ -229,8 +228,6 @@ impl Metrics {
 pub struct Snapshot {
     /// Registered function name the shard serves.
     pub function: String,
-    /// Backend the shard executes on (`"seq"`/`"par"`).
-    pub backend: &'static str,
     /// `map ∘ map` stages source fusion collapsed in the shard's pack
     /// kernel (0 until the batcher finishes compiling, and for functions
     /// with no chained maps).
@@ -278,11 +275,13 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// The snapshot as a JSON object (the `{"cmd": "metrics"}` reply
-    /// carries one per shard).
+    /// carries one per shard).  Its constant `"backend": "seq"` names the
+    /// one machine, kept only because `bench/src/load.rs` selects the
+    /// shard by it and `bench/` is frozen; ROADMAP item 1 removes it.
     pub fn to_json(&self) -> Json {
         let mut m = BTreeMap::new();
         m.insert("fn".into(), Json::Str(self.function.clone()));
-        m.insert("backend".into(), Json::Str(self.backend.into()));
+        m.insert("backend".into(), Json::Str("seq".into()));
         m.insert("fused_stages".into(), Json::Num(self.fused_stages as f64));
         m.insert("queue_depth".into(), Json::Num(self.queue_depth as f64));
         m.insert("submitted".into(), Json::Num(self.submitted as f64));
@@ -363,7 +362,7 @@ mod tests {
         m.on_reply(1000, false);
         m.on_reply(2000, true);
         m.on_panic();
-        let s = m.snapshot("f", "seq", 3);
+        let s = m.snapshot("f", 3);
         assert_eq!(s.fused_stages, 3);
         assert_eq!(s.submitted, 2);
         assert_eq!(s.rejected, 1);
@@ -380,5 +379,6 @@ mod tests {
         let json = s.to_json().render();
         assert!(json.contains("\"mean_batch\": 2"));
         assert!(json.contains("\"fn\": \"f\""));
+        assert!(json.contains("\"backend\": \"seq\""));
     }
 }

@@ -6,15 +6,16 @@
 //!
 //! ```json
 //! {"fn": "main", "input": "[1, 2, 3]"}
-//! {"fn": "main", "input": "[1, 2, 3]", "id": 7, "backend": "par"}
+//! {"fn": "main", "input": "[1, 2, 3]", "id": 7}
 //! {"cmd": "metrics"}
 //! {"cmd": "shutdown"}
 //! ```
 //!
 //! `input` is a **string containing an NSC value literal** (the same
 //! grammar `nsc run --input` accepts); `id` is any JSON scalar and is
-//! echoed back verbatim; `backend` overrides the server's default shard
-//! backend.  Responses:
+//! echoed back verbatim.  There is one machine: a call may still say
+//! `"backend": "seq"`, and any other `backend` is a `bad-request`.
+//! Responses:
 //!
 //! ```json
 //! {"output": "[1, 4, 9]"}
@@ -29,7 +30,6 @@
 
 use crate::json::{self, Json};
 use crate::ServeError;
-use nsc_compile::Backend;
 use std::collections::BTreeMap;
 
 /// A parsed request line.
@@ -41,8 +41,6 @@ pub enum Request {
         fn_name: String,
         /// NSC value literal text.
         input: String,
-        /// Shard backend override.
-        backend: Option<Backend>,
         /// Correlation id, echoed into the response.
         id: Option<Json>,
     },
@@ -80,24 +78,17 @@ pub fn parse_request(line: &str) -> Result<Request, ServeError> {
         .as_str()
         .ok_or_else(|| bad("`input` must be a string containing an NSC value literal"))?
         .to_string();
-    let backend = match doc.get("backend") {
-        None => None,
-        Some(b) => match b.as_str() {
-            Some("seq") => Some(Backend::Seq),
-            Some("par") => Some(Backend::Par),
-            _ => return Err(bad("`backend` must be \"seq\" or \"par\"")),
-        },
-    };
+    if doc
+        .get("backend")
+        .is_some_and(|b| b.as_str() != Some("seq"))
+    {
+        return Err(bad("`backend` must be \"seq\", the one machine"));
+    }
     let id = doc.get("id").cloned();
     if id.as_ref().is_some_and(|id| !is_scalar(id)) {
         return Err(bad("`id` must be a JSON scalar"));
     }
-    Ok(Request::Call {
-        fn_name,
-        input,
-        backend,
-        id,
-    })
+    Ok(Request::Call { fn_name, input, id })
 }
 
 fn is_scalar(j: &Json) -> bool {
@@ -165,16 +156,14 @@ mod tests {
             Request::Call {
                 fn_name: "main".into(),
                 input: "[1, 2]".into(),
-                backend: None,
                 id: None,
             }
         );
         assert_eq!(
-            parse_request(r#"{"fn": "f", "input": "()", "backend": "par", "id": 3}"#).unwrap(),
+            parse_request(r#"{"fn": "f", "input": "()", "backend": "seq", "id": 3}"#).unwrap(),
             Request::Call {
                 fn_name: "f".into(),
                 input: "()".into(),
-                backend: Some(Backend::Par),
                 id: Some(Json::Num(3.0)),
             }
         );
@@ -202,6 +191,8 @@ mod tests {
             r#"{"input": "[1]"}"#,
             r#"{"fn": "f", "input": [1, 2]}"#,
             r#"{"fn": "f", "input": "()", "backend": "gpu"}"#,
+            r#"{"fn": "f", "input": "()", "backend": "par"}"#,
+            r#"{"fn": "f", "input": "()", "backend": 1}"#,
             r#"{"fn": "f", "input": "()", "id": [1]}"#,
             r#"{"cmd": "reboot"}"#,
         ] {

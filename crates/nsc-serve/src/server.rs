@@ -2,7 +2,7 @@
 
 use crate::shard::{ReplyFn, Shard};
 use crate::{ServeError, Snapshot};
-use nsc_compile::{Backend, OptLevel};
+use nsc_compile::OptLevel;
 use nsc_core::parse::Module;
 use nsc_core::types::Type;
 use nsc_core::Func;
@@ -28,8 +28,6 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Optimization level shards compile at.
     pub opt: OptLevel,
-    /// Default backend (requests may override per call).
-    pub backend: Backend,
     /// Flush observer, if any.
     pub on_flush: Option<FlushHook>,
 }
@@ -40,7 +38,6 @@ impl Default for ServeConfig {
             max_batch: 32,
             queue_cap: 1024,
             opt: OptLevel::O1,
-            backend: Backend::Seq,
             on_flush: None,
         }
     }
@@ -52,7 +49,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("max_batch", &self.max_batch)
             .field("queue_cap", &self.queue_cap)
             .field("opt", &self.opt)
-            .field("backend", &self.backend)
             .field("on_flush", &self.on_flush.as_ref().map(|_| "…"))
             .finish()
     }
@@ -62,12 +58,12 @@ impl std::fmt::Debug for ServeConfig {
 ///
 /// Register functions while you hold it exclusively, then share it
 /// (`Arc`) with any number of submitting threads.  Shards spin up
-/// lazily, on the first request per `(function, backend)`.
+/// lazily, on the first request per function.
 pub struct Server {
     cfg: ServeConfig,
     cache: Arc<CompiledCache>,
     fns: HashMap<String, (Func, Type)>,
-    shards: Mutex<HashMap<(String, Backend), Arc<Shard>>>,
+    shards: Mutex<HashMap<String, Arc<Shard>>>,
     draining: AtomicBool,
 }
 
@@ -141,21 +137,14 @@ impl Server {
     }
 
     /// Submits one request: `input` is NSC value literal text for
-    /// registered function `fn_name`, `backend` overrides the default
-    /// shard backend, and `reply` is invoked exactly once from the shard
-    /// when the request is answered.
+    /// registered function `fn_name`, and `reply` is invoked exactly once
+    /// from the shard when the request is answered.
     ///
     /// Returns the shard-local admission sequence number.  Errors are
     /// *synchronous* rejections (unknown function, full queue, draining
     /// server) — `reply` is dropped uncalled and the caller reports the
     /// error itself.
-    pub fn submit(
-        &self,
-        fn_name: &str,
-        backend: Option<Backend>,
-        input: String,
-        reply: ReplyFn,
-    ) -> Result<u64, ServeError> {
+    pub fn submit(&self, fn_name: &str, input: String, reply: ReplyFn) -> Result<u64, ServeError> {
         if self.draining.load(Ordering::SeqCst) {
             return Err(ServeError::ShuttingDown);
         }
@@ -163,7 +152,6 @@ impl Server {
             .fns
             .get(fn_name)
             .ok_or_else(|| ServeError::UnknownFunction(fn_name.to_string()))?;
-        let backend = backend.unwrap_or(self.cfg.backend);
         let shard = {
             let mut shards = self.shards.lock().unwrap();
             // Re-check under the directory lock: `drain` flips the flag
@@ -173,15 +161,12 @@ impl Server {
             if self.draining.load(Ordering::SeqCst) {
                 return Err(ServeError::ShuttingDown);
             }
-            let key = (fn_name.to_string(), backend);
-            Arc::clone(shards.entry(key).or_insert_with(|| {
-                let mut cfg = self.cfg.clone();
-                cfg.backend = backend;
+            Arc::clone(shards.entry(fn_name.to_string()).or_insert_with(|| {
                 Arc::new(Shard::spawn(
                     fn_name,
                     f.clone(),
                     dom.clone(),
-                    &cfg,
+                    &self.cfg,
                     Arc::clone(&self.cache),
                 ))
             }))
@@ -189,13 +174,13 @@ impl Server {
         shard.submit(input, reply)
     }
 
-    /// Point-in-time metrics for every live shard, sorted by
-    /// `(function, backend)` for stable output.
+    /// Point-in-time metrics for every live shard, sorted by function
+    /// name for stable output.
     pub fn snapshots(&self) -> Vec<Snapshot> {
         let shards = self.shards.lock().unwrap();
-        let mut keys: Vec<&(String, Backend)> = shards.keys().collect();
-        keys.sort_by_key(|(name, b)| (name.clone(), b.name()));
-        keys.iter().map(|k| shards[*k].snapshot()).collect()
+        let mut names: Vec<&String> = shards.keys().collect();
+        names.sort();
+        names.iter().map(|name| shards[*name].snapshot()).collect()
     }
 
     /// Graceful drain: stop admitting, let every shard answer its queued
@@ -240,7 +225,6 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         server.submit(
             fn_name,
-            None,
             input.into(),
             Box::new(move |r: crate::Reply| {
                 let _ = tx.send(r.result);
@@ -282,14 +266,9 @@ mod tests {
             .expect("submitting thread")
             .expect("admitted")
             .expect("answered");
-        let runner = nsc_runtime::BatchRunner::from_cache(
-            server.cache(),
-            &f,
-            &dom,
-            server.config().opt,
-            server.config().backend,
-        )
-        .unwrap();
+        let runner =
+            nsc_runtime::BatchRunner::from_cache(server.cache(), &f, &dom, server.config().opt)
+                .unwrap();
         let (direct, _) = runner
             .run_single(&nsc_core::value::Value::nat_seq(0..4))
             .unwrap();

@@ -1,4 +1,4 @@
-//! One `(function, backend)` shard: a bounded admission queue and its
+//! One function's shard: a bounded admission queue and its
 //! batcher thread.
 //!
 //! ### Admission
@@ -85,7 +85,6 @@ pub struct Shard {
     metrics: Arc<Metrics>,
     handle: Mutex<Option<JoinHandle<()>>>,
     function: String,
-    backend_name: &'static str,
     /// `map ∘ map` stages source fusion collapsed in this shard's pack
     /// kernel — written once by the batcher after it compiles, read by
     /// [`Shard::snapshot`] (0 until compilation finishes or if it fails).
@@ -96,7 +95,6 @@ impl std::fmt::Debug for Shard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shard")
             .field("function", &self.function)
-            .field("backend", &self.backend_name)
             .field("submitted", &self.seq.load(Ordering::Relaxed))
             .finish()
     }
@@ -123,7 +121,7 @@ impl Shard {
         let thread_metrics = Arc::clone(&metrics);
         let thread_fused = Arc::clone(&fused_stages);
         let handle = std::thread::Builder::new()
-            .name(format!("nsc-serve/{function_name}:{}", cfg.backend.name()))
+            .name(format!("nsc-serve/{function_name}"))
             .stack_size(BATCHER_STACK)
             .spawn(move || batcher(rx, f, dom, thread_cfg, cache, thread_metrics, thread_fused))
             .expect("spawn batcher thread");
@@ -133,7 +131,6 @@ impl Shard {
             metrics,
             handle: Mutex::new(Some(handle)),
             function: function_name.to_string(),
-            backend_name: cfg.backend.name(),
             fused_stages,
         }
     }
@@ -176,11 +173,8 @@ impl Shard {
 
     /// Point-in-time metrics.
     pub fn snapshot(&self) -> crate::Snapshot {
-        self.metrics.snapshot(
-            &self.function,
-            self.backend_name,
-            self.fused_stages.load(Ordering::Relaxed),
-        )
+        self.metrics
+            .snapshot(&self.function, self.fused_stages.load(Ordering::Relaxed))
     }
 
     /// Closes admission, lets the batcher drain every queued request,
@@ -203,7 +197,7 @@ fn batcher(
     metrics: Arc<Metrics>,
     fused_stages: Arc<AtomicUsize>,
 ) {
-    let runner = BatchRunner::from_cache(&cache, &f, &dom, cfg.opt, cfg.backend)
+    let runner = BatchRunner::from_cache(&cache, &f, &dom, cfg.opt)
         .map_err(|e| ServeError::Compile(e.to_string()));
     let runner = match runner {
         Ok(r) => {

@@ -351,14 +351,8 @@ fn with_suite<R>(f: impl FnOnce(&Suite) -> R) -> R {
             let mut oracles = Vec::new();
             for (name, f, dom, gen) in subjects() {
                 server.register(name, &f, &dom);
-                let runner = BatchRunner::from_cache(
-                    &cache,
-                    &f,
-                    &dom,
-                    nsc_compile::OptLevel::O1,
-                    nsc_compile::Backend::Seq,
-                )
-                .unwrap_or_else(|e| panic!("compiling {name}: {e}"));
+                let runner = BatchRunner::from_cache(&cache, &f, &dom, nsc_compile::OptLevel::O1)
+                    .unwrap_or_else(|e| panic!("compiling {name}: {e}"));
                 oracles.push((name, runner, gen));
             }
             Suite {
@@ -399,7 +393,6 @@ proptest! {
                         .server
                         .submit(
                             name,
-                            None,
                             v.to_string(),
                             Box::new(move |r| {
                                 let _ = tx.send((i, r));

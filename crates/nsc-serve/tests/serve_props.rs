@@ -61,7 +61,6 @@ fn submit(
     let tx = tx.clone();
     server.submit(
         fn_name,
-        None,
         input,
         Box::new(move |r| {
             let _ = tx.send(r);
@@ -307,7 +306,6 @@ fn full_queue_rejects_with_overloaded_and_accepted_work_completes() {
         let tx = tx.clone();
         server.submit(
             "sq1",
-            None,
             format!("[{i}]"),
             Box::new(move |r| {
                 let _ = tx.send(r);
@@ -477,7 +475,7 @@ fn tcp_front_orders_responses_and_drains_on_shutdown() {
     serving.join().expect("accept loop exits after shutdown");
     assert_eq!(
         server
-            .submit("sq1", None, "[1]".into(), Box::new(|_| {}))
+            .submit("sq1", "[1]".into(), Box::new(|_| {}))
             .unwrap_err()
             .kind(),
         "shutdown"

@@ -2,9 +2,8 @@
 //!
 //! Parses a `.nsc` module (see `nsc_core::parse`), type checks it, and
 //! either evaluates it under the Definition 3.1 cost semantics or compiles
-//! it through the full Theorem 7.1 pipeline and runs it on the BVRAM
-//! (sequential and/or rayon-parallel backend), printing the source `T`/`W`
-//! next to the machine `T'`/`W'`.
+//! it through the full Theorem 7.1 pipeline and runs it on the BVRAM,
+//! printing the source `T`/`W` next to the machine `T'`/`W'`.
 //!
 //! ```text
 //! nsc check   file.nsc                 parse + type check, print signatures
@@ -21,7 +20,7 @@
 //! or a pipe via `--stdin`) through the adaptive micro-batching server in
 //! `nsc::serve` — see the README's "Serving" section for the protocol.
 
-use nsc::compile::{compile_nsc_verified, run_compiled_on, Backend, OptLevel, VerifyLevel};
+use nsc::compile::{compile_nsc_verified, run_compiled, OptLevel, VerifyLevel};
 use nsc::core::eval::Evaluator;
 use nsc::core::parse::{parse_module, parse_value, Module};
 use nsc::core::{Cost, EvalError};
@@ -55,8 +54,6 @@ OPTIONS:
     --entry <name>      entry function (default: `main`, or the sole definition)
     --input <value>     argument, e.g. '[1, 2, 3]' (default: the file's `input`)
     --opt <0|1>         BVRAM optimization level (default: 1)
-    --backend <b>       seq | par | both — which machine(s) run the compiled
-                        code (default: both)
     --verify            (check/run/compile) run the static BVRAM verifier as
                         translation validation: every optimizer pass is
                         checked and the first invariant-breaking pass is
@@ -64,8 +61,8 @@ OPTIONS:
     --source-only       (run) skip compilation, evaluate only
     --fuel <n>          abort source evaluation after n rule applications
     --batch <n>         (run) also serve the input n times through the batch
-                        runtime, and print per backend the discipline that
-                        ran and the structural rule that chose it (pack iff
+                        runtime, and print the discipline that ran and
+                        the structural rule that chose it (pack iff
                         the compiled program and its map(f) kernel are
                         straight-line)
     --explain-fusion    (compile) print what source-level map fusion did to
@@ -91,7 +88,6 @@ struct Opts {
     entry: Option<String>,
     input: Option<String>,
     opt: OptLevel,
-    backends: Vec<Backend>,
     source_only: bool,
     fuel: Option<u64>,
     batch: Option<usize>,
@@ -118,7 +114,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Opts, String> {
         entry: None,
         input: None,
         opt: OptLevel::default(),
-        backends: vec![Backend::Seq, Backend::Par],
         source_only: false,
         fuel: None,
         batch: None,
@@ -136,19 +131,11 @@ fn parse_args(mut args: Vec<String>) -> Result<Opts, String> {
         "lint" => &[],
         "compile" => &["--entry", "--opt", "--verify", "--explain-fusion"],
         "cost" => &["--entry", "--opt"],
-        "serve" => &[
-            "--addr",
-            "--stdin",
-            "--opt",
-            "--backend",
-            "--max-batch",
-            "--queue-cap",
-        ],
+        "serve" => &["--addr", "--stdin", "--opt", "--max-batch", "--queue-cap"],
         _ => &[
             "--entry",
             "--input",
             "--opt",
-            "--backend",
             "--source-only",
             "--fuel",
             "--batch",
@@ -169,14 +156,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Opts, String> {
                     "0" => OptLevel::O0,
                     "1" => OptLevel::O1,
                     other => return Err(format!("--opt expects 0 or 1, got `{other}`")),
-                }
-            }
-            "--backend" => {
-                opts.backends = match val("--backend")?.as_str() {
-                    "seq" => vec![Backend::Seq],
-                    "par" => vec![Backend::Par],
-                    "both" => vec![Backend::Seq, Backend::Par],
-                    other => return Err(format!("--backend expects seq|par|both, got `{other}`")),
                 }
             }
             "--source-only" => opts.source_only = true,
@@ -511,63 +490,49 @@ fn cmd_run(opts: &Opts, module: &Module) -> Result<(), String> {
             Ok(pure) => {
                 let compiled = compile_nsc_verified(&pure, &def.dom, opts.opt, opts.verify)
                     .map_err(|e| format!("compiling `{entry}`: {e}"))?;
-                for &backend in &opts.backends {
-                    let (got, cost) = match run_compiled_on(&compiled, &input, backend) {
-                        Ok(x) => x,
-                        Err(EvalError::MachineFault(what)) => {
-                            return Err(format!("bvram/{}: compiler bug: {what}", backend.name()))
-                        }
-                        Err(e) => return Err(format!("bvram/{}: {e}", backend.name())),
-                    };
-                    if got != value {
-                        return Err(format!(
-                            "bvram/{} disagrees with the evaluator: {got} != {value}",
-                            backend.name()
-                        ));
+                // `seq` names the one machine in the rows below; the
+                // committed `tests/fixtures/run/*.out` goldens spell it so.
+                let (got, cost) = match run_compiled(&compiled, &input) {
+                    Ok(x) => x,
+                    Err(EvalError::MachineFault(what)) => {
+                        return Err(format!("bvram/seq: compiler bug: {what}"))
                     }
-                    rows.push((format!("bvram/{} (T'/W')", backend.name()), cost));
+                    Err(e) => return Err(format!("bvram/seq: {e}")),
+                };
+                if got != value {
+                    return Err(format!(
+                        "bvram/seq disagrees with the evaluator: {got} != {value}"
+                    ));
                 }
+                rows.push(("bvram/seq (T'/W')".into(), cost));
                 // Serve the input --batch times through the batched
                 // runtime; every result must equal the single-run answer.
-                // The entry's programs do not depend on the backend its
-                // key names, so one compilation serves every backend.
                 if let Some(b) = opts.batch {
                     let cached = CompiledCache::new()
-                        .get_or_compile(&pure, &def.dom, opts.opt, opts.backends[0])
+                        .entry(&pure, &def.dom, opts.opt)
                         .map_err(|e| format!("batch compile `{entry}`: {e}"))?;
                     let mode = explain_mode(&cached);
-                    let inputs = vec![input.clone(); b];
-                    for &backend in &opts.backends {
-                        let runner = BatchRunner::new(Arc::clone(&cached), backend);
-                        let outcome = runner.run_batch(&inputs);
-                        for (i, r) in outcome.results.iter().enumerate() {
-                            match r {
-                                Ok(v) if *v == value => {}
-                                Ok(v) => {
-                                    return Err(format!(
-                                        "batch/{} request {i} disagrees: {v} != {value}",
-                                        backend.name()
-                                    ))
-                                }
-                                Err(e) => {
-                                    return Err(format!(
-                                        "batch/{} request {i}: {e}",
-                                        backend.name()
-                                    ))
-                                }
+                    let outcome = BatchRunner::of(cached).run_batch(&vec![input.clone(); b]);
+                    for (i, r) in outcome.results.iter().enumerate() {
+                        match r {
+                            Ok(v) if *v == value => {}
+                            Ok(v) => {
+                                return Err(format!(
+                                    "batch/seq request {i} disagrees: {v} != {value}"
+                                ))
                             }
+                            Err(e) => return Err(format!("batch/seq request {i}: {e}")),
                         }
-                        rows.push((
-                            format!(
-                                "batch/{} B={b} {}{}",
-                                backend.name(),
-                                outcome.mode.name(),
-                                if outcome.fused { " (fused)" } else { "" }
-                            ),
-                            outcome.cost,
-                        ));
-                        let _ = writeln!(out, "batch/{}: {mode}", backend.name());
                     }
+                    rows.push((
+                        format!(
+                            "batch/seq B={b} {}{}",
+                            outcome.mode.name(),
+                            if outcome.fused { " (fused)" } else { "" }
+                        ),
+                        outcome.cost,
+                    ));
+                    let _ = writeln!(out, "batch/seq: {mode}");
                 }
             }
         }
@@ -616,9 +581,6 @@ fn cmd_serve(opts: &Opts, module: &Module) -> Result<(), String> {
         max_batch: opts.max_batch,
         queue_cap: opts.queue_cap,
         opt: opts.opt,
-        // `--backend seq|par` picks the default shard backend (requests
-        // may override per call); the `both` default falls back to seq.
-        backend: opts.backends.first().copied().unwrap_or(Backend::Seq),
         on_flush: None,
     };
     let mut server = Server::new(cfg);
@@ -629,14 +591,10 @@ fn cmd_serve(opts: &Opts, module: &Module) -> Result<(), String> {
     if server.functions().is_empty() {
         return Err("no servable definitions (every definition was skipped)".into());
     }
-    // Name the default backend in the banner: `--backend both` (also
-    // the default) falls back to seq for serving, and that choice must
-    // be visible, not silent.
     eprintln!(
-        "serving {} on {} (backend {}, max_batch {}, queue_cap {})",
+        "serving {} on {} (max_batch {}, queue_cap {})",
         server.functions().join(", "),
         opts.addr.as_deref().unwrap_or("stdin"),
-        server.config().backend.name(),
         opts.max_batch,
         opts.queue_cap,
     );

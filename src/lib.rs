@@ -21,7 +21,8 @@
 //!   what is queued, per-shard metrics, and the newline-delimited JSON
 //!   fronts;
 //! * [`machine`] — the Bounded Vector Random Access Machine: one
-//!   interpreter, sequential or with rayon-threaded fills;
+//!   interpreter, and lanes that run one program over many requests on
+//!   worker threads;
 //! * [`net`] — the Proposition 2.1 butterfly-network bound;
 //! * [`sched`] — the Proposition 3.2 CREW-with-scan Brent
 //!   simulation;

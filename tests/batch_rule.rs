@@ -13,7 +13,7 @@
 mod common;
 use common::{on_big_stack, sample, typed_suite};
 
-use nsc::compile::{Backend, OptLevel};
+use nsc::compile::OptLevel;
 use nsc::core::parse::parse_value;
 use nsc::core::value::Value;
 use nsc::core::{Func, Type};
@@ -22,7 +22,7 @@ use nsc::runtime::workloads::{self, goldens};
 use nsc::runtime::{BatchMode, BatchRunner, CompiledCache};
 
 fn runner(cache: &CompiledCache, name: &str, f: &Func, dom: &Type) -> BatchRunner {
-    BatchRunner::from_cache(cache, f, dom, OptLevel::O1, Backend::Seq)
+    BatchRunner::from_cache(cache, f, dom, OptLevel::O1)
         .unwrap_or_else(|e| panic!("compiling {name}: {e}"))
 }
 

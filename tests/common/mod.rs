@@ -43,36 +43,6 @@ pub fn sample(t: &Type, n: u64) -> Value {
     }
 }
 
-/// A small suite of closed NSC functions over [N] spanning map,
-/// divide-and-conquer, and batched while — used by the end-to-end
-/// differential tests and the cost-monotonicity properties.
-pub fn suite() -> Vec<(&'static str, Func)> {
-    vec![
-        (
-            "square+1",
-            a::map(a::lam(
-                "x",
-                a::add(a::mul(a::var("x"), a::var("x")), a::nat(1)),
-            )),
-        ),
-        (
-            "running-sum",
-            a::lam("x", nsc::core::stdlib::numeric::prefix_sum(a::var("x"))),
-        ),
-        (
-            "tree-sum",
-            a::lam("x", nsc::core::stdlib::numeric::sum_seq(a::var("x"))),
-        ),
-        (
-            "halve-all",
-            a::map(a::while_(
-                a::lam("x", a::lt(a::nat(0), a::var("x"))),
-                a::lam("x", a::rshift(a::var("x"), a::nat(1))),
-            )),
-        ),
-    ]
-}
-
 /// Every runnable stdlib function with its domain — shared by the
 /// static-verification suite (`tests/static_verify.rs`) and the
 /// cost-soundness suite (`tests/cost_soundness.rs`), so "the stdlib

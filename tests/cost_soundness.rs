@@ -4,15 +4,15 @@
 //! programs.  For each program that runs to completion, the measured
 //! [`bvram::Stats`] must sit under the symbolic certificate evaluated at
 //! the *actual* input-register lengths — `T ≤ T'(lens)` and
-//! `W ≤ W'(lens)` — on both backends and at both optimization levels.
+//! `W ≤ W'(lens)` — at both optimization levels.
 //!
 //! Soundness alone is satisfiable by `⊤` everywhere, so a precision
 //! sweep then pins the five golden examples (and the scalar-map stdlib
 //! workloads) to finite polynomial bounds.
 
 use bvram::{cost_program, CostReport, Stats};
-use nsc_compile::pipeline::{encode_arg, run_program_on};
-use nsc_compile::{compile_nsc_with, Backend, OptLevel};
+use nsc_compile::pipeline::{encode_arg, run_encoded};
+use nsc_compile::{compile_nsc_with, OptLevel};
 use nsc_core::types::Type;
 
 mod common;
@@ -52,7 +52,7 @@ fn assert_sound(what: &str, report: &CostReport, lens: &[u64], stats: &Stats) {
 }
 
 /// Every runnable stdlib function: measured cost under the symbolic
-/// bound, both backends, `O0` and `O1`, across an input-size sweep.
+/// bound, `O0` and `O1`, across an input-size sweep.
 #[test]
 fn stdlib_bounds_are_sound() {
     on_big_stack(|| {
@@ -66,25 +66,22 @@ fn stdlib_bounds_are_sound() {
                 let mut succeeded = false;
                 for n in [0u64, 1, 4, 9] {
                     let arg = sample(&dom, n);
-                    for backend in [Backend::Seq, Backend::Par] {
-                        let regs = encode_arg(&arg, &dom).unwrap();
-                        let lens = reg_lens(&regs);
-                        let Ok(out) = run_program_on(&c.program, regs, backend) else {
-                            // Partial functions (indexing past the end,
-                            // route invariants) may fault on generic
-                            // inputs; soundness only speaks about runs
-                            // that complete.
-                            continue;
-                        };
-                        succeeded = true;
-                        ran += 1;
-                        assert_sound(
-                            &format!("{name} at {level:?} n={n} {}", backend.name()),
-                            &report,
-                            &lens,
-                            &out.stats,
-                        );
-                    }
+                    let regs = encode_arg(&arg, &dom).unwrap();
+                    let lens = reg_lens(&regs);
+                    let Ok(out) = run_encoded(&c.program, regs) else {
+                        // Partial functions (indexing past the end, route
+                        // invariants) may fault on generic inputs;
+                        // soundness only speaks about runs that complete.
+                        continue;
+                    };
+                    succeeded = true;
+                    ran += 1;
+                    assert_sound(
+                        &format!("{name} at {level:?} n={n}"),
+                        &report,
+                        &lens,
+                        &out.stats,
+                    );
                 }
                 if !succeeded {
                     skipped.push(format!("{name} at {level:?}"));
@@ -98,12 +95,12 @@ fn stdlib_bounds_are_sound() {
             skipped.len() <= 2,
             "too many stdlib functions never ran: {skipped:?}"
         );
-        assert!(ran >= 100, "only {ran} successful runs across the roster");
+        assert!(ran >= 50, "only {ran} successful runs across the roster");
     });
 }
 
 /// Every golden `.nsc` example on its shipped `input`: measured cost
-/// under the symbolic bound, both backends, `O0` and `O1` — and the
+/// under the symbolic bound, `O0` and `O1` — and the
 /// precision half: each example's bounds must be finite polynomials at
 /// both levels (a sound-but-`⊤` analyzer fails here).
 #[test]
@@ -119,18 +116,11 @@ fn golden_example_bounds_are_sound_and_finite() {
                     "{name} at {level:?}: golden examples must get polynomial \
                      bounds, got\n{report}"
                 );
-                for backend in [Backend::Seq, Backend::Par] {
-                    let regs = encode_arg(&input, &dom).unwrap();
-                    let lens = reg_lens(&regs);
-                    let out = run_program_on(&c.program, regs, backend)
-                        .unwrap_or_else(|e| panic!("{name} at {level:?}: {e}"));
-                    assert_sound(
-                        &format!("{name} at {level:?} {}", backend.name()),
-                        &report,
-                        &lens,
-                        &out.stats,
-                    );
-                }
+                let regs = encode_arg(&input, &dom).unwrap();
+                let lens = reg_lens(&regs);
+                let out = run_encoded(&c.program, regs)
+                    .unwrap_or_else(|e| panic!("{name} at {level:?}: {e}"));
+                assert_sound(&format!("{name} at {level:?}"), &report, &lens, &out.stats);
             }
         }
     });
@@ -232,20 +222,13 @@ fn fuzz_bounds_are_sound() {
             .map(|&l| (0..l as u64).map(|i| i % 7 + 1).collect())
             .collect();
         let lens: Vec<u64> = input_lens.iter().map(|&l| l as u64).collect();
-        let seq = bvram::Machine::new(p.n_regs).run(&p, &inputs);
-        let par = bvram::Machine::par(p.n_regs, true).run(&p, &inputs);
-        for (backend, out) in [("seq", seq), ("par", par)] {
-            let Ok(out) = out else { continue };
-            ran += 1;
-            assert_sound(
-                &format!("fuzz seed {seed} {backend}"),
-                &report,
-                &lens,
-                &out.stats,
-            );
-        }
+        let Ok(out) = bvram::Machine::new(p.n_regs).run(&p, &inputs) else {
+            continue;
+        };
+        ran += 1;
+        assert_sound(&format!("fuzz seed {seed}"), &report, &lens, &out.stats);
     }
-    assert!(ran >= 100, "only {ran}/400 fuzz runs completed");
+    assert!(ran >= 50, "only {ran}/200 fuzz runs completed");
     assert!(
         finite >= 100,
         "only {finite}/200 fuzz programs got finite bounds"

@@ -1,13 +1,11 @@
 //! Cross-crate integration tests: the paper's whole pipeline exercised
 //! from the facade crate, plus property-based differential testing.
 
-use common::suite;
 use nsc::core::ast as a;
 use nsc::core::value::Value;
 use nsc::core::Type;
+use nsc::runtime::workloads::{halve_all, suite};
 use proptest::prelude::*;
-
-mod common;
 
 #[test]
 fn whole_pipeline_agrees_on_suite() {
@@ -59,12 +57,8 @@ fn brent_trace_is_exact_on_a_compiled_while_under_map() {
     // The flattened `while` loops on a `select`-packed active set, so its
     // trip count is data-dependent: the Proposition 3.2 trace must be the
     // real run's, step for step.
-    let (_, f) = suite()
-        .into_iter()
-        .find(|(n, _)| *n == "halve-all")
-        .unwrap();
     let dom = Type::seq(Type::Nat);
-    let c = nsc::compile::compile_nsc(&f, &dom).unwrap();
+    let c = nsc::compile::compile_nsc(&halve_all(), &dom).unwrap();
     let regs = nsc::compile::encode_arg(&Value::nat_seq([5, 0, 1000, 3, 64]), &dom).unwrap();
     let t = nsc::sched::run_traced(&c.program, &regs).unwrap();
     let stats = nsc::machine::run_program(&c.program, &regs).unwrap().stats;

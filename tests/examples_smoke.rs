@@ -5,7 +5,7 @@
 //! this test's own profile directory.
 //!
 //! (`tests/surface_syntax.rs` checks the `.nsc` files' *outputs* against
-//! golden values, per backend; here they only need to run.)
+//! golden values; here they only need to run.)
 
 use std::path::PathBuf;
 use std::process::Command;

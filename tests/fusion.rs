@@ -15,8 +15,7 @@ mod common;
 use common::sample;
 
 use nsc::compile::{
-    compile_nsc_unfused, compile_nsc_verified, run_compiled_on, Backend, Compiled, OptLevel,
-    VerifyLevel,
+    compile_nsc_unfused, compile_nsc_verified, run_compiled, Compiled, OptLevel, VerifyLevel,
 };
 use nsc::core::ast as a;
 use nsc::core::value::Value;
@@ -24,7 +23,7 @@ use nsc::core::{EvalError, Func, Type};
 
 /// Compiles `f` through both pipelines (full translation validation)
 /// and asserts bit-identical `Result`s — value *and* fault
-/// classification — on both backends at every sample size.
+/// classification — at every sample size.
 fn assert_fusion_invisible(name: &str, f: &Func, dom: &Type) {
     let cf = compile_nsc_verified(f, dom, OptLevel::O1, VerifyLevel::Full)
         .unwrap_or_else(|e| panic!("{name}: fused compile failed: {e}"));
@@ -32,16 +31,12 @@ fn assert_fusion_invisible(name: &str, f: &Func, dom: &Type) {
         .unwrap_or_else(|e| panic!("{name}: unfused compile failed: {e}"));
     for n in [0u64, 1, 4, 9] {
         let arg = sample(dom, n);
-        for backend in [Backend::Seq, Backend::Par] {
-            let rf = run_compiled_on(&cf, &arg, backend).map(|p| p.0);
-            let ru = run_compiled_on(&cu, &arg, backend).map(|p| p.0);
-            assert_eq!(
-                rf,
-                ru,
-                "{name}: fused and unfused pipelines diverge at n={n} on the {} backend",
-                backend.name()
-            );
-        }
+        let rf = run_compiled(&cf, &arg).map(|p| p.0);
+        let ru = run_compiled(&cu, &arg).map(|p| p.0);
+        assert_eq!(
+            rf, ru,
+            "{name}: fused and unfused pipelines diverge at n={n}"
+        );
     }
 }
 
@@ -60,7 +55,7 @@ fn fusion_is_invisible_over_the_stdlib_roster() {
 #[test]
 fn fusion_is_invisible_over_the_workload_suite() {
     let dom = Type::seq(Type::Nat);
-    for (name, f) in common::suite() {
+    for (name, f) in nsc::runtime::workloads::suite() {
         assert_fusion_invisible(name, &f, &dom);
     }
     for (name, f) in [
@@ -92,7 +87,7 @@ fn chained_workloads_fuse_and_classify_omega() {
     }
     let faulting = nsc::runtime::workloads::chained_maps_faulting();
     let c = compile_nsc_verified(&faulting, &dom, OptLevel::O1, VerifyLevel::Full).unwrap();
-    let err = run_compiled_on(&c, &Value::nat_seq(0..4), Backend::Seq)
+    let err = run_compiled(&c, &Value::nat_seq(0..4))
         .expect_err("input contains a zero, the middle stage divides by it");
     assert_eq!(err, EvalError::Omega, "fault misclassified: {err:?}");
 }
@@ -109,8 +104,8 @@ fn check_rewrite(rewrite: &str, original: &Func, rewritten: &Func) -> Result<(),
         .map_err(|e| format!("fuse rewrite `{rewrite}`: rewritten form does not compile: {e}"))?;
     for n in [0u64, 1, 4, 9] {
         let arg = Value::nat_seq((0..n).map(|i| i * 5 % 13));
-        let ro = run_compiled_on(&co, &arg, Backend::Seq).map(|p| p.0);
-        let rr = run_compiled_on(&cr, &arg, Backend::Seq).map(|p| p.0);
+        let ro = run_compiled(&co, &arg).map(|p| p.0);
+        let rr = run_compiled(&cr, &arg).map(|p| p.0);
         if ro != rr {
             return Err(format!(
                 "fuse rewrite `{rewrite}` is unsound at n={n}: {ro:?} vs {rr:?}"

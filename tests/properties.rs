@@ -23,8 +23,6 @@ fn to_value(v: &[Vec<u64>]) -> Value {
     )
 }
 
-mod common;
-
 // ---------------------------------------------------------------------------
 // Random NSC terms for the parser round-trip property.
 //
@@ -177,14 +175,13 @@ fn gen_scalar_body(w: &mut Words, depth: u64) -> nsc::core::Term {
 }
 
 /// Runs a compiled program under a step limit, mapping machine faults
-/// onto NSC error semantics exactly like `run_compiled_on`.  `None`
+/// onto NSC error semantics exactly like `run_compiled`.  `None`
 /// means the limit tripped — the program may genuinely diverge (fuzz
 /// functions can type check a constant-true `while`), so the caller
 /// must skip the comparison rather than decide it.
 fn run_bounded(
     c: &nsc::compile::Compiled,
     arg: &Value,
-    backend: nsc::compile::Backend,
 ) -> Option<Result<Value, nsc::core::EvalError>> {
     use nsc::compile::{decode_result, encode_arg, eval_error_of};
     use nsc::machine::MachineError;
@@ -192,8 +189,7 @@ fn run_bounded(
         Ok(r) => r,
         Err(e) => return Some(Err(e)),
     };
-    let out = backend
-        .machine(c.program.n_regs)
+    let out = nsc::machine::Machine::new(c.program.n_regs)
         .with_step_limit(1 << 22)
         .run_owned(&c.program, regs);
     match out {
@@ -209,7 +205,7 @@ thread_local! {
     /// so a process-global cache is not an option.)
     static COMPILED_SUITE: Vec<(&'static str, nsc::core::Func, nsc::compile::Compiled)> = {
         let dom = Type::seq(Type::Nat);
-        common::suite()
+        nsc::runtime::workloads::suite()
             .into_iter()
             .map(|(name, f)| {
                 let c = nsc::compile::compile_nsc(&f, &dom).expect(name);
@@ -320,23 +316,6 @@ proptest! {
         prop_assert_eq!(out.outputs[0].clone(), want);
     }
 
-    /// The rayon backend is bit-for-bit the sequential machine.
-    #[test]
-    fn prop_par_machine_agrees(xs in proptest::collection::vec(0u64..1000, 1..200)) {
-        use nsc::machine::{Builder, Instr::*, Op};
-        let mut b = Builder::new(1, 1);
-        b.push(Enumerate { dst: 1, src: 0 })
-            .push(Arith { dst: 2, op: Op::Mul, a: 0, b: 1 })
-            .push(Arith { dst: 3, op: Op::Max, a: 2, b: 0 })
-            .push(Select { dst: 0, src: 3 })
-            .push(Halt);
-        let p = b.build().unwrap();
-        let seq = nsc::machine::run_program(&p, std::slice::from_ref(&xs)).unwrap();
-        let par = nsc::machine::Machine::par(p.n_regs, true).run(&p, &[xs]).unwrap();
-        prop_assert_eq!(seq.outputs, par.outputs);
-        prop_assert_eq!(seq.stats, par.stats);
-    }
-
     /// The BVRAM optimizer preserves exact semantics on arbitrary random
     /// straight-line programs: identical outputs (or an identical fault,
     /// up to the shifted instruction index) and never-worse `T'`/`W'`.
@@ -414,8 +393,7 @@ proptest! {
 
     /// Source-level `map` fusion is invisible to fuzz functions: the
     /// fused and unfused pipelines agree on whether a function compiles
-    /// at all, and where both compile they agree bit-for-bit on both
-    /// backends — including whether a run faults as `Ω` or as a machine
+    /// at all, and where both compile they agree bit-for-bit — including whether a run faults as `Ω` or as a machine
     /// fault.  A step-limit trip on either side skips the case (fuzz
     /// functions can type check a genuinely divergent `while`).
     #[test]
@@ -424,7 +402,7 @@ proptest! {
         depth in 1u64..4,
         xs in proptest::collection::vec(0u64..50, 0..10),
     ) {
-        use nsc::compile::{compile_nsc_unfused, compile_nsc_verified, Backend, OptLevel, VerifyLevel};
+        use nsc::compile::{compile_nsc_unfused, compile_nsc_verified, OptLevel, VerifyLevel};
         let f = gen_func(&mut Words { ws: &words, i: 0 }, depth);
         let dom = Type::seq(Type::Nat);
         let fused = compile_nsc_verified(&f, &dom, OptLevel::O1, VerifyLevel::Full);
@@ -436,16 +414,8 @@ proptest! {
         );
         if let (Ok(cf), Ok(cu)) = (fused, unfused) {
             let arg = Value::nat_seq(xs.iter().copied());
-            for backend in [Backend::Seq, Backend::Par] {
-                if let (Some(rf), Some(ru)) =
-                    (run_bounded(&cf, &arg, backend), run_bounded(&cu, &arg, backend))
-                {
-                    prop_assert_eq!(
-                        rf, ru,
-                        "fused and unfused runs diverge on {} ({} backend)",
-                        f, backend.name()
-                    );
-                }
+            if let (Some(rf), Some(ru)) = (run_bounded(&cf, &arg), run_bounded(&cu, &arg)) {
+                prop_assert_eq!(rf, ru, "fused and unfused runs diverge on {}", f);
             }
         }
     }
@@ -461,10 +431,7 @@ proptest! {
         k in 2u64..5,
         xs in proptest::collection::vec(0u64..20, 0..10),
     ) {
-        use nsc::compile::{
-            compile_nsc_unfused, compile_nsc_verified, run_compiled, run_compiled_on,
-            Backend, OptLevel, VerifyLevel,
-        };
+        use nsc::compile::{compile_nsc_unfused, compile_nsc_verified, run_compiled, OptLevel, VerifyLevel};
         use nsc::core::ast as a;
         let mut w = Words { ws: &words, i: 0 };
         let mut body = a::var("v");
@@ -478,15 +445,9 @@ proptest! {
         prop_assert_eq!(cf.fused_stages, (k - 1) as usize, "chain did not fully fuse: {}", f);
         prop_assert_eq!(cu.fused_stages, 0usize);
         let arg = Value::nat_seq(xs.iter().copied());
-        for backend in [Backend::Seq, Backend::Par] {
-            let rf = run_compiled_on(&cf, &arg, backend).map(|p| p.0);
-            let ru = run_compiled_on(&cu, &arg, backend).map(|p| p.0);
-            prop_assert_eq!(
-                rf, ru,
-                "fused and unfused map chains diverge on {} ({} backend)",
-                f, backend.name()
-            );
-        }
+        let rf = run_compiled(&cf, &arg).map(|p| p.0);
+        let ru = run_compiled(&cu, &arg).map(|p| p.0);
+        prop_assert_eq!(rf, ru, "fused and unfused map chains diverge on {}", f);
         // The evaluator keeps fine-grained fault causes (`DivisionByZero`)
         // that the machine legitimately coarsens to `Ω`; what fusion must
         // preserve is success vs source-level fault, never a machine fault.

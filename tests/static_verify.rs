@@ -15,7 +15,7 @@ use bvram::cfg::Cfg;
 use bvram::instr::{Instr, Reg};
 use bvram::verify::{replay, run_forward, ForwardAnalysis};
 use bvram::{verify_program, Program};
-use nsc_compile::{compile_nsc_with, optimize_checked, Backend, OptLevel, VerifyLevel};
+use nsc_compile::{compile_nsc_with, optimize_checked, OptLevel, VerifyLevel};
 use nsc_core::ast as a;
 use nsc_core::parse::parse_module;
 use nsc_core::types::Type;
@@ -198,7 +198,7 @@ fn use_before_def_in_a_large_kernel_is_caught() {
             .find(|g| g.0 == "classify")
             .expect("examples/classify.nsc");
         let entry = CompiledCache::new()
-            .get_or_compile(&f, &dom, OptLevel::O1, Backend::Seq)
+            .entry(&f, &dom, OptLevel::O1)
             .expect("classify compiles and passes the cache's insert check");
         let kernel = &entry.batch.program;
         assert!(kernel.instrs.len() > 100_000, "workload choice");

@@ -4,11 +4,11 @@
 //!   fixtures (direct bodies *and* their Theorem 4.2 translations), and
 //!   Valiant's mergesort;
 //! * every `examples/*.nsc` golden file parses, type checks, evaluates,
-//!   and compiles to the same value on both BVRAM backends;
+//!   and compiles to the same value on the BVRAM;
 //! * common syntax/type mistakes produce the snapshot error messages;
 //! * the `nsc` CLI binary drives all of the above from the command line.
 
-use nsc::compile::{compile_nsc, run_compiled_on, Backend};
+use nsc::compile::{compile_nsc, run_compiled};
 use nsc::core::ast as a;
 use nsc::core::eval::Evaluator;
 use nsc::core::parse::{parse_func, parse_module, parse_term};
@@ -196,7 +196,7 @@ fn golden_list_is_exhaustive() {
 }
 
 #[test]
-fn golden_examples_run_on_both_backends() {
+fn golden_examples_run_on_the_bvram() {
     for (name, want) in golden() {
         let src = std::fs::read_to_string(examples_src_dir().join(name)).unwrap();
         let module = parse_module(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -216,22 +216,14 @@ fn golden_examples_run_on_both_backends() {
             .unwrap_or_else(|e| panic!("{name}: evaluator: {e}"));
         assert_eq!(evaled, want, "{name}: evaluator output");
 
-        // Theorem 7.1 pipeline on both machines.
+        // Theorem 7.1 pipeline on the machine.
         let pure = module
             .inlined("main")
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let compiled = compile_nsc(&pure, &def.dom).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let (seq_v, seq_c) = run_compiled_on(&compiled, &input, Backend::Seq)
-            .unwrap_or_else(|e| panic!("{name}: seq: {e}"));
-        let (par_v, par_c) = run_compiled_on(&compiled, &input, Backend::Par)
-            .unwrap_or_else(|e| panic!("{name}: par: {e}"));
-        assert_eq!(seq_v, want, "{name}: seq backend output");
-        assert_eq!(par_v, want, "{name}: par backend output");
-        assert_eq!(
-            (seq_c.time, seq_c.work),
-            (par_c.time, par_c.work),
-            "{name}: backend stats diverge"
-        );
+        let (got, _) =
+            run_compiled(&compiled, &input).unwrap_or_else(|e| panic!("{name}: bvram: {e}"));
+        assert_eq!(got, want, "{name}: bvram output");
     }
 }
 
@@ -341,14 +333,13 @@ fn run_fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/run")
 }
 
-/// `nsc run <file> --batch 8` on both backends: the seq output must match
+/// `nsc run <file> --batch 8`: the output must match
 /// `tests/fixtures/run/<stem>.out` byte for byte — source `T`/`W`, the
 /// compiled `T'`/`W'`, the batch row and the discipline line — so every
 /// compiler or optimizer change shows its cost delta in the diff (CI diffs
-/// the same files in release).  The par output must equal the seq output
-/// up to the backend name.
+/// the same files in release).
 #[test]
-fn cli_runs_every_example_on_both_backends() {
+fn cli_runs_every_example() {
     let bin = nsc_bin();
     assert!(bin.exists(), "nsc binary not found at {}", bin.display());
     for (name, want) in golden() {
@@ -357,36 +348,28 @@ fn cli_runs_every_example_on_both_backends() {
         let golden_path = run_fixture_dir().join(format!("{stem}.out"));
         let golden_out = std::fs::read_to_string(&golden_path)
             .unwrap_or_else(|e| panic!("missing run golden {}: {e}", golden_path.display()));
-        let mut outputs = Vec::new();
-        for backend in ["seq", "par"] {
-            let out = std::process::Command::new(&bin)
-                .arg("run")
-                .arg(&path)
-                .args(["--backend", backend, "--batch", "8"])
-                .output()
-                .expect("spawn nsc");
-            let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-            assert!(
-                out.status.success(),
-                "nsc run {name} --backend {backend} failed\n--- stdout ---\n{stdout}\n\
-                 --- stderr ---\n{}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            assert!(
-                stdout.contains(&format!("result = {want}")),
-                "nsc run {name}: expected `result = {want}` in\n{stdout}"
-            );
-            // Normalise the backend name in the `bvram/…` and `batch/…`
-            // lines and compare seq vs par verbatim, costs included.
-            outputs.push(stdout.replace("/par", "/seq"));
-        }
+        let out = std::process::Command::new(&bin)
+            .arg("run")
+            .arg(&path)
+            .args(["--batch", "8"])
+            .output()
+            .expect("spawn nsc");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            out.status.success(),
+            "nsc run {name} failed\n--- stdout ---\n{stdout}\n--- stderr ---\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            stdout.contains(&format!("result = {want}")),
+            "nsc run {name}: expected `result = {want}` in\n{stdout}"
+        );
         assert_eq!(
-            outputs[0],
+            stdout,
             golden_out,
             "nsc run {name} --batch 8 diverged from {}",
             golden_path.display()
         );
-        assert_eq!(outputs[0], outputs[1], "{name}: seq/par CLI output differs");
     }
 }
 
@@ -446,8 +429,8 @@ fn cli_reports_errors_with_nonzero_exit() {
     );
 
     // A non-recursive inlining failure must be a hard error, not a
-    // "note: not compiled" with exit 0 — otherwise CI's backend diff
-    // compares two empty cost tables and passes vacuously.
+    // "note: not compiled" with exit 0 — otherwise CI's golden diff
+    // compares an empty cost table and can pass vacuously.
     let chain = dir.join(format!("__nsc_chain_example_{}.nsc", std::process::id()));
     let mut src = String::new();
     let (defs, per) = (60usize, 30usize);
@@ -509,6 +492,25 @@ fn cli_reports_errors_with_nonzero_exit() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("does not accept `--explain`"));
+
+    // There is one BVRAM interpreter: the machine-choice flag is deleted
+    // on `run` and `serve` too, not defaulted.
+    let spo = spo.to_str().unwrap();
+    for args in [
+        &["run", spo, "--backend", "par"][..],
+        &["serve", spo, "--stdin", "--backend", "seq"],
+    ] {
+        let out = std::process::Command::new(&bin)
+            .args(args)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "nsc {args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("does not accept `--backend`"),
+            "nsc {args:?}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
