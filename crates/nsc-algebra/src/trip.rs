@@ -11,11 +11,11 @@
 //! * In **NSA** the bound may reference a component of the loop state by
 //!   a projection *path* ([`Trip::LenPath`]); the NSC → NSA translation
 //!   re-roots paths under `π₁` because the NSA loop state is `(x, ⟨Γ⟩)`.
-//! * The flattening translation resolves a path to a concrete *register
-//!   field* index ([`Trip::LenField`]) in the `SEQ`-encoded state, using
-//!   the invariant that the first field of any sequence encoding has
-//!   length exactly the source sequence's length.
-//! * Code generation turns the certificate into a
+//! * The flattening translation passes the path through unchanged.
+//! * Code generation walks the path over the flat state type to the
+//!   register block of the addressed component, using the invariant that
+//!   the first register of any sequence encoding has length exactly the
+//!   source sequence's length, and turns the certificate into a
 //!   `bvram::program::TripHint` on the loop's back-edge jump.
 //!
 //! `Unknown` is always a sound default (the analyzer reports `⊤`).
@@ -37,12 +37,8 @@ pub enum Trip {
     Const(u64),
     /// At most `length(π(state)) + 1` iterations, where `π` is a
     /// projection path to a sequence component of the loop state at
-    /// entry (used before flattening resolves field offsets).
+    /// entry (code generation resolves the path to a register).
     LenPath(Vec<Step>),
-    /// At most `field + 1` iterations, where `field` is the index of a
-    /// state register-field whose entry length bounds the trip count
-    /// (the flattened form of [`Trip::LenPath`]).
-    LenField(usize),
     /// No certificate; the cost analyzer reports `⊤` for the loop.
     Unknown,
 }

@@ -725,7 +725,6 @@ fn resolve_trip(trip: &Trip, state: &[Reg], dom: &Type) -> Option<TripBound> {
     match trip {
         Trip::Unknown => None,
         Trip::Const(c) => Some(TripBound::Const(*c)),
-        Trip::LenField(i) => state.get(*i).map(|r| TripBound::Len { reg: *r, add: 1 }),
         Trip::LenPath(path) => {
             let mut ty = dom;
             let mut off = 0usize;

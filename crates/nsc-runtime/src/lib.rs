@@ -24,8 +24,9 @@
 //!
 //! The batch modes are **semantically invisible**: per-request results —
 //! values and error classification — are bit-identical to a loop of
-//! single runs (property-tested over random programs and the whole
-//! stdlib in `tests/batch_equiv.rs`).
+//! single runs (property-tested over random programs in
+//! `tests/batch_equiv.rs` and over the whole stdlib in the workspace's
+//! `tests/roster/batch_equiv.rs`).
 #![warn(missing_docs)]
 
 pub mod batch;

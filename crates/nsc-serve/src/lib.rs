@@ -30,9 +30,9 @@
 //! Batching stays **semantically invisible**: a request routed through
 //! the server returns the same pretty-printed value — and the same
 //! `Ω`-vs-machine-fault error classification — as a direct single run of
-//! the compiled program (property-tested over the runnable stdlib in
-//! `tests/serve_equiv.rs`, with FIFO reply order per shard locked down in
-//! `tests/serve_props.rs`).
+//! the compiled program (property-tested over the runnable stdlib in the
+//! workspace's `tests/roster/serve_equiv.rs`, with FIFO reply order per
+//! shard locked down in `tests/serve_props.rs`).
 //!
 //! ### Threading
 //!

@@ -3,16 +3,14 @@
 //! The `map(f) ∘ map(g) ⇒ map(f ∘ g)` rewrite (`nsc::algebra::fuse`)
 //! runs on NSC source before translation, so a bug in it would
 //! miscompile *everything downstream* while still producing a
-//! verifier-clean BVRAM program.  These tests pin the rewrite against
-//! the unfused pipeline over the whole runnable stdlib roster and the
-//! shared workload suite — and check the harness itself has teeth by
-//! feeding it a deliberately unsound rewrite.
+//! verifier-clean BVRAM program.  These tests pin the chained-map
+//! workloads, where fusion fires, and check the differential harness
+//! itself has teeth by feeding it a deliberately unsound rewrite.  The
+//! sweeps over the stdlib roster and the workload suite live in
+//! `tests/roster/fusion.rs`, over the shared program cache.
 //!
 //! The randomized counterpart (fuzz functions, random map chains) lives
 //! in `tests/properties.rs`.
-
-mod common;
-use common::sample;
 
 use nsc::compile::{
     compile_nsc_unfused, compile_nsc_verified, run_compiled, Compiled, OptLevel, VerifyLevel,
@@ -20,54 +18,6 @@ use nsc::compile::{
 use nsc::core::ast as a;
 use nsc::core::value::Value;
 use nsc::core::{EvalError, Func, Type};
-
-/// Compiles `f` through both pipelines (full translation validation)
-/// and asserts bit-identical `Result`s — value *and* fault
-/// classification — at every sample size.
-fn assert_fusion_invisible(name: &str, f: &Func, dom: &Type) {
-    let cf = compile_nsc_verified(f, dom, OptLevel::O1, VerifyLevel::Full)
-        .unwrap_or_else(|e| panic!("{name}: fused compile failed: {e}"));
-    let cu = compile_nsc_unfused(f, dom, OptLevel::O1, VerifyLevel::Full)
-        .unwrap_or_else(|e| panic!("{name}: unfused compile failed: {e}"));
-    for n in [0u64, 1, 4, 9] {
-        let arg = sample(dom, n);
-        let rf = run_compiled(&cf, &arg).map(|p| p.0);
-        let ru = run_compiled(&cu, &arg).map(|p| p.0);
-        assert_eq!(
-            rf, ru,
-            "{name}: fused and unfused pipelines diverge at n={n}"
-        );
-    }
-}
-
-/// Fusion must be invisible on every runnable stdlib function — the
-/// roster shared with the static-verification and cost-soundness
-/// suites, so "the stdlib" means the same ASTs everywhere.
-#[test]
-fn fusion_is_invisible_over_the_stdlib_roster() {
-    for (name, f, dom) in common::typed_suite() {
-        assert_fusion_invisible(name, &f, &dom);
-    }
-}
-
-/// ... and on the shared workload suite plus the chained-map
-/// differential workloads, where fusion actually fires.
-#[test]
-fn fusion_is_invisible_over_the_workload_suite() {
-    let dom = Type::seq(Type::Nat);
-    for (name, f) in nsc::runtime::workloads::suite() {
-        assert_fusion_invisible(name, &f, &dom);
-    }
-    for (name, f) in [
-        ("map-chain x3", nsc::runtime::workloads::chained_maps()),
-        (
-            "map-chain omega",
-            nsc::runtime::workloads::chained_maps_faulting(),
-        ),
-    ] {
-        assert_fusion_invisible(name, &f, &dom);
-    }
-}
 
 /// The chained workloads fuse (two collapsed stages each), and the
 /// faulting chain's division by zero classifies as `Ω` — not a machine

@@ -16,6 +16,8 @@ use nsc::core::stdlib;
 use nsc::core::{Func, Type, Value};
 use std::path::PathBuf;
 
+mod common;
+
 fn roundtrip(name: &str, f: &Func) {
     let printed = f.to_string();
     let back = parse_func(&printed)
@@ -23,94 +25,17 @@ fn roundtrip(name: &str, f: &Func) {
     assert_eq!(&back, f, "{name}: parse(pretty(f)) != f");
 }
 
+/// Every roster function, and the `util` helper `lam2` the roster
+/// leaves out.
 #[test]
 fn stdlib_round_trips() {
-    let n = Type::Nat;
-    let cases: Vec<(&str, Func)> = vec![
-        ("pi1", stdlib::basic::pi1()),
-        ("pi2", stdlib::basic::pi2()),
-        ("broadcast", stdlib::basic::broadcast()),
-        ("sigma1", stdlib::basic::sigma1(&n)),
-        ("sigma2", stdlib::basic::sigma2(&n)),
-        (
-            "filter",
-            stdlib::basic::filter(a::lam("y", a::lt(a::var("y"), a::nat(5))), &n),
-        ),
-        (
-            "prefix_sum",
-            a::lam("x", stdlib::numeric::prefix_sum(a::var("x"))),
-        ),
-        (
-            "sum_seq",
-            a::lam("x", stdlib::numeric::sum_seq(a::var("x"))),
-        ),
-        (
-            "maximum",
-            a::lam("x", stdlib::numeric::maximum(a::var("x"))),
-        ),
-        (
-            "isqrt_pow2",
-            a::lam("x", stdlib::numeric::isqrt_pow2(a::var("x"))),
-        ),
-        (
-            "index",
-            a::lam(
-                "x",
-                stdlib::indexing::index(a::var("x"), a::singleton(a::nat(0)), &n),
-            ),
-        ),
-        (
-            "index_split",
-            a::lam(
-                "x",
-                stdlib::indexing::index_split(a::var("x"), a::singleton(a::nat(0))),
-            ),
-        ),
-        (
-            "bm_route",
-            a::lam(
-                "x",
-                stdlib::routing::bm_route(a::var("x"), a::var("x"), a::nat(3)),
-            ),
-        ),
-        (
-            "m_route",
-            a::lam("x", stdlib::routing::m_route(a::var("x"), a::var("x"))),
-        ),
-        (
-            "combine_flags",
-            a::lam(
-                "x",
-                stdlib::routing::combine_flags(a::var("x"), a::var("x"), a::var("x"), &n),
-            ),
-        ),
-        (
-            "nth",
-            a::lam("x", stdlib::lists::nth(a::var("x"), a::nat(0), &n)),
-        ),
-        (
-            "take",
-            a::lam("x", stdlib::lists::take(a::var("x"), a::nat(2), &n)),
-        ),
-        (
-            "drop",
-            a::lam("x", stdlib::lists::drop(a::var("x"), a::nat(2), &n)),
-        ),
-        ("first", a::lam("x", stdlib::lists::first(a::var("x"), &n))),
-        ("last", a::lam("x", stdlib::lists::last(a::var("x"), &n))),
-        ("tail", a::lam("x", stdlib::lists::tail(a::var("x"), &n))),
-        (
-            "remove_last",
-            a::lam("x", stdlib::lists::remove_last(a::var("x"), &n)),
-        ),
-        (
-            "lam2",
-            stdlib::util::lam2("a", "b", a::monus(a::var("a"), a::var("b"))),
-        ),
-    ];
-    for (name, f) in &cases {
-        roundtrip(name, f);
+    for s in common::roster() {
+        roundtrip(s.name, &s.f);
     }
+    roundtrip(
+        "lam2",
+        &stdlib::util::lam2("a", "b", a::monus(a::var("a"), a::var("b"))),
+    );
 }
 
 #[test]
@@ -336,8 +261,7 @@ fn run_fixture_dir() -> PathBuf {
 /// `nsc run <file> --batch 8`: the output must match
 /// `tests/fixtures/run/<stem>.out` byte for byte — source `T`/`W`, the
 /// compiled `T'`/`W'`, the batch row and the discipline line — so every
-/// compiler or optimizer change shows its cost delta in the diff (CI diffs
-/// the same files in release).
+/// compiler or optimizer change shows its cost delta in the diff.
 #[test]
 fn cli_runs_every_example() {
     let bin = nsc_bin();
@@ -369,6 +293,36 @@ fn cli_runs_every_example() {
             golden_out,
             "nsc run {name} --batch 8 diverged from {}",
             golden_path.display()
+        );
+    }
+}
+
+/// Every discipline line README.md quotes (`` `batch/seq: …` ``) is one
+/// `nsc run --batch` really prints: it is a line of some
+/// `tests/fixtures/run/*.out`, whitespace normalized.
+#[test]
+fn readme_quotes_only_real_discipline_lines() {
+    let norm = |s: &str| s.split_whitespace().collect::<Vec<_>>().join(" ");
+    let readme = std::fs::read_to_string(examples_src_dir().with_file_name("README.md")).unwrap();
+    let quotes: Vec<String> = readme
+        .match_indices("`batch/seq: ")
+        .map(|(i, _)| {
+            let rest = &readme[i + 1..];
+            norm(&rest[..rest.find('`').expect("closing backtick")])
+        })
+        .collect();
+    assert!(!quotes.is_empty(), "README.md quotes no discipline line");
+    let mut printed = Vec::new();
+    for entry in std::fs::read_dir(run_fixture_dir()).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "out") {
+            printed.extend(std::fs::read_to_string(path).unwrap().lines().map(norm));
+        }
+    }
+    for q in &quotes {
+        assert!(
+            printed.contains(q),
+            "README.md quotes `{q}`, which no tests/fixtures/run/*.out prints"
         );
     }
 }
@@ -429,7 +383,7 @@ fn cli_reports_errors_with_nonzero_exit() {
     );
 
     // A non-recursive inlining failure must be a hard error, not a
-    // "note: not compiled" with exit 0 — otherwise CI's golden diff
+    // "note: not compiled" with exit 0 — otherwise a golden diff
     // compares an empty cost table and can pass vacuously.
     let chain = dir.join(format!("__nsc_chain_example_{}.nsc", std::process::id()));
     let mut src = String::new();
@@ -594,7 +548,7 @@ fn cost_fixture_dir() -> PathBuf {
 
 /// Each shipped example's `nsc cost` output must match its golden under
 /// `tests/fixtures/cost/` byte-for-byte.  The symbolic W'/T' bounds are
-/// part of the CLI contract (CI diffs them as well), so an analyzer
+/// part of the CLI contract, so an analyzer
 /// precision regression — a bound collapsing to ⊤ or its degree jumping
 /// — shows up here as a golden mismatch rather than passing silently.
 #[test]
