@@ -228,9 +228,9 @@ fn exp_opt() {
 /// The pass census: what each `PASSES` row earns, counted by dropping
 /// that row alone and re-optimizing every census program — the goldens
 /// and the workload suite, each as its single program and as its
-/// `map(f)` kernel (kernels over `KERNEL_OPT_BUDGET` ship unoptimized
-/// and are skipped).  `T'` is measured on the golden input (a batch of
-/// one for kernels; `[0 .. 32)` for the suite).
+/// `map(f)` kernel (kernels over [`nsc_compile::OPT_BUDGET`] ship
+/// unoptimized and are skipped).  `T'` is measured on the golden input
+/// (a batch of one for kernels; `[0 .. 32)` for the suite).
 fn pass_census() {
     use nsc_compile::opt::{optimize_with, PASSES};
     use nsc_compile::{compile_nsc_opts, run_compiled, Compiled, OptLevel, VerifyLevel};
@@ -245,7 +245,7 @@ fn pass_census() {
         };
         let kernel = o0(&nsc_core::ast::map(f.clone()), &Type::seq(dom.clone()));
         programs.push((o0(&f, &dom), input.clone()));
-        if kernel.program.instrs.len() <= nsc_runtime::KERNEL_OPT_BUDGET {
+        if kernel.program.instrs.len() <= nsc_compile::OPT_BUDGET {
             programs.push((kernel, Value::seq(vec![input])));
         }
     }
@@ -493,7 +493,7 @@ fn exp_fusion() {
 /// runs on demand (`nsc cost`, the lint, the optimizer's gate), so it
 /// must stay interactive even on the largest
 /// kernel the cache ever holds — the while-heavy `sum` workload's
-/// `map(f)` kernel, which blows past [`nsc_runtime::KERNEL_OPT_BUDGET`]
+/// `map(f)` kernel, which blows past [`nsc_compile::OPT_BUDGET`]
 /// and ships at full unoptimized size.  Analyzes both cached programs of
 /// every shared-suite entry, timing each run, and asserts the slowest
 /// pack-kernel analysis finishes under 2 s; every pack kernel *within

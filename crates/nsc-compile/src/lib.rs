@@ -18,5 +18,5 @@ pub use opt::{optimize, optimize_checked, OptLevel, PassError, VerifyLevel};
 pub use pipeline::{
     compile_nsc, compile_nsc_opts, compile_nsc_unfused, compile_nsc_verified, compile_nsc_with,
     decode_result, differential, encode_arg, eval_error_of, run_compiled, run_encoded,
-    run_program_on, Backend, Compiled,
+    run_program_on, Backend, Compiled, OPT_BUDGET,
 };

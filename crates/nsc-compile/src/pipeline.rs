@@ -14,7 +14,7 @@
 use crate::codegen::compile_sa;
 use crate::layout::{regs_to_value, value_to_regs};
 use crate::opt::{optimize_checked, OptLevel, VerifyLevel};
-use bvram::{Machine, MachineError, Program, RunOutcome, Vector};
+use bvram::{verify_program, Machine, MachineError, Program, RunOutcome, Vector};
 use nsc_algebra::nsa::from_nsc::func_to_nsa;
 use nsc_algebra::sa::flatten::{compile, compile_type, decode, encode};
 use nsc_core::cost::Cost;
@@ -57,7 +57,8 @@ pub fn compile_nsc(f: &Func, dom: &Type) -> Result<Compiled, E> {
 }
 
 /// Compiles a closed NSC function `f : dom → cod` down to the BVRAM,
-/// running the [`crate::opt`] pass pipeline at the requested level.
+/// running the [`crate::opt`] pass pipeline at the requested level under
+/// the compile policy of [`compile_nsc_opts`].
 ///
 /// Translation validation follows the `NSC_VERIFY` environment variable
 /// ([`VerifyLevel::from_env`]); use [`compile_nsc_verified`] to choose
@@ -94,12 +95,28 @@ pub fn compile_nsc_unfused(
     compile_nsc_opts(f, dom, level, verify, false)
 }
 
+/// Lowerings above this instruction count ship **unoptimized**.
+///
+/// Flattening multiplies program size (a `while`-heavy function's
+/// `map(f)` kernel reaches millions of instructions), and the optimizer
+/// walks the program several times per round: seconds of compile
+/// latency for a constant-factor run-time win that a serving path
+/// cannot amortize on first request.  Measured before the optimizer,
+/// the largest program of the stdlib roster, the workload suite and the
+/// goldens is `combine_flags` at 216,324 instructions, well under the
+/// budget; past it are the `while`-heavy stdlib `map(f)` kernels (up to
+/// 9.4M instructions) and the Theorem 4.2 translations of the
+/// map-recursion fixtures (`range_sum` 1,295,309, `staircase`
+/// 2,530,664, `range_sum3` 2,547,866).
+pub const OPT_BUDGET: usize = 1 << 20;
+
 /// The fully explicit pipeline entry: optimization level, translation
 /// validation, and source-level fusion are all caller-chosen.  The
-/// compiled-program cache uses this to lower a pack kernel *fused but
-/// unoptimized* first, so the kernel-size optimizer gate
-/// (`KERNEL_OPT_BUDGET` in `nsc-runtime`) measures the program it would
-/// actually optimize.
+/// compile policy is the same for every caller: a lowering over
+/// [`OPT_BUDGET`] skips the optimizer, and every returned program
+/// verifies clean under `bvram::verify` (no structural violation, no
+/// use-before-def, no path off the end), or the call fails with
+/// [`E::MachineFault`].
 pub fn compile_nsc_opts(
     f: &Func,
     dom: &Type,
@@ -135,11 +152,31 @@ pub fn compile_nsc_opts(
             compile_type(&cod)
         )));
     }
+    // Free the translation's terms before the optimizer runs: a `map(f)`
+    // kernel's are tens of MiB, and would add to the optimizer's peak.
+    drop((nsa, sa));
+    let level = if program.instrs.len() > OPT_BUDGET {
+        OptLevel::O0
+    } else {
+        level
+    };
     let program = optimize_checked(program, level, verify, "codegen")
         .map_err(|e| E::MachineFault(e.to_string()))?;
-    let mut c = Compiled::from_parts(program, dom.clone(), cod);
+    let mut c = Compiled::from_parts(verified(program)?, dom.clone(), cod);
     c.fused_stages = fused_stages;
     Ok(c)
+}
+
+/// The compile gate: `program` if it verifies clean, else a
+/// [`E::MachineFault`] carrying the verifier's report.
+fn verified(program: Program) -> Result<Program, E> {
+    let report = verify_program(&program);
+    if !report.clean() {
+        return Err(E::MachineFault(format!(
+            "compiled program failed verification:\n{report}"
+        )));
+    }
+    Ok(program)
 }
 
 /// Maps a machine error onto the NSC-level error semantics.
@@ -433,6 +470,55 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn lowerings_over_the_budget_ship_unoptimized() {
+        // Compiling while-loop kernels recurses with program depth; give
+        // the test the same roomy stack the CLI driver uses.
+        std::thread::Builder::new()
+            .stack_size(256 * 1024 * 1024)
+            .spawn(budget_body)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    fn budget_body() {
+        let inc = || a::map(a::lam("y", a::add(a::var("y"), a::nat(1))));
+        // Under the budget the optimizer runs.
+        let seq_n = Type::seq(Type::Nat);
+        let c0 = compile_nsc_with(&inc(), &seq_n, OptLevel::O0).unwrap();
+        let c1 = compile_nsc_with(&inc(), &seq_n, OptLevel::O1).unwrap();
+        assert!(c1.program.instrs.len() < c0.program.instrs.len());
+
+        // `map(sum)` of a fusable chain lowers past the budget: it comes
+        // back exactly as lowered, verified, with its fusion count.
+        let dbl = a::map(a::lam("y", a::mul(a::var("y"), a::nat(2))));
+        let chain = a::app(inc(), a::app(dbl, a::var("x")));
+        let f = a::map(a::lam("x", stdlib::numeric::sum_seq(chain)));
+        let dom = Type::seq(seq_n);
+        let o0 = compile_nsc_opts(&f, &dom, OptLevel::O0, VerifyLevel::Off, true).unwrap();
+        assert!(o0.program.instrs.len() > OPT_BUDGET, "workload choice");
+        assert_eq!(o0.fused_stages, 1, "workload choice");
+        let c = compile_nsc_with(&f, &dom, OptLevel::O1).unwrap();
+        assert_eq!(c.program.instrs, o0.program.instrs);
+        assert_eq!(c.fused_stages, 1);
+        assert!(verify_program(&c.program).clean());
+    }
+
+    #[test]
+    fn programs_that_do_not_verify_clean_are_compile_errors() {
+        // v3 is never written, so the read of it at pc 0 is flagged.
+        use bvram::{Builder, Instr};
+        let mut b = Builder::new(1, 1);
+        b.push(Instr::Append { dst: 0, a: 0, b: 3 })
+            .push(Instr::Halt);
+        let err = verified(b.build().unwrap()).unwrap_err();
+        let E::MachineFault(what) = err else {
+            panic!("expected MachineFault, got {err:?}")
+        };
+        assert!(what.contains("pc 0: v3 is read before any write"), "{what}");
     }
 
     #[test]

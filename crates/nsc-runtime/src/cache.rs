@@ -14,9 +14,12 @@
 //!   for the *lanes* batch mode;
 //! * `batch` — the Map-Lemma kernel `map(f) : [s] → [t]`, which is what
 //!   the *pack* batch mode executes: one BVRAM run whose lane-offset
-//!   registers carry a whole batch (see [`crate::batch`]).  Kernels
-//!   larger than [`KERNEL_OPT_BUDGET`] skip the optimizer — a
-//!   compile-latency guard, not a semantic switch.
+//!   registers carry a whole batch (see [`crate::batch`]).
+//!
+//! Both come straight from [`compile_nsc_with`], under its compile
+//! policy: a lowering over [`nsc_compile::OPT_BUDGET`] skips the
+//! optimizer, and a program that does not verify clean is a compile
+//! error — so no request ever runs an unverified program.
 //!
 //! Each entry also fixes, once and for all, the **batching discipline**
 //! its batches run under ([`CachedProgram::mode`]): pack iff both
@@ -42,10 +45,7 @@
 //! normalize first or reuse the built AST.
 
 use crate::batch::BatchMode;
-use bvram::{verify_program, Program};
-use nsc_compile::{
-    compile_nsc_opts, compile_nsc_with, optimize_checked, Backend, Compiled, OptLevel, VerifyLevel,
-};
+use nsc_compile::{compile_nsc_with, Backend, Compiled, OptLevel};
 use nsc_core::ast;
 use nsc_core::error::EvalError;
 use nsc_core::types::Type;
@@ -65,7 +65,8 @@ pub struct CacheKey {
 }
 
 impl CacheKey {
-    fn of(f: &Func, dom: &Type, opt: OptLevel) -> CacheKey {
+    /// The key of `f : dom` at `opt`.
+    pub fn of(f: &Func, dom: &Type, opt: OptLevel) -> CacheKey {
         CacheKey {
             source: format!("{f} : {dom}"),
             opt,
@@ -115,36 +116,6 @@ pub type CompileHook = Box<dyn Fn(&CacheKey) + Send + Sync>;
 // after the guard drops — a hook may therefore re-enter the cache
 // (pre-warm a dependent key, swap itself out) without deadlocking.
 type SharedHook = Arc<dyn Fn(&CacheKey) + Send + Sync>;
-
-/// Pack kernels above this instruction count ship **unoptimized**.
-///
-/// Flattening `map(f)` multiplies program size (a `while`-heavy stdlib
-/// function's kernel reaches millions of instructions), and the
-/// optimizer's pass pipeline walks the program several times per round —
-/// seconds of compile latency for a constant-factor run-time win that a
-/// serving path cannot amortize on first request.  The *single-request*
-/// program is always optimized at the requested level; only an oversized
-/// batch kernel skips the pipeline.  Measured with the `ctime`
-/// methodology behind `exp_batch`: at this budget every golden-example
-/// kernel stays optimized — the largest (`dot_product`, ~745k
-/// instructions at `O0`) optimizes in about a second with the
-/// cross-block passes enabled, shrinking to ~48% of its unoptimized
-/// size — while the multi-million-instruction `while`-heavy stdlib
-/// kernels (which pack loses on anyway) still skip the pipeline.
-pub const KERNEL_OPT_BUDGET: usize = 1 << 20;
-
-/// Verifies a program once at cache insert, before any request can run
-/// it: no structural violations, no use-before-def, no path off the end
-/// ([`bvram::verify::Report::clean`]), whatever its size.
-fn verify_artifact(what: &str, program: &Program) -> Result<(), EvalError> {
-    let report = verify_program(program);
-    if !report.clean() {
-        return Err(EvalError::MachineFault(format!(
-            "{what} program failed verification at cache insert:\n{report}"
-        )));
-    }
-    Ok(())
-}
 
 type Entry = Arc<OnceLock<Result<Arc<CachedProgram>, EvalError>>>;
 
@@ -225,39 +196,9 @@ impl CompiledCache {
             if let Some(h) = hook {
                 h(&key);
             }
-            let compiled: Result<(Compiled, Compiled), EvalError> = (|| {
-                let single = compile_nsc_with(f, dom, opt)?;
-                // The kernel is lowered fused but unoptimized first so
-                // its size can gate the optimizer (see
-                // KERNEL_OPT_BUDGET).  Fusion follows the requested opt
-                // level (off at O0), exactly like the single program's
-                // pipeline.
-                let k0 = compile_nsc_opts(
-                    &ast::map(f.clone()),
-                    &Type::seq(dom.clone()),
-                    OptLevel::O0,
-                    VerifyLevel::from_env(),
-                    opt != OptLevel::O0,
-                )?;
-                let kernel = if opt != OptLevel::O0 && k0.program.instrs.len() <= KERNEL_OPT_BUDGET
-                {
-                    // Kernel optimization honors `NSC_VERIFY` the same
-                    // way `compile_nsc` does: per-pass translation
-                    // validation, with the failing pass named.
-                    let p = optimize_checked(k0.program, opt, VerifyLevel::from_env(), "codegen")
-                        .map_err(|e| EvalError::MachineFault(e.to_string()))?;
-                    let mut c = Compiled::from_parts(p, k0.dom, k0.cod);
-                    c.fused_stages = k0.fused_stages;
-                    c
-                } else {
-                    k0
-                };
-                verify_artifact("single", &single.program)?;
-                verify_artifact("batch kernel", &kernel.program)?;
-                Ok((single, kernel))
-            })();
-            compiled
-                .map(|(single, kernel)| Arc::new(CachedProgram::new(key.clone(), single, kernel)))
+            let single = compile_nsc_with(f, dom, opt)?;
+            let batch = compile_nsc_with(&ast::map(f.clone()), &Type::seq(dom.clone()), opt)?;
+            Ok(Arc::new(CachedProgram::new(key.clone(), single, batch)))
         })
         .clone()
     }
@@ -312,48 +253,6 @@ mod tests {
         let e2 = cache.entry(&broken, &Type::Nat, OptLevel::O1).unwrap_err();
         assert_eq!(e1, e2);
         assert_eq!(cache.compiles(), 1, "negative result cached");
-    }
-
-    #[test]
-    fn kernel_optimization_respects_the_size_budget() {
-        // Compiling while-loop kernels recurses with program depth; give
-        // the test the same roomy stack the CLI driver uses.
-        std::thread::Builder::new()
-            .stack_size(256 * 1024 * 1024)
-            .spawn(kernel_budget_body)
-            .unwrap()
-            .join()
-            .unwrap();
-    }
-
-    fn kernel_budget_body() {
-        let cache = CompiledCache::new();
-        let dom = Type::seq(Type::Nat);
-        // Tiny scalar-map kernel: the optimizer runs (registers shrink
-        // vs the unoptimized lowering).
-        let entry = cache.entry(&inc(), &dom, OptLevel::O1).unwrap();
-        let k0 = compile_nsc_with(&ast::map(inc()), &Type::seq(dom.clone()), OptLevel::O0).unwrap();
-        assert!(entry.batch.program.instrs.len() < k0.program.instrs.len());
-        assert!(entry.batch.program.instrs.len() <= KERNEL_OPT_BUDGET);
-
-        // A while-loop kernel blows past the budget and ships unoptimized
-        // (identical to its O0 lowering).
-        let f = a::lam("x", nsc_core::stdlib::numeric::sum_seq(a::var("x")));
-        let entry = cache.entry(&f, &dom, OptLevel::O1).unwrap();
-        let k0 = compile_nsc_with(&ast::map(f), &Type::seq(dom), OptLevel::O0).unwrap();
-        assert!(
-            k0.program.instrs.len() > KERNEL_OPT_BUDGET,
-            "workload choice"
-        );
-        assert_eq!(entry.batch.program.instrs.len(), k0.program.instrs.len());
-        // The single-request program is optimized regardless.
-        let s0 = compile_nsc_with(
-            &a::lam("x", nsc_core::stdlib::numeric::sum_seq(a::var("x"))),
-            &Type::seq(Type::Nat),
-            OptLevel::O0,
-        )
-        .unwrap();
-        assert!(entry.single.program.instrs.len() < s0.program.instrs.len());
     }
 
     /// The core types are `Arc`-based, so everything the serving layers

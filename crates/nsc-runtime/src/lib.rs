@@ -34,4 +34,8 @@ pub mod cache;
 pub mod workloads;
 
 pub use batch::{BatchMode, BatchOutcome, BatchRunner};
-pub use cache::{CacheKey, CachedProgram, CompileHook, CompiledCache, KERNEL_OPT_BUDGET};
+pub use cache::{CacheKey, CachedProgram, CompileHook, CompiledCache};
+/// [`nsc_compile::OPT_BUDGET`] under its old name, kept only because
+/// `bench/src/replay.rs` imports it and `bench/` is frozen; ROADMAP
+/// item 1 removes it.
+pub use nsc_compile::OPT_BUDGET as KERNEL_OPT_BUDGET;

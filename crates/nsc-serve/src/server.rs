@@ -2,7 +2,6 @@
 
 use crate::shard::{ReplyFn, Shard};
 use crate::{ServeError, Snapshot};
-use nsc_compile::OptLevel;
 use nsc_core::parse::Module;
 use nsc_core::types::Type;
 use nsc_core::Func;
@@ -26,8 +25,6 @@ pub struct ServeConfig {
     /// Admission queue capacity per shard; a full queue rejects with
     /// [`ServeError::Overloaded`].
     pub queue_cap: usize,
-    /// Optimization level shards compile at.
-    pub opt: OptLevel,
     /// Flush observer, if any.
     pub on_flush: Option<FlushHook>,
 }
@@ -37,7 +34,6 @@ impl Default for ServeConfig {
         ServeConfig {
             max_batch: 32,
             queue_cap: 1024,
-            opt: OptLevel::O1,
             on_flush: None,
         }
     }
@@ -48,7 +44,6 @@ impl std::fmt::Debug for ServeConfig {
         f.debug_struct("ServeConfig")
             .field("max_batch", &self.max_batch)
             .field("queue_cap", &self.queue_cap)
-            .field("opt", &self.opt)
             .field("on_flush", &self.on_flush.as_ref().map(|_| "…"))
             .finish()
     }
@@ -267,7 +262,7 @@ mod tests {
             .expect("admitted")
             .expect("answered");
         let runner =
-            nsc_runtime::BatchRunner::from_cache(server.cache(), &f, &dom, server.config().opt)
+            nsc_runtime::BatchRunner::from_cache(server.cache(), &f, &dom, Default::default())
                 .unwrap();
         let (direct, _) = runner
             .run_single(&nsc_core::value::Value::nat_seq(0..4))

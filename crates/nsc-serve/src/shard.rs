@@ -45,6 +45,7 @@
 
 use crate::metrics::Metrics;
 use crate::{ServeConfig, ServeError};
+use nsc_compile::OptLevel;
 use nsc_core::parse::parse_value;
 use nsc_core::types::Type;
 use nsc_core::Func;
@@ -197,7 +198,7 @@ fn batcher(
     metrics: Arc<Metrics>,
     fused_stages: Arc<AtomicUsize>,
 ) {
-    let runner = BatchRunner::from_cache(&cache, &f, &dom, cfg.opt)
+    let runner = BatchRunner::from_cache(&cache, &f, &dom, OptLevel::default())
         .map_err(|e| ServeError::Compile(e.to_string()));
     let runner = match runner {
         Ok(r) => {

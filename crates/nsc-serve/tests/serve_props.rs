@@ -205,7 +205,6 @@ proptest! {
             max_batch,
             queue_cap: 4096,
             on_flush: Some(hook),
-            ..ServeConfig::default()
         });
         let (tx, rx) = mpsc::channel::<Reply>();
         submit(&server, "sq1", "[]".into(), &tx).unwrap();
@@ -251,7 +250,6 @@ proptest! {
             max_batch,
             queue_cap: 64,
             on_flush: Some(hook),
-            ..ServeConfig::default()
         });
         let (tx, rx) = mpsc::channel::<Reply>();
         submit(&server, "sq1", "[]".into(), &tx).unwrap();
@@ -299,7 +297,6 @@ fn full_queue_rejects_with_overloaded_and_accepted_work_completes() {
                 let _ = rx.recv();
             }
         })),
-        ..ServeConfig::default()
     });
     let (tx, rx) = mpsc::channel::<Reply>();
     let submit = |i: u64| {

@@ -21,11 +21,12 @@
 //! `nsc::serve` — see the README's "Serving" section for the protocol.
 
 use nsc::compile::{compile_nsc_verified, run_compiled, OptLevel, VerifyLevel};
+use nsc::core::ast::map;
 use nsc::core::eval::Evaluator;
 use nsc::core::parse::{parse_module, parse_value, Module};
-use nsc::core::{Cost, EvalError};
+use nsc::core::{Cost, EvalError, Type};
 use nsc::machine::cfg::Cfg;
-use nsc::runtime::{BatchMode, BatchRunner, CachedProgram, CompiledCache};
+use nsc::runtime::{BatchMode, BatchRunner, CacheKey, CachedProgram};
 use nsc::serve::{front, ServeConfig, Server};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -53,7 +54,7 @@ USAGE:
 OPTIONS:
     --entry <name>      entry function (default: `main`, or the sole definition)
     --input <value>     argument, e.g. '[1, 2, 3]' (default: the file's `input`)
-    --opt <0|1>         BVRAM optimization level (default: 1)
+    --opt <0|1>         (run/compile/cost) BVRAM optimization level (default: 1)
     --verify            (check/run/compile) run the static BVRAM verifier as
                         translation validation: every optimizer pass is
                         checked and the first invariant-breaking pass is
@@ -131,7 +132,7 @@ fn parse_args(mut args: Vec<String>) -> Result<Opts, String> {
         "lint" => &[],
         "compile" => &["--entry", "--opt", "--verify", "--explain-fusion"],
         "cost" => &["--entry", "--opt"],
-        "serve" => &["--addr", "--stdin", "--opt", "--max-batch", "--queue-cap"],
+        "serve" => &["--addr", "--stdin", "--max-batch", "--queue-cap"],
         _ => &[
             "--entry",
             "--input",
@@ -508,11 +509,18 @@ fn cmd_run(opts: &Opts, module: &Module) -> Result<(), String> {
                 // Serve the input --batch times through the batched
                 // runtime; every result must equal the single-run answer.
                 if let Some(b) = opts.batch {
-                    let cached = CompiledCache::new()
-                        .entry(&pure, &def.dom, opts.opt)
-                        .map_err(|e| format!("batch compile `{entry}`: {e}"))?;
+                    let kernel = compile_nsc_verified(
+                        &map(pure.clone()),
+                        &Type::seq(def.dom.clone()),
+                        opts.opt,
+                        opts.verify,
+                    )
+                    .map_err(|e| format!("batch compile `{entry}`: {e}"))?;
+                    let key = CacheKey::of(&pure, &def.dom, opts.opt);
+                    let cached = CachedProgram::new(key, compiled, kernel);
                     let mode = explain_mode(&cached);
-                    let outcome = BatchRunner::of(cached).run_batch(&vec![input.clone(); b]);
+                    let outcome =
+                        BatchRunner::of(Arc::new(cached)).run_batch(&vec![input.clone(); b]);
                     for (i, r) in outcome.results.iter().enumerate() {
                         match r {
                             Ok(v) if *v == value => {}
@@ -580,7 +588,6 @@ fn cmd_serve(opts: &Opts, module: &Module) -> Result<(), String> {
     let cfg = ServeConfig {
         max_batch: opts.max_batch,
         queue_cap: opts.queue_cap,
-        opt: opts.opt,
         on_flush: None,
     };
     let mut server = Server::new(cfg);

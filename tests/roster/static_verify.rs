@@ -13,10 +13,9 @@ use super::common::{on_big_stack, roster};
 use super::{entry, goldens};
 use bvram::instr::{Instr, Reg};
 use bvram::{verify_program, Program};
-use nsc::compile::{compile_nsc_opts, optimize_checked, OptLevel, VerifyLevel};
+use nsc::compile::{compile_nsc_verified, OptLevel, VerifyLevel, OPT_BUDGET};
 use nsc::core::ast as a;
 use nsc::core::Type;
-use nsc::runtime::KERNEL_OPT_BUDGET;
 
 fn assert_clean(what: &str, prog: &Program) {
     let report = verify_program(prog);
@@ -44,42 +43,32 @@ fn stdlib_verifies_clean_at_o0_and_o1() {
 
 /// The Map-Lemma pack kernels `map(f) : [s] → [t]` — what the batch
 /// runtime actually executes — verify clean as lowered, and the shared
-/// `O1` kernel is, instruction for instruction, what the per-pass
-/// validated optimizer (`VerifyLevel::Full`) makes of that lowering.
+/// `O1` kernel is, instruction for instruction, what the pipeline makes
+/// of `map(f)` under per-pass translation validation
+/// (`VerifyLevel::Full`).
 #[test]
 fn map_kernels_verify_clean() {
     on_big_stack(|| {
         for s in roster() {
             let k0 = &entry(s.name, &s.f, &s.dom, OptLevel::O0).batch.program;
             assert_clean(&format!("map({}) at O0", s.name), k0);
-            // The cache's compile-latency guard: kernels past the budget
-            // ship unoptimized, so there is no pass to validate.
-            if k0.instrs.len() > KERNEL_OPT_BUDGET {
+            // Lowerings past the budget ship unoptimized, so there is no
+            // pass to validate.
+            if k0.instrs.len() > OPT_BUDGET {
                 continue;
             }
-            let validated = |p: Program| {
-                optimize_checked(p, OptLevel::O1, VerifyLevel::Full, s.name)
-                    .unwrap_or_else(|e| panic!("optimizing map({}): {e}", s.name))
-            };
-            let mut opt = validated(k0.clone());
-            assert_clean(&format!("map({}) at O1", s.name), &opt);
+            let validated = compile_nsc_verified(
+                &a::map(s.f.clone()),
+                &Type::seq(s.dom.clone()),
+                OptLevel::O1,
+                VerifyLevel::Full,
+            )
+            .unwrap_or_else(|e| panic!("compiling map({}): {e}", s.name))
+            .program;
+            assert_clean(&format!("map({}) at O1", s.name), &validated);
             let k1 = &entry(s.name, &s.f, &s.dom, OptLevel::O1).batch.program;
-            if opt.instrs != k1.instrs {
-                // `O1` lowers the fused `map(f)`, and fusion renames
-                // variables even where it finds no chain (`tail`): validate
-                // the lowering the cache optimized.
-                let fused = compile_nsc_opts(
-                    &a::map(s.f.clone()),
-                    &Type::seq(s.dom.clone()),
-                    OptLevel::O0,
-                    VerifyLevel::Full,
-                    true,
-                )
-                .unwrap_or_else(|e| panic!("lowering the fused map({}): {e}", s.name));
-                opt = validated(fused.program);
-            }
             assert!(
-                opt.instrs == k1.instrs,
+                validated.instrs == k1.instrs,
                 "map({}): the shared O1 kernel is not the validated one",
                 s.name
             );

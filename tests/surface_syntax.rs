@@ -465,6 +465,15 @@ fn cli_reports_errors_with_nonzero_exit() {
             "nsc {args:?}"
         );
     }
+
+    // Shards compile at the default level: `serve` has no `--opt`.
+    let out = std::process::Command::new(&bin)
+        .args(["serve", spo, "--stdin", "--opt", "0"])
+        .stdin(std::process::Stdio::null())
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("does not accept `--opt`"));
 }
 
 // ---------------------------------------------------------------------------
