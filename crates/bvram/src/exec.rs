@@ -10,6 +10,14 @@
 //! calling thread.  Parallelism on a real host is across requests — one
 //! warm machine per worker thread ([`crate::lanes`]) — not inside one
 //! instruction.
+//!
+//! The loop allocates nothing per executed instruction: the operand table
+//! ([`Instr::inputs`]) is an inline value, and every body writes into the
+//! destination register's own buffer, which allocates only when that
+//! buffer must grow — or, for a route whose destination aliases a data
+//! operand, into a fresh one.  An `Arith` instruction decodes its `Op`
+//! once and then runs one monomorphized element loop ([`Op::apply`]
+//! stays the only definition of the arithmetic).
 
 use crate::instr::{Instr, Op};
 use crate::program::Program;
@@ -175,8 +183,7 @@ fn validate_bm(bound_len: usize, counts: &[u64], values: &[u64]) -> Result<(), &
     if counts.len() != values.len() {
         return Err("bm_route: |counts| != |values|");
     }
-    let total: u64 = counts.iter().sum();
-    if total != bound_len as u64 {
+    if checked_sum(counts) != Some(bound_len as u64) {
         return Err("bm_route: sum(counts) != |bound|");
     }
     Ok(())
@@ -193,15 +200,19 @@ fn validate_sbm(
     if counts.len() != segs.len() {
         return Err("sbm_route: |counts| != |segs|");
     }
-    let total: u64 = counts.iter().sum();
-    if total != bound_len as u64 {
+    if checked_sum(counts) != Some(bound_len as u64) {
         return Err("sbm_route: sum(counts) != |bound|");
     }
-    let data_total: u64 = segs.iter().sum();
-    if data_total != data.len() as u64 {
+    if checked_sum(segs) != Some(data.len() as u64) {
         return Err("sbm_route: sum(segs) != |data|");
     }
     Ok(())
+}
+
+/// `Σ xs`, or `None` past `u64::MAX` — an overflowing count vector can
+/// never match a register length, so it fails the invariant.
+fn checked_sum(xs: &[u64]) -> Option<u64> {
+    xs.iter().try_fold(0u64, |acc, &x| acc.checked_add(x))
 }
 
 /// Splits mutable access: `(&mut regs[i], &regs[j])` for `i != j`.
@@ -222,28 +233,57 @@ fn reg_pair_mut(regs: &mut [Vector], i: usize, j: usize) -> (&mut Vector, &Vecto
 /// `dst[i] ← op(a[i], b[i])`; `dst` is the destination's
 /// own buffer and a `None` operand aliases it (updated in place).  `None`
 /// on an arithmetic fault.
+///
+/// `op` is decoded here, once per instruction: each arm instantiates
+/// [`fill`] with a closure over a constant `Op`, so the element loop
+/// runs the one operation's body with no per-element dispatch.
 fn arith_fill(op: Op, dst: &mut Vector, a: Option<&[u64]>, b: Option<&[u64]>) -> Option<()> {
+    match op {
+        Op::Add => fill(dst, a, b, |m, n| Op::Add.apply(m, n)),
+        Op::Monus => fill(dst, a, b, |m, n| Op::Monus.apply(m, n)),
+        Op::Mul => fill(dst, a, b, |m, n| Op::Mul.apply(m, n)),
+        Op::Div => fill(dst, a, b, |m, n| Op::Div.apply(m, n)),
+        Op::Mod => fill(dst, a, b, |m, n| Op::Mod.apply(m, n)),
+        Op::Rshift => fill(dst, a, b, |m, n| Op::Rshift.apply(m, n)),
+        Op::Lshift => fill(dst, a, b, |m, n| Op::Lshift.apply(m, n)),
+        Op::Min => fill(dst, a, b, |m, n| Op::Min.apply(m, n)),
+        Op::Max => fill(dst, a, b, |m, n| Op::Max.apply(m, n)),
+        Op::Log2 => fill(dst, a, b, |m, n| Op::Log2.apply(m, n)),
+        Op::Eq => fill(dst, a, b, |m, n| Op::Eq.apply(m, n)),
+        Op::Le => fill(dst, a, b, |m, n| Op::Le.apply(m, n)),
+        Op::Lt => fill(dst, a, b, |m, n| Op::Lt.apply(m, n)),
+    }
+}
+
+/// The element loop of [`arith_fill`], generic over the operation.
+#[inline]
+fn fill(
+    dst: &mut Vector,
+    a: Option<&[u64]>,
+    b: Option<&[u64]>,
+    f: impl Fn(u64, u64) -> Option<u64>,
+) -> Option<()> {
     match (a, b) {
         (None, None) => {
             for x in dst.iter_mut() {
-                *x = op.apply(*x, *x)?;
+                *x = f(*x, *x)?;
             }
         }
         (None, Some(b)) => {
             for (x, y) in dst.iter_mut().zip(b) {
-                *x = op.apply(*x, *y)?;
+                *x = f(*x, *y)?;
             }
         }
         (Some(a), None) => {
             for (y, x) in dst.iter_mut().zip(a) {
-                *y = op.apply(*x, *y)?;
+                *y = f(*x, *y)?;
             }
         }
         (Some(a), Some(b)) => {
             dst.clear();
             dst.reserve(a.len());
             for (x, y) in a.iter().zip(b) {
-                dst.push(op.apply(*x, *y)?);
+                dst.push(f(*x, *y)?);
             }
         }
     }
@@ -539,6 +579,15 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_counts_fail_the_route_invariant() {
+        // Σ counts wraps to 0 = |bound| unless the sum is checked.
+        let err = bm_route(0, &[u64::MAX, 1], &[7, 8]).unwrap_err();
+        assert_eq!(err, "bm_route: sum(counts) != |bound|");
+        let err = sbm_route(1, &[1, 0], &[], &[u64::MAX, 1]).unwrap_err();
+        assert_eq!(err, "sbm_route: sum(segs) != |data|");
+    }
+
+    #[test]
     fn sbm_route_cartesian_product() {
         // Singleton counts/segs: cartesian product of [5,6] and [1,2,3].
         // bound length must be 3 (counts [3] over values nested [1,2,3]...):
@@ -728,6 +777,192 @@ mod tests {
         let p = b.build().unwrap();
         let out = run_program(&p, &[]).unwrap();
         assert_eq!(out.outputs[0], vec![5, 6, 2]);
+    }
+
+    /// The naive semantics the machine's loop must reproduce: a fresh
+    /// `Vec` per write, [`Op::apply`] per element, work from
+    /// [`Instr::inputs`] plus the written length.
+    fn reference_run(prog: &Program, inputs: &[Vector]) -> Result<RunOutcome, MachineError> {
+        let mut regs = vec![Vec::new(); prog.n_regs];
+        regs[..inputs.len()].clone_from_slice(inputs);
+        let mut stats = Stats::default();
+        let mut pc = 0;
+        loop {
+            let ins = prog.instrs.get(pc).ok_or(MachineError::FellOffEnd)?;
+            let r = |x: crate::instr::Reg| &regs[x as usize];
+            let i = ins.inputs(); // routes: bound, counts, then values or data, segs
+            let in_work: u64 = i.iter().map(|&x| r(x).len() as u64).sum();
+            let route = |what| MachineError::RouteInvariant { at: pc, what };
+            stats.time += 1;
+            let next = match *ins {
+                Goto { target } => target as usize,
+                IfEmptyGoto { reg, target } if r(reg).is_empty() => target as usize,
+                _ => pc + 1,
+            };
+            let out: Option<Vector> = match *ins {
+                Move { src, .. } => Some(r(src).clone()),
+                Arith { op, a, b, .. } => {
+                    let (a, b) = (r(a), r(b));
+                    if a.len() != b.len() {
+                        let (a, b) = (a.len(), b.len());
+                        return Err(MachineError::LengthMismatch { at: pc, a, b });
+                    }
+                    let v: Option<Vector> =
+                        a.iter().zip(b).map(|(&m, &n)| op.apply(m, n)).collect();
+                    Some(v.ok_or(MachineError::Arithmetic { at: pc })?)
+                }
+                Empty { .. } => Some(vec![]),
+                Singleton { n, .. } => Some(vec![n]),
+                Append { a, b, .. } => Some([&r(a)[..], &r(b)[..]].concat()),
+                Length { src, .. } => Some(vec![r(src).len() as u64]),
+                Enumerate { src, .. } => Some((0..r(src).len() as u64).collect()),
+                BmRoute { .. } => Some(bm_route(r(i[0]).len(), r(i[1]), r(i[2])).map_err(route)?),
+                SbmRoute { .. } => {
+                    Some(sbm_route(r(i[0]).len(), r(i[1]), r(i[2]), r(i[3])).map_err(route)?)
+                }
+                Select { src, .. } => Some(r(src).iter().copied().filter(|&x| x != 0).collect()),
+                Goto { .. } | IfEmptyGoto { .. } => None,
+                Halt => {
+                    stats.work += in_work;
+                    let outputs = regs[..prog.r_out].to_vec();
+                    return Ok(RunOutcome { outputs, stats });
+                }
+            };
+            let out_len = out.as_ref().map_or(0, Vec::len);
+            if let (Some(d), Some(v)) = (ins.output(), out) {
+                regs[d as usize] = v;
+            }
+            stats.work += in_work + out_len as u64;
+            stats.max_len = stats.max_len.max(out_len);
+            pc = next;
+        }
+    }
+
+    /// Runs `prog` on the warm machine `m`, on a fresh machine and on
+    /// [`reference_run`]; all three must agree on outputs or error, and
+    /// on every [`Stats`] field.
+    fn assert_matches_reference(m: &mut Machine, prog: &Program, inputs: &[Vector]) {
+        let want = reference_run(prog, inputs);
+        for got in [m.run(prog, inputs), run_program(prog, inputs)] {
+            match (&got, &want) {
+                (Ok(g), Ok(w)) => {
+                    assert_eq!(g.outputs, w.outputs, "{prog}");
+                    assert_eq!(g.stats, w.stats, "{prog}");
+                }
+                (Err(g), Err(w)) => assert_eq!(g, w, "{prog}"),
+                _ => panic!("machine {got:?} vs reference {want:?}\n{prog}"),
+            }
+        }
+    }
+
+    const ALL_OPS: [Op; 13] = [
+        Op::Add,
+        Op::Monus,
+        Op::Mul,
+        Op::Div,
+        Op::Mod,
+        Op::Rshift,
+        Op::Lshift,
+        Op::Min,
+        Op::Max,
+        Op::Log2,
+        Op::Eq,
+        Op::Le,
+        Op::Lt,
+    ];
+
+    /// Every op in every aliasing shape on copies of `v0`/`v1`, each
+    /// result appended to the accumulator `v5`.
+    fn every_op_every_alias() -> Program {
+        let mut b = Builder::new(2, 6);
+        for op in ALL_OPS {
+            let arith = |dst, a, b| Arith { dst, op, a, b };
+            for (copy_b, ins, res) in [
+                (true, arith(2, 2, 3), 2),  // dst == a
+                (true, arith(3, 2, 3), 3),  // dst == b
+                (false, arith(2, 2, 2), 2), // a == b == dst
+                (false, arith(4, 2, 2), 4), // a == b, dst apart
+                (true, arith(4, 2, 3), 4),  // no aliasing
+            ] {
+                b.push(Move { dst: 2, src: 0 });
+                if copy_b {
+                    b.push(Move { dst: 3, src: 1 });
+                }
+                b.push(ins).push(Append {
+                    dst: 5,
+                    a: 5,
+                    b: res,
+                });
+            }
+        }
+        b.push(Halt);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn loop_matches_reference_on_every_op_and_alias_shape() {
+        let p = every_op_every_alias();
+        let mut m = Machine::new(1);
+        let max = u64::MAX;
+        for inputs in [
+            [vec![6, 9, 1, 12, 63], vec![2, 3, 1, 4, 5]],
+            [vec![7, 0, 3], vec![1, 2, 3]],   // 0 / 0 under a == b
+            [vec![5, 8], vec![0, 1]],         // division by zero
+            [vec![max, 1], vec![1, 64]],      // overflow, and 1 << 64
+            [vec![1 << 40, 3], vec![30, 62]], // overflowing shift
+            [vec![], vec![]],
+            [vec![1, 2], vec![3]], // length mismatch
+        ] {
+            assert_matches_reference(&mut m, &p, &inputs);
+        }
+    }
+
+    #[test]
+    fn loop_matches_reference_on_fuzz_programs() {
+        use crate::fuzz::{decode_program, FUZZ_REGS};
+        let mut state = 0x853c_49e6_748f_ea9bu64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let pool = [0, 1, 2, 3, 7, 63, 64, 1 << 32, 1 << 63, u64::MAX];
+        let (mut m, mut ran) = (Machine::new(0), 0);
+        for _ in 0..400 {
+            let lens = [0; 3].map(|_| (next() % 7) as usize);
+            let inputs: Vec<Vector> = lens
+                .iter()
+                .map(|&l| (0..l).map(|_| pool[(next() % 10) as usize]).collect())
+                .collect();
+            let words: Vec<u64> = (0..24).map(|_| next()).collect();
+            let p = decode_program(&words, lens, FUZZ_REGS);
+            ran += usize::from(reference_run(&p, &inputs).is_ok());
+            assert_matches_reference(&mut m, &p, &inputs);
+        }
+        assert!(ran >= 100, "only {ran}/400 fuzz programs ran to halt");
+    }
+
+    #[test]
+    fn one_warm_machine_runs_programs_of_different_sizes() {
+        // Grow the register file, then run a smaller program on it: the
+        // surplus registers must not leak into the smaller run.
+        let wide = every_op_every_alias();
+        let mut b = Builder::new(1, 2);
+        b.push(Enumerate { dst: 1, src: 0 })
+            .push(Arith {
+                dst: 0,
+                op: Op::Add,
+                a: 0,
+                b: 1,
+            })
+            .push(Halt);
+        let narrow = b.build().unwrap();
+        assert!(narrow.n_regs < wide.n_regs);
+        let mut m = Machine::new(narrow.n_regs);
+        assert_matches_reference(&mut m, &narrow, &[vec![4; 3]]);
+        assert_matches_reference(&mut m, &wide, &[vec![9, 2], vec![3, 1]]);
+        assert_matches_reference(&mut m, &narrow, &[vec![5; 2]]);
     }
 
     use crate::instr::Op;

@@ -36,9 +36,9 @@ pub enum Op {
     Div,
     /// Remainder.
     Mod,
-    /// Right shift.
+    /// Right shift (`0` once the shift reaches 64).
     Rshift,
-    /// Left shift.
+    /// Left shift; a fault when a set bit would be shifted out.
     Lshift,
     /// Minimum.
     Min,
@@ -55,7 +55,10 @@ pub enum Op {
 }
 
 impl Op {
-    /// Applies the operation; `None` for the partial cases.
+    /// Applies the operation; `None` for the partial cases.  This is the
+    /// only definition of BVRAM arithmetic: the interpreter's element
+    /// loops call it with a constant `self`, so the match folds away.
+    #[inline]
     pub fn apply(self, m: u64, n: u64) -> Option<u64> {
         match self {
             Op::Add => m.checked_add(n),
@@ -63,8 +66,13 @@ impl Op {
             Op::Mul => m.checked_mul(n),
             Op::Div => m.checked_div(n),
             Op::Mod => m.checked_rem(n),
-            Op::Rshift => Some(m.checked_shr(n.min(63) as u32).unwrap_or(0)),
-            Op::Lshift => m.checked_shl(n as u32),
+            Op::Rshift => Some(if n >= 64 { 0 } else { m >> n }),
+            // Faults iff a set bit is shifted out: `m ≠ 0` and `m·2ⁿ ≥ 2⁶⁴`.
+            Op::Lshift => match m {
+                0 => Some(0),
+                _ if n > u64::from(m.leading_zeros()) => None,
+                _ => Some(m << n),
+            },
             Op::Min => Some(m.min(n)),
             Op::Max => Some(m.max(n)),
             Op::Log2 => Some(if m == 0 {
@@ -216,31 +224,65 @@ pub enum Instr {
     Halt,
 }
 
+/// The registers one instruction reads, held inline (no instruction
+/// reads more than four), so asking costs no allocation.  Derefs to
+/// `&[Reg]` and iterates by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Inputs {
+    regs: [Reg; 4],
+    len: u8,
+}
+
+impl Inputs {
+    fn new<const N: usize>(read: [Reg; N]) -> Inputs {
+        let mut regs = [0; 4];
+        regs[..N].copy_from_slice(&read);
+        Inputs { regs, len: N as u8 }
+    }
+}
+
+impl std::ops::Deref for Inputs {
+    type Target = [Reg];
+
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Inputs {
+    type Item = Reg;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Reg, 4>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.regs.into_iter().take(usize::from(self.len))
+    }
+}
+
 impl Instr {
     /// The registers this instruction reads.
-    pub fn inputs(&self) -> Vec<Reg> {
-        match self {
+    pub fn inputs(&self) -> Inputs {
+        match *self {
             Instr::Move { src, .. }
             | Instr::Length { src, .. }
             | Instr::Enumerate { src, .. }
-            | Instr::Select { src, .. } => vec![*src],
-            Instr::Arith { a, b, .. } | Instr::Append { a, b, .. } => vec![*a, *b],
+            | Instr::Select { src, .. } => Inputs::new([src]),
+            Instr::Arith { a, b, .. } | Instr::Append { a, b, .. } => Inputs::new([a, b]),
             Instr::BmRoute {
                 bound,
                 counts,
                 values,
                 ..
-            } => vec![*bound, *counts, *values],
+            } => Inputs::new([bound, counts, values]),
             Instr::SbmRoute {
                 bound,
                 counts,
                 data,
                 segs,
                 ..
-            } => vec![*bound, *counts, *data, *segs],
-            Instr::IfEmptyGoto { reg, .. } => vec![*reg],
+            } => Inputs::new([bound, counts, data, segs]),
+            Instr::IfEmptyGoto { reg, .. } => Inputs::new([reg]),
             Instr::Empty { .. } | Instr::Singleton { .. } | Instr::Goto { .. } | Instr::Halt => {
-                vec![]
+                Inputs::new([])
             }
         }
     }
@@ -369,6 +411,23 @@ mod tests {
     }
 
     #[test]
+    fn shifts_at_the_64_bit_edge() {
+        const MAX: u64 = u64::MAX;
+        assert_eq!(Op::Rshift.apply(MAX, 63), Some(1));
+        assert_eq!(Op::Rshift.apply(MAX, 64), Some(0));
+        assert_eq!(Op::Rshift.apply(MAX, 1 << 32), Some(0));
+        assert_eq!(Op::Lshift.apply(1, 63), Some(1 << 63));
+        assert_eq!(Op::Lshift.apply(3, 62), Some(3 << 62));
+        assert_eq!(Op::Lshift.apply(3, 63), None);
+        assert_eq!(Op::Lshift.apply(1, 64), None);
+        assert_eq!(Op::Lshift.apply(5, 1 << 32), None);
+        assert_eq!(Op::Lshift.apply(MAX, 0), Some(MAX));
+        assert_eq!(Op::Lshift.apply(MAX, 1), None);
+        assert_eq!(Op::Lshift.apply(0, 64), Some(0));
+        assert_eq!(Op::Lshift.apply(0, MAX), Some(0));
+    }
+
+    #[test]
     fn io_register_sets() {
         let i = Instr::BmRoute {
             dst: 0,
@@ -376,9 +435,10 @@ mod tests {
             counts: 2,
             values: 3,
         };
-        assert_eq!(i.inputs(), vec![1, 2, 3]);
+        assert_eq!(*i.inputs(), [1, 2, 3]);
+        assert_eq!(i.inputs().into_iter().collect::<Vec<_>>(), [1, 2, 3]);
         assert_eq!(i.output(), Some(0));
-        assert_eq!(Instr::Halt.inputs(), Vec::<Reg>::new());
+        assert!(Instr::Halt.inputs().is_empty());
         assert_eq!(Instr::Halt.output(), None);
     }
 

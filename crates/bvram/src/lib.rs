@@ -31,7 +31,7 @@ pub mod verify;
 
 pub use cost::{cost_program, CostBound, CostReport, Poly};
 pub use exec::{run_program, Machine, MachineError, RunOutcome, Stats, Vector};
-pub use instr::{Instr, Label, Op, Reg};
+pub use instr::{Inputs, Instr, Label, Op, Reg};
 pub use lanes::{run_lanes_rayon, run_lanes_seq};
 pub use program::{BuildError, Builder, Program, TripBound, TripHint};
 pub use verify::{verify_program, verify_program_basic, Report, Violation};

@@ -448,7 +448,7 @@ fn uninit_reads(prog: &Program, cfg: &Cfg) -> Vec<(usize, Reg)> {
     for pc in reachable() {
         let reads = match &prog.instrs[pc] {
             Instr::Halt => (0..prog.r_out as Reg).collect(),
-            ins => ins.inputs(),
+            ins => ins.inputs().to_vec(),
         };
         for r in reads {
             if (r as usize) < prog.r_in || dominated(r, pc) {

@@ -397,6 +397,138 @@ fn exp_batch() {
     }
 }
 
+/// The opcode an [`bvram::Instr`] executes: the mnemonic for
+/// arithmetic, the instruction kind otherwise.
+fn opcode(ins: &bvram::Instr) -> &'static str {
+    use bvram::Instr::*;
+    match ins {
+        Arith { op, .. } => op.mnemonic(),
+        Move { .. } => "move",
+        Empty { .. } => "empty",
+        Singleton { .. } => "singleton",
+        Append { .. } => "append",
+        Length { .. } => "length",
+        Enumerate { .. } => "enumerate",
+        BmRoute { .. } => "bm_route",
+        SbmRoute { .. } => "sbm_route",
+        Select { .. } => "select",
+        Goto { .. } => "goto",
+        IfEmptyGoto { .. } => "if_empty",
+        Halt => "halt",
+    }
+}
+
+/// EXP-INTERP — what one executed BVRAM instruction costs on the host:
+/// for every golden and the shared suite at `n = 64`, the O1 single
+/// program runs on one reused warm [`bvram::Machine`], and the table
+/// reports wall-clock ns per instruction and per unit of work, next to
+/// each opcode's share of the executed steps and of the work (counted
+/// through [`bvram::Machine::run_observed`], never timed per step).
+///
+/// Asserts only identities: the warm run, a fresh machine's run and the
+/// observed run return the same outputs and `Stats`, and the observer's
+/// counts sum to `T'` and `W'`.  The timings are a record, not a gate.
+fn exp_interp() {
+    println!("\n## EXP-INTERP: BVRAM interpreter cost per executed instruction\n");
+    println!("claim: none (a record); warm, fresh and observed runs agree bit for bit\n");
+    use bvram::Machine;
+    use nsc_compile::{compile_nsc_with, encode_arg, OptLevel};
+    use std::collections::BTreeMap;
+    use std::time::{Duration, Instant};
+    let share = |part: u64, whole: u64| format!("{:.1}%", 100.0 * part as f64 / whole as f64);
+    let suite = t71_suite()
+        .into_iter()
+        .map(|(name, f)| (name, f, Type::seq(Type::Nat), Value::nat_seq(0..64)));
+    let goldens = nsc_runtime::workloads::goldens().into_iter();
+    header(&[
+        "program",
+        "instrs",
+        "T'",
+        "W'",
+        "ns/instr",
+        "ns/work",
+        "top opcode (steps)",
+        "top opcode (work)",
+    ]);
+    let mut all: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    for (name, f, dom, input) in goldens.chain(suite) {
+        let c = compile_nsc_with(&f, &dom, OptLevel::O1).expect(name);
+        let (p, regs) = (&c.program, encode_arg(&input, &dom).expect(name));
+        let fresh = Machine::new(p.n_regs).run(p, &regs).expect(name);
+        let mut warm = Machine::new(p.n_regs);
+        let mut kinds: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+        let observed = warm
+            .run_observed(p, &regs, |_, ins, work| {
+                let k = kinds.entry(opcode(ins)).or_default();
+                k.0 += 1;
+                k.1 += work;
+            })
+            .expect(name);
+        let run = warm.run(p, &regs).expect(name);
+        for (what, other) in [("fresh", &fresh), ("observed", &observed)] {
+            assert_eq!(run.outputs, other.outputs, "{name}: warm vs {what} outputs");
+            assert_eq!(run.stats, other.stats, "{name}: warm vs {what} stats");
+        }
+        let stats = run.stats;
+        let counted = kinds
+            .values()
+            .fold((0, 0), |acc, k| (acc.0 + k.0, acc.1 + k.1));
+        assert_eq!(counted, (stats.time, stats.work), "{name}: observer totals");
+        // Best of five rounds, each at least ~20 ms of warm runs.
+        let t0 = Instant::now();
+        warm.run(p, &regs).expect(name);
+        let reps = (Duration::from_millis(20).as_nanos() / t0.elapsed().as_nanos().max(1))
+            .clamp(1, 10_000);
+        let ns = (0..5)
+            .map(|_| {
+                let t0 = Instant::now();
+                for _ in 0..reps {
+                    std::hint::black_box(warm.run(p, &regs).expect(name));
+                }
+                t0.elapsed().as_nanos() as f64 / reps as f64
+            })
+            .fold(f64::INFINITY, f64::min);
+        let top = |key: fn(&(u64, u64)) -> u64, whole: u64| {
+            let (op, k) = kinds
+                .iter()
+                .max_by_key(|(_, k)| key(k))
+                .expect("halt executes");
+            format!("{op} {}", share(key(k), whole))
+        };
+        row(&[
+            name.to_string(),
+            p.instrs.len().to_string(),
+            stats.time.to_string(),
+            stats.work.to_string(),
+            format!("{:.1}", ns / stats.time as f64),
+            format!("{:.2}", ns / stats.work.max(1) as f64),
+            top(|k| k.0, stats.time),
+            top(|k| k.1, stats.work),
+        ]);
+        for (op, k) in kinds {
+            let a = all.entry(op).or_default();
+            a.0 += k.0;
+            a.1 += k.1;
+        }
+    }
+    let (steps, work) = all
+        .values()
+        .fold((0, 0), |acc, k| (acc.0 + k.0, acc.1 + k.1));
+    println!("\nopcode shares over every program above:\n");
+    header(&["opcode", "steps", "share of steps", "work", "share of work"]);
+    let mut by_steps: Vec<_> = all.into_iter().collect();
+    by_steps.sort_by_key(|(op, k)| (std::cmp::Reverse(k.0), *op));
+    for (op, k) in by_steps {
+        row(&[
+            op.to_string(),
+            k.0.to_string(),
+            share(k.0, steps),
+            k.1.to_string(),
+            share(k.1, work),
+        ]);
+    }
+}
+
 /// EXP-FUSION — the source-level map-fusion differential (the
 /// deforestation acceptance gate):
 ///
@@ -807,13 +939,14 @@ fn exp_d1() {
 
 /// Every experiment, in `exp all` order: the name `exp` takes and the
 /// function it runs.  A new experiment is one row here.
-pub const EXPERIMENTS: [(&str, fn()); 13] = [
+pub const EXPERIMENTS: [(&str, fn()); 14] = [
     ("fig123", exp_fig123),
     ("t42", exp_t42),
     ("t71", exp_t71),
     ("opt", exp_opt),
     ("fusion", exp_fusion),
     ("batch", exp_batch),
+    ("interp", exp_interp),
     ("cost", exp_cost),
     ("p21", exp_p21),
     ("p32", exp_p32),

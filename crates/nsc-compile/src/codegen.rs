@@ -811,6 +811,30 @@ mod tests {
     }
 
     #[test]
+    fn source_and_machine_arithmetic_agree() {
+        // Two copies of the arithmetic exist (the evaluator's `ArithOp`
+        // and the machine's `Op`); they must agree everywhere, the
+        // partial cases and the 64-bit edge included.
+        use ArithOp::*;
+        let grid = [0, 1, 2, 63, 64, 65, 1 << 32, 1 << 63, u64::MAX];
+        for a in [Add, Monus, Mul, Div, Mod, Rshift, Lshift, Min, Max, Log2] {
+            for m in grid {
+                for n in grid {
+                    assert_eq!(a.apply(m, n), op_of(a).apply(m, n), "{a:?} {m} {n}");
+                }
+            }
+        }
+        for c in [CmpOp::Eq, CmpOp::Le, CmpOp::Lt] {
+            for m in grid {
+                for n in grid {
+                    let want = Some(u64::from(c.apply(m, n)));
+                    assert_eq!(want, cmp_of(c).apply(m, n), "{c:?} {m} {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn map_scalar_codegen() {
         let f = maps(sb::comp(
             Scalar::Arith(ArithOp::Mul),

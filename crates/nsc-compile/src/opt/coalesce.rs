@@ -32,7 +32,7 @@ pub const NAME: &str = "coalesce";
 fn uses_of(ins: &Instr, r_out: usize) -> Vec<Reg> {
     match ins {
         Instr::Halt => (0..r_out as Reg).collect(),
-        _ => ins.inputs(),
+        _ => ins.inputs().to_vec(),
     }
 }
 

@@ -45,9 +45,9 @@ pub enum ArithOp {
     Div,
     /// Remainder (modulo zero is an error).
     Mod,
-    /// Right shift `m >> n`.
+    /// Right shift `m >> n` (`0` for `n ≥ 64`).
     Rshift,
-    /// Left shift `m << n` (saturating at 64 bits would overflow; errors instead).
+    /// Left shift `m << n`; errors when the result would not fit in 64 bits.
     Lshift,
     /// Minimum.
     Min,
@@ -69,8 +69,13 @@ impl ArithOp {
             ArithOp::Mul => m.checked_mul(n),
             ArithOp::Div => m.checked_div(n),
             ArithOp::Mod => m.checked_rem(n),
-            ArithOp::Rshift => Some(m.checked_shr(n.min(63) as u32).unwrap_or(0)),
-            ArithOp::Lshift => m.checked_shl(n as u32),
+            ArithOp::Rshift => Some(if n >= 64 { 0 } else { m >> n }),
+            // Errors iff a set bit is shifted out: `m ≠ 0` and `m·2ⁿ ≥ 2⁶⁴`.
+            ArithOp::Lshift => match m {
+                0 => Some(0),
+                _ if n > u64::from(m.leading_zeros()) => None,
+                _ => Some(m << n),
+            },
             ArithOp::Min => Some(m.min(n)),
             ArithOp::Max => Some(m.max(n)),
             ArithOp::Log2 => Some(if m == 0 {
@@ -665,6 +670,22 @@ mod tests {
         assert_eq!(ArithOp::Log2.apply(0, 0), Some(0));
         assert_eq!(ArithOp::Rshift.apply(13, 1), Some(6));
         assert_eq!(ArithOp::Rshift.apply(13, 200), Some(0));
+    }
+
+    #[test]
+    fn shifts_at_the_64_bit_edge() {
+        const MAX: u64 = u64::MAX;
+        assert_eq!(ArithOp::Rshift.apply(MAX, 63), Some(1));
+        assert_eq!(ArithOp::Rshift.apply(MAX, 64), Some(0));
+        assert_eq!(ArithOp::Rshift.apply(MAX, 1 << 32), Some(0));
+        assert_eq!(ArithOp::Lshift.apply(1, 63), Some(1 << 63));
+        assert_eq!(ArithOp::Lshift.apply(3, 62), Some(3 << 62));
+        assert_eq!(ArithOp::Lshift.apply(3, 63), None);
+        assert_eq!(ArithOp::Lshift.apply(1, 64), None);
+        assert_eq!(ArithOp::Lshift.apply(5, 1 << 32), None);
+        assert_eq!(ArithOp::Lshift.apply(MAX, 1), None);
+        assert_eq!(ArithOp::Lshift.apply(0, 64), Some(0));
+        assert_eq!(ArithOp::Lshift.apply(0, MAX), Some(0));
     }
 
     #[test]

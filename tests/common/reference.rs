@@ -45,7 +45,7 @@ pub fn assert_init_matches_reference(what: &str, prog: &Program) {
     replay(prog, &cfg, &DenseInit, &init, |pc, ins, st| {
         let reads = match ins {
             Instr::Halt => (0..prog.r_out as Reg).collect(),
-            _ => ins.inputs(),
+            _ => ins.inputs().to_vec(),
         };
         want.extend(
             reads
