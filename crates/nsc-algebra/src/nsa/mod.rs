@@ -340,7 +340,8 @@ pub fn apply_fueled(f: &Nsa, x: &Value, fuel: &mut u64) -> Result<(Value, Cost),
             Kind::Pair(a, b) => {
                 let xs = a.as_seq().ok_or(E::Stuck("split data"))?;
                 let lens = b.as_nat_seq().ok_or(E::Stuck("split lengths"))?;
-                let want: u64 = lens.iter().sum();
+                // Saturating: a sum past u64::MAX can never match.
+                let want = lens.iter().fold(0u64, |s, &l| s.saturating_add(l));
                 if want != xs.len() as u64 {
                     return Err(E::SplitSumMismatch {
                         have: xs.len() as u64,
@@ -495,6 +496,19 @@ mod tests {
         assert!(matches!(
             apply(&Nsa::GetF, &Value::nat_seq([])),
             Err(E::GetNonSingleton(0))
+        ));
+    }
+
+    #[test]
+    fn split_lengths_that_overflow_mismatch() {
+        // 2^64 - 1 + 3 wraps to 2, the data length: still a mismatch.
+        let v = Value::pair(Value::nat_seq([1, 2]), Value::nat_seq([u64::MAX, 3]));
+        assert!(matches!(
+            apply(&Nsa::SplitF, &v),
+            Err(E::SplitSumMismatch {
+                have: 2,
+                want: u64::MAX
+            })
         ));
     }
 

@@ -13,8 +13,8 @@
 //! the Map-Lemma constructions and the code generator readable.  Segmented
 //! operations built on it (`SEQ(σᵢ)`, batched `enumerate`, `sbm_route`
 //! segment totals) therefore cost `O(log n)` parallel time here, where the
-//! paper's sketch asserts `O(1)`; this honest deviation is recorded in
-//! `DESIGN.md` and measured in EXP-L72.
+//! paper's sketch asserts `O(1)`; this honest deviation is measured in
+//! EXP-L72 (`exp l72`).
 
 pub mod flatten;
 pub mod map_lemma;
@@ -412,15 +412,17 @@ pub fn apply_sa_fueled(f: &Sa, x: &Value, fuel: &mut u64) -> Result<(Value, Cost
         }
         Sa::PrefixSum => {
             let ns = x.as_nat_seq().ok_or(E::Stuck("prefix_sum"))?;
+            // An overflowing partial sum is Ω, as the machine's scan faults.
             let mut acc = 0u64;
-            let out = Value::seq(
-                ns.iter()
-                    .map(|v| {
-                        acc += v;
-                        Value::nat(acc)
-                    })
-                    .collect(),
-            );
+            let out = ns
+                .iter()
+                .map(|v| {
+                    acc = acc.checked_add(*v)?;
+                    Some(Value::nat(acc))
+                })
+                .collect::<Option<Vec<_>>>()
+                .ok_or(E::Omega)?;
+            let out = Value::seq(out);
             // Cost of the recursive-doubling derivation: ceil(log2 n)
             // rounds, each a shift (bm_route) + elementwise add over n
             // elements: T = O(log n), W = O(n log n).
@@ -538,6 +540,12 @@ mod tests {
         let (_, c256) = apply_sa(&Sa::PrefixSum, &Value::nat_seq(0..256)).unwrap();
         assert!(c256.time > c16.time, "log-time derivation charged");
         assert!(c256.time < 2 * c16.time);
+    }
+
+    #[test]
+    fn prefix_sum_overflow_is_omega() {
+        let r = apply_sa(&Sa::PrefixSum, &nats(&[u64::MAX, 1]));
+        assert_eq!(r.unwrap_err(), E::Omega);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! complicated kind of map-recursion"), so both are [`MapRecDef`]s and
 //! compile to pure NSC through Theorem 4.2.
 //!
-//! Deviations from the figures, recorded per DESIGN.md:
+//! Deviations from the figures:
 //!
 //! * block sizes use the `O(1)`-time power-of-two `√`-approximation
 //!   [`isqrt_pow2`] (`∈ [√m, 2√m]`) — this is exactly why the paper's `Σ`

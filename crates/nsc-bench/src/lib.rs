@@ -547,7 +547,7 @@ fn exp_fusion() {
     println!("claim: bit-identical results incl. fault class; >= 30% pack W' cut on the chain\n");
     use nsc_compile::{OptLevel, VerifyLevel};
     use nsc_core::ast;
-    let verify = VerifyLevel::from_env();
+    let verify = VerifyLevel::default();
     let dom = Type::seq(Type::Nat);
 
     let mut workloads = vec![

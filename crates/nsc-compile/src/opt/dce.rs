@@ -8,6 +8,11 @@
 //! a latent invariant violation is part of a program's observable
 //! behavior.
 //!
+//! A `goto` to the next instruction is a no-op and goes too: value
+//! numbering and `dce` can empty an `if` arm and leave one behind
+//! (`stdlib::isqrt_pow2`).  Jump threading and unreachable-code removal
+//! never fire on compiled code, so the optimizer has neither.
+//!
 //! Deadness is tracked by reference counting with a worklist, so chains
 //! of dead definitions collapse in one linear-time pass — compiled
 //! programs reach tens of thousands of instructions (one fresh register
@@ -16,15 +21,14 @@
 
 use super::remove_marked;
 use bvram::analysis::can_fault;
-use bvram::Program;
+use bvram::{Instr, Program};
 
 /// Pass name used by translation-validation diagnostics.
 pub const NAME: &str = "dce";
 
-/// Removes dead infallible instructions until none remain.  Returns
-/// `true` if anything was removed.
+/// Removes dead infallible instructions until none remain, and
+/// fallthrough `goto`s.  Returns `true` if anything was removed.
 pub fn eliminate_dead(prog: &mut Program) -> bool {
-    let n = prog.instrs.len();
     let mut uses = vec![0usize; prog.n_regs];
     let mut defs: Vec<Vec<usize>> = vec![Vec::new(); prog.n_regs];
     for (i, ins) in prog.instrs.iter().enumerate() {
@@ -43,7 +47,12 @@ pub fn eliminate_dead(prog: &mut Program) -> bool {
             uses[reg as usize] += 1;
         }
     }
-    let mut deleted = vec![false; n];
+    let mut deleted: Vec<bool> = prog
+        .instrs
+        .iter()
+        .enumerate()
+        .map(|(pc, ins)| matches!(ins, Instr::Goto { target } if *target as usize == pc + 1))
+        .collect();
     let mut worklist: Vec<usize> = (prog.r_out..prog.n_regs)
         .filter(|r| uses[*r] == 0)
         .collect();
@@ -68,7 +77,7 @@ pub fn eliminate_dead(prog: &mut Program) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bvram::{Builder, Instr::*, Op};
+    use bvram::{Builder, Instr::*, Op, TripBound};
 
     #[test]
     fn cascading_dead_defs_all_die() {
@@ -123,5 +132,28 @@ mod tests {
         let mut p = b.build().unwrap();
         assert!(eliminate_dead(&mut p));
         assert_eq!(p.instrs.len(), 3);
+    }
+
+    #[test]
+    fn fallthrough_goto_dies_with_its_trip_hint() {
+        let mut b = Builder::new(1, 1);
+        b.trip_hint(TripBound::Len { reg: 0, add: 1 })
+            .goto("next")
+            .label("next")
+            .push(Halt);
+        let mut p = b.build().unwrap();
+        assert_eq!(p.trip_hints.len(), 1);
+        assert!(eliminate_dead(&mut p));
+        assert!(matches!(p.instrs[..], [Halt]), "{p}");
+        assert!(p.trip_hints.is_empty());
+    }
+
+    #[test]
+    fn self_loop_survives() {
+        let mut b = Builder::new(0, 0);
+        b.label("x").goto("x");
+        let mut p = b.build().unwrap();
+        assert!(!eliminate_dead(&mut p));
+        assert!(matches!(p.instrs[..], [Goto { target: 0 }]));
     }
 }

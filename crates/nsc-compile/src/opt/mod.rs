@@ -15,11 +15,10 @@
 //!   CSE (which hoists the segment descriptors and broadcasts the Map
 //!   Lemma recomputes per block) and strength reduction (`x+0`, `x·1`,
 //!   `x·0`, identity `bm_route` → `Move`);
-//! * [`jumps`] — jump threading (`goto`-to-`goto` collapse), fallthrough
-//!   `goto` removal, unreachable-code elimination;
 //! * [`dce`] — global liveness-based dead-instruction elimination
 //!   (removing only instructions that can never fault, so a deliberate
-//!   `Ω`-fault or a latent route violation is *never* optimized away);
+//!   `Ω`-fault or a latent route violation is *never* optimized away),
+//!   plus fallthrough `goto` removal;
 //! * [`coalesce`] — move coalescing: merging the live ranges of
 //!   move-related registers so staging and loop-carried `Move`s vanish;
 //! * register compaction, shrinking `n_regs` to the registers actually
@@ -31,10 +30,12 @@
 //! pass.  The only observable difference is through
 //! [`bvram::Machine::with_step_limit`]: a run that previously exceeded a
 //! step budget may now fit inside it.
+//!
+//! Every pass can also be translation-validated ([`VerifyLevel`]): a
+//! debug build does so by default, a release build only when asked.
 
 pub mod coalesce;
 pub mod dce;
-pub mod jumps;
 pub mod vn;
 
 use bvram::{cost_program, verify_program, CostBound, CostReport, Instr, Program, Report};
@@ -54,26 +55,30 @@ pub enum OptLevel {
 /// Whether compilation runs the static verifier as translation
 /// validation (`bvram::verify` after codegen and after *every*
 /// optimizer pass, naming the pass that broke an invariant).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+///
+/// The default follows the build: [`VerifyLevel::Full`] with debug
+/// assertions on (so `cargo test` validates every compilation) and
+/// [`VerifyLevel::Off`] in release builds, where an explicit level
+/// (`nsc --verify`) still turns validation on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VerifyLevel {
-    /// No validation (the default): passes are trusted.
-    #[default]
+    /// No validation: passes are trusted.
     Off,
     /// Verify after codegen and after every pass application.
     Full,
 }
 
-impl VerifyLevel {
-    /// Reads the `NSC_VERIFY` environment variable (`1`/`true` enables
-    /// [`VerifyLevel::Full`]), so an entire test suite can be
-    /// translation-validated without touching call sites.
-    pub fn from_env() -> VerifyLevel {
-        match std::env::var("NSC_VERIFY") {
-            Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => VerifyLevel::Full,
-            _ => VerifyLevel::Off,
+impl Default for VerifyLevel {
+    fn default() -> VerifyLevel {
+        if cfg!(debug_assertions) {
+            VerifyLevel::Full
+        } else {
+            VerifyLevel::Off
         }
     }
+}
 
+impl VerifyLevel {
     /// Whether any validation runs.
     pub fn enabled(self) -> bool {
         self == VerifyLevel::Full
@@ -265,9 +270,8 @@ pub type Pass = fn(&mut Program) -> bool;
 
 /// The pass pipeline [`optimize`] runs each round, in order, with the
 /// name translation validation reports.
-pub const PASSES: [(&str, Pass); 4] = [
+pub const PASSES: [(&str, Pass); 3] = [
     (vn::NAME, vn::number),
-    (jumps::NAME, jumps::thread_jumps),
     (dce::NAME, dce::eliminate_dead),
     (coalesce::NAME, coalesce::coalesce_moves),
 ];
@@ -515,25 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn goto_chains_thread_and_unreachable_code_dies() {
-        let mut b = Builder::new(1, 1);
-        b.goto("a")
-            .push(Singleton { dst: 0, n: 99 }) // unreachable
-            .label("a")
-            .goto("b")
-            .push(Singleton { dst: 0, n: 98 }) // unreachable
-            .label("b")
-            .push(Halt);
-        let p = b.build().unwrap();
-        let opt = check_optimized(&p, &[vec![5]]);
-        assert!(
-            opt.instrs.iter().all(|i| !matches!(i, Singleton { .. })),
-            "unreachable code should die: {opt}"
-        );
-        assert!(opt.instrs.len() <= 2, "{opt}");
-    }
-
-    #[test]
     fn loop_carried_move_coalesces() {
         // while v0 nonempty: v1 <- enumerate v0 ; v2 <- select v1 ; v0 <- v2
         // The v0 <- v2 move coalesces into select writing v0 directly.
@@ -576,8 +561,8 @@ mod tests {
         // the structural verifier accepts the result (it is well-formed
         // and semantics-preserving), so only the cost-regression check
         // can object — and it must name the offending pass, like every
-        // other translation-validation failure.  `NSC_VERIFY=1` arms the
-        // same check for whole compilations via `VerifyLevel::from_env`.
+        // other translation-validation failure.  Debug builds arm the
+        // same check for whole compilations via `VerifyLevel::default`.
         let mut b = Builder::new(1, 1);
         b.push(Enumerate { dst: 1, src: 0 })
             .push(Move { dst: 0, src: 1 })
@@ -690,6 +675,14 @@ mod tests {
             assert!(out.stats.time <= r.time.eval(&lens).unwrap());
             assert!(out.stats.work <= r.work.eval(&lens).unwrap());
         }
+    }
+
+    #[test]
+    fn default_verify_level_follows_the_build() {
+        assert_eq!(
+            VerifyLevel::default() == VerifyLevel::Full,
+            cfg!(debug_assertions)
+        );
     }
 
     #[test]

@@ -60,11 +60,10 @@ pub fn compile_nsc(f: &Func, dom: &Type) -> Result<Compiled, E> {
 /// running the [`crate::opt`] pass pipeline at the requested level under
 /// the compile policy of [`compile_nsc_opts`].
 ///
-/// Translation validation follows the `NSC_VERIFY` environment variable
-/// ([`VerifyLevel::from_env`]); use [`compile_nsc_verified`] to choose
-/// explicitly.
+/// Translation validation follows the build ([`VerifyLevel::default`]);
+/// use [`compile_nsc_verified`] to choose explicitly.
 pub fn compile_nsc_with(f: &Func, dom: &Type, level: OptLevel) -> Result<Compiled, E> {
-    compile_nsc_verified(f, dom, level, VerifyLevel::from_env())
+    compile_nsc_verified(f, dom, level, VerifyLevel::default())
 }
 
 /// [`compile_nsc_with`] with explicit translation validation: under

@@ -11,8 +11,8 @@
 //!
 //! Every node caches its free-variable set.  The evaluator charges, at each
 //! rule, the size of the environment *restricted to the free variables* of
-//! the node — the tightest cost the paper's weakening rule permits (see
-//! `DESIGN.md` §5.1).
+//! the node — the tightest cost the paper's weakening rule permits, since
+//! weakening may drop every binding the node does not mention.
 //!
 //! [`FuncK::Named`] supports the paper's section-4 extension of NSC with
 //! recursive definitions; pure NSC programs simply never use it, and the

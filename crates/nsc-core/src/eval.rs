@@ -18,8 +18,12 @@
 //!
 //! The evaluator also executes the *recursion extension* of section 4:
 //! [`FuncK::Named`] references resolve against a [`FuncTable`] of top-level
-//! (possibly recursive) definitions, with the divide-and-conquer cost rule
-//! described in `DESIGN.md`.  Pure NSC programs use an empty table.
+//! (possibly recursive) definitions.  A call is one rule charging the
+//! sizes of its argument and its result on top of its body's cost, and the
+//! body runs in the empty environment (definitions are closed), so the
+//! recursive calls of a divide-and-conquer definition under `map` cost
+//! what `map`'s own rule charges for them.  Pure NSC programs use an empty
+//! table.
 
 use crate::ast::{Func, FuncK, Ident, Term, TermK};
 use crate::cost::Cost;
@@ -294,7 +298,8 @@ impl<'a> Evaluator<'a> {
                 let (vb, cb) = self.eval(env, b)?;
                 let xs = va.as_seq().ok_or(EvalError::Stuck("split"))?;
                 let lens = vb.as_nat_seq().ok_or(EvalError::Stuck("split lengths"))?;
-                let want: u64 = lens.iter().sum();
+                // Saturating: a sum past u64::MAX can never match.
+                let want = lens.iter().fold(0u64, |s, &l| s.saturating_add(l));
                 if want != xs.len() as u64 {
                     return Err(EvalError::SplitSumMismatch {
                         have: xs.len() as u64,
@@ -451,6 +456,20 @@ mod tests {
         assert!(matches!(
             eval_term(&split(xs, lens)),
             Err(EvalError::SplitSumMismatch { have: 1, want: 2 })
+        ));
+    }
+
+    #[test]
+    fn split_lengths_that_overflow_mismatch() {
+        // 2^64 - 1 + 3 wraps to 2, the data length: still a mismatch.
+        let xs = append(singleton(nat(1)), singleton(nat(2)));
+        let lens = append(singleton(nat(u64::MAX)), singleton(nat(3)));
+        assert!(matches!(
+            eval_term(&split(xs, lens)),
+            Err(EvalError::SplitSumMismatch {
+                have: 2,
+                want: u64::MAX
+            })
         ));
     }
 

@@ -58,7 +58,7 @@ OPTIONS:
     --verify            (check/run/compile) run the static BVRAM verifier as
                         translation validation: every optimizer pass is
                         checked and the first invariant-breaking pass is
-                        reported by name (also on via NSC_VERIFY=1)
+                        reported by name (always on in debug builds)
     --source-only       (run) skip compilation, evaluate only
     --fuel <n>          abort source evaluation after n rule applications
     --batch <n>         (run) also serve the input n times through the batch
@@ -122,7 +122,7 @@ fn parse_args(mut args: Vec<String>) -> Result<Opts, String> {
         stdin: false,
         max_batch: 32,
         queue_cap: 1024,
-        verify: VerifyLevel::from_env(),
+        verify: VerifyLevel::default(),
         explain_fusion: false,
     };
     // Silently dropping a flag hides typos; each subcommand accepts only

@@ -353,6 +353,35 @@ fn cli_check_and_compile_work() {
 }
 
 #[test]
+fn cli_run_reports_split_lengths_whose_sum_overflows() {
+    // 2^64 - 1 + 3 wraps to 2, the data length: the reference evaluator
+    // must report the mismatch, not slice past the end and panic.
+    let path = std::env::temp_dir().join(format!("__nsc_split_wrap_{}.nsc", std::process::id()));
+    std::fs::write(
+        &path,
+        "fn main : ([N] x [N]) -> [[N]] = (\\p. split(fst(p), snd(p))) \
+         input ([1, 2], [18446744073709551615, 3])",
+    )
+    .unwrap();
+    for extra in [&[][..], &["--source-only"]] {
+        let out = std::process::Command::new(nsc_bin())
+            .arg("run")
+            .arg(&path)
+            .args(extra)
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {err}");
+        assert!(
+            err.contains("split: segment lengths sum to 18446744073709551615")
+                && !err.contains("panicked"),
+            "{extra:?}: {err}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn cli_reports_errors_with_nonzero_exit() {
     let bin = nsc_bin();
     // Unique per process: concurrent `cargo test` runs share temp_dir().
