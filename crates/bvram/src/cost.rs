@@ -278,24 +278,6 @@ impl CostBound {
         }
     }
 
-    /// Least upper bound (`Top` absorbs).
-    pub fn join(&self, other: &CostBound) -> CostBound {
-        match (self, other) {
-            (CostBound::Poly(a), CostBound::Poly(b)) => CostBound::Poly(a.join(b)),
-            (t @ CostBound::Top { .. }, _) => t.clone(),
-            (_, t @ CostBound::Top { .. }) => t.clone(),
-        }
-    }
-
-    /// Sound `≤`: `true` guarantees `self` never exceeds `other`.
-    pub fn le(&self, other: &CostBound) -> bool {
-        match (self, other) {
-            (CostBound::Poly(a), CostBound::Poly(b)) => a.le(b),
-            (_, CostBound::Top { .. }) => true,
-            (CostBound::Top { .. }, CostBound::Poly(_)) => false,
-        }
-    }
-
     /// The polynomial, if finite.
     pub fn as_poly(&self) -> Option<&Poly> {
         match self {
@@ -348,11 +330,6 @@ impl CostReport {
     /// `true` iff both bounds are finite polynomials.
     pub fn is_finite(&self) -> bool {
         !self.time.is_top() && !self.work.is_top()
-    }
-
-    /// Sound pointwise `≤` on both components.
-    pub fn le(&self, other: &CostReport) -> bool {
-        self.time.le(&other.time) && self.work.le(&other.work)
     }
 }
 
@@ -914,20 +891,37 @@ mod tests {
     }
 
     #[test]
+    fn trip_hint_register_out_of_bounds_is_structural_top() {
+        // `Builder::build` rejects this certificate; a struct literal
+        // bypasses it, and must get the structural ⊤, not a panic.
+        use crate::program::TripHint;
+        let p = Program {
+            instrs: vec![
+                Instr::IfEmptyGoto { reg: 0, target: 3 },
+                Instr::Move { dst: 1, src: 0 },
+                Instr::Goto { target: 0 },
+                Instr::Halt,
+            ],
+            n_regs: 2,
+            r_in: 1,
+            r_out: 1,
+            trip_hints: vec![TripHint {
+                pc: 2,
+                bound: TripBound::Len { reg: 99, add: 1 },
+            }],
+        };
+        let r = cost_program(&p);
+        assert!(r.time.is_top() && r.work.is_top(), "{r}");
+        assert!(r.to_string().contains("structurally invalid"), "{r}");
+    }
+
+    #[test]
     fn join_le_display_laws() {
         let a = Poly::sym(0, 2);
         let b = Poly::constant(3, 2);
         let j = a.join(&b);
         assert!(a.le(&j) && b.le(&j));
         assert_eq!(j.to_string(), "n0 + 3");
-        let top = CostBound::Top {
-            pc: 7,
-            reason: "x".into(),
-        };
-        assert!(CostBound::Poly(a.clone()).le(&top));
-        assert!(!top.le(&CostBound::Poly(a.clone())));
-        assert!(top.le(&top));
-        assert_eq!(top.join(&CostBound::Poly(a)), top);
     }
 
     #[test]

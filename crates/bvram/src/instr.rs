@@ -86,14 +86,6 @@ impl Op {
         }
     }
 
-    /// Whether the operation can fail on some operand *values* (not
-    /// just lengths): overflowing `add`/`mul`/`lshift`, `div`/`mod` by
-    /// zero.  The complement is total on equal-length operands, which
-    /// is what lets the static verifier prove such sites safe.
-    pub fn is_partial(self) -> bool {
-        matches!(self, Op::Add | Op::Mul | Op::Div | Op::Mod | Op::Lshift)
-    }
-
     /// Mnemonic used by the disassembler.
     pub fn mnemonic(self) -> &'static str {
         match self {

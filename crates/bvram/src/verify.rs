@@ -7,7 +7,8 @@
 //!
 //! * [`Violation`]s are structural defects no legal program exhibits:
 //!   register operands outside the declared register file (the
-//!   interpreter would panic on the access), jump targets beyond
+//!   interpreter would panic on the access) and trip certificates
+//!   naming such registers, jump targets beyond
 //!   one-past-the-end, I/O conventions wider than the register file.
 //!   A program with violations is rejected outright ([`Report::ok`]
 //!   is `false`).
@@ -51,7 +52,7 @@
 use crate::analysis::RegSet;
 use crate::cfg::Cfg;
 use crate::instr::{Instr, Reg};
-use crate::program::Program;
+use crate::program::{Program, TripBound};
 use std::fmt;
 
 // ---------------------------------------------------------------------------
@@ -86,6 +87,16 @@ pub enum Violation {
         /// The program length.
         len: usize,
     },
+    /// A length-relative trip certificate names a register outside the
+    /// declared file (the cost analyzer and the optimizer index by it).
+    TripHintRegisterOutOfBounds {
+        /// The back-edge pc the certificate is anchored to.
+        pc: usize,
+        /// The out-of-bounds register.
+        reg: Reg,
+        /// The declared register-file size.
+        n_regs: usize,
+    },
     /// The I/O conventions name more registers than the file holds.
     IoExceedsRegisters {
         /// Declared input-register count.
@@ -119,6 +130,11 @@ impl fmt::Display for Violation {
                 f,
                 "pc {pc}: `{instr}` jumps to {target}, past the program end \
                  ({len} instructions)"
+            ),
+            Violation::TripHintRegisterOutOfBounds { pc, reg, n_regs } => write!(
+                f,
+                "pc {pc}: the trip certificate bounds by v{reg}, but the program \
+                 declares only {n_regs} registers"
             ),
             Violation::IoExceedsRegisters {
                 r_in,
@@ -218,10 +234,11 @@ impl fmt::Display for Report {
 // ---------------------------------------------------------------------------
 
 /// The structural half of verification: every register operand in
-/// bounds, every jump target at most one-past-the-end, I/O conventions
-/// within the register file.  [`crate::program::Builder::build`] calls
-/// this, so builder-produced and verifier-accepted programs agree on
-/// what "well-formed" means.
+/// bounds, and every register a trip certificate names, every jump
+/// target at most one-past-the-end, I/O conventions within the register
+/// file.  [`crate::program::Builder::build`] calls this, so
+/// builder-produced and verifier-accepted programs agree on what
+/// "well-formed" means.
 pub fn check_structure(prog: &Program) -> Vec<Violation> {
     let mut out = Vec::new();
     let len = prog.instrs.len();
@@ -250,6 +267,17 @@ pub fn check_structure(prog: &Program) -> Vec<Violation> {
                     instr: ins.to_string(),
                     target: *target as usize,
                     len,
+                });
+            }
+        }
+    }
+    for h in &prog.trip_hints {
+        if let TripBound::Len { reg, .. } = h.bound {
+            if reg as usize >= prog.n_regs {
+                out.push(Violation::TripHintRegisterOutOfBounds {
+                    pc: h.pc as usize,
+                    reg,
+                    n_regs: prog.n_regs,
                 });
             }
         }
@@ -682,6 +710,23 @@ mod tests {
         assert!(!r.ok());
         let msg = r.violations[0].to_string();
         assert!(msg.contains("v7") && msg.contains("2 registers"), "{msg}");
+    }
+
+    #[test]
+    fn trip_hint_register_out_of_bounds_is_a_violation() {
+        let mut b = Builder::new(1, 1);
+        b.label("head")
+            .if_empty_goto(0, "end")
+            .push(Move { dst: 1, src: 0 })
+            .trip_hint(TripBound::Len { reg: 99, add: 1 })
+            .goto("head")
+            .label("end")
+            .push(Halt);
+        let e = b.build().unwrap_err().to_string();
+        assert!(
+            e.contains("pc 2") && e.contains("v99") && e.contains("2 registers"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -326,9 +326,10 @@ fn spread_counts() -> Sa {
     comp(Sa::AppendF, pair(head, comp(tail_n(), base)))
 }
 
-/// `merge_leaf(s) : [B] × ([s] × [s]) → [s]` — Example D.1's `combine`:
-/// interleave `x` and `y` by the flags (`true` takes the next `x`).
-pub fn merge_leaf(s: &Type) -> Sa {
+/// `merge_leaf : [B] × ([s] × [s]) → [s]` — Example D.1's `combine`:
+/// interleave `x` and `y` by the flags (`true` takes the next `x`).  One
+/// term serves every leaf type `s`: it only routes elements.
+pub fn merge_leaf() -> Sa {
     let flags = Sa::Pi1;
     let x = comp(Sa::Pi1, Sa::Pi2);
     let y = comp(Sa::Pi2, Sa::Pi2);
@@ -364,7 +365,6 @@ pub fn merge_leaf(s: &Type) -> Sa {
     );
 
     // Guard the degenerate cases D.1 glosses over.
-    let _ = s;
     iff(
         comp(Sa::EmptyTest, posx),
         y,
@@ -379,21 +379,18 @@ pub fn merge_enc(t: &Type) -> Result<Sa, E> {
     let ea = comp(Sa::Pi1, Sa::Pi2);
     let eb = comp(Sa::Pi2, Sa::Pi2);
     Ok(match t {
-        Type::Unit => merge_leaf(&Type::Nat),
-        Type::Seq(s) => {
+        Type::Unit => merge_leaf(),
+        Type::Seq(_) => {
             let segs_a = comp(Sa::Pi1, ea.clone());
             let segs_b = comp(Sa::Pi1, eb.clone());
             let data_a = comp(Sa::Pi2, ea);
             let data_b = comp(Sa::Pi2, eb);
-            let segs = comp(
-                merge_leaf(&Type::Nat),
-                pair(flags.clone(), pair(segs_a, segs_b)),
-            );
+            let segs = comp(merge_leaf(), pair(flags.clone(), pair(segs_a, segs_b)));
             // element-level flags: expand the merged flags by merged segs;
             // bound = dataA @ dataB (only its length matters).
             let bound = comp(Sa::AppendF, pair(data_a.clone(), data_b.clone()));
             let eflags = comp(Sa::BmRouteF, pair(pair(bound, segs.clone()), flags));
-            let data = comp(merge_leaf(s), pair(eflags, pair(data_a, data_b)));
+            let data = comp(merge_leaf(), pair(eflags, pair(data_a, data_b)));
             pair(segs, data)
         }
         Type::Prod(a, b) => pair(
@@ -416,10 +413,7 @@ pub fn merge_enc(t: &Type) -> Result<Sa, E> {
             let a2 = comp(Sa::Pi2, comp(Sa::Pi2, ea));
             let b1 = comp(Sa::Pi1, comp(Sa::Pi2, eb.clone()));
             let b2 = comp(Sa::Pi2, comp(Sa::Pi2, eb));
-            let tags = comp(
-                merge_leaf(&Type::bool_()),
-                pair(flags.clone(), pair(tags_a, tags_b)),
-            );
+            let tags = comp(merge_leaf(), pair(flags.clone(), pair(tags_a, tags_b)));
             // Which source each merged inl/inr element came from:
             let gl = comp(side_flags(true), pair(tags.clone(), flags.clone()));
             let gr = comp(side_flags(false), pair(tags.clone(), flags));
@@ -852,7 +846,7 @@ pub fn seq_lift(f: &Sa, dom: &Type) -> Res {
 /// data interleaves segment-pairwise via the merge toolkit with
 /// alternating flags expanded from the two segment descriptors.
 fn append_batchwise(pair_ty: &Type) -> Result<Sa, E> {
-    let Type::Seq(s) = pair_ty else {
+    let Type::Seq(_) = pair_ty else {
         return Err(stuck("append_batchwise domain"));
     };
     let segs_a = comp(Sa::Pi1, Sa::Pi1);
@@ -886,13 +880,10 @@ fn append_batchwise(pair_ty: &Type) -> Result<Sa, E> {
         comp(Sa::EnumerateF, two_n.clone()),
     );
     // interleaved segments = merge the two seg descriptors by `alt`
-    let inter_segs = comp(
-        merge_leaf(&Type::Nat),
-        pair(alt.clone(), pair(segs_a, segs_b)),
-    );
+    let inter_segs = comp(merge_leaf(), pair(alt.clone(), pair(segs_a, segs_b)));
     let bound = comp(Sa::AppendF, pair(data_a.clone(), data_b.clone()));
     let eflags = comp(Sa::BmRouteF, pair(pair(bound, inter_segs), alt));
-    let data = comp(merge_leaf(s), pair(eflags, pair(data_a, data_b)));
+    let data = comp(merge_leaf(), pair(eflags, pair(data_a, data_b)));
     Ok(pair(segs, data))
 }
 
@@ -1051,7 +1042,7 @@ mod tests {
     #[test]
     fn merge_leaf_is_example_d1() {
         // f = [T,F,F,T,F,T,T], x = [x0..x3], y = [y0..y2]
-        let f = merge_leaf(&Type::Nat);
+        let f = merge_leaf();
         let arg = Value::pair(
             flags(&[true, false, false, true, false, true, true]),
             Value::pair(nats(&[100, 101, 102, 103]), nats(&[200, 201, 202])),
@@ -1062,7 +1053,7 @@ mod tests {
 
     #[test]
     fn merge_leaf_degenerate_sides() {
-        let f = merge_leaf(&Type::Nat);
+        let f = merge_leaf();
         let all_true = Value::pair(flags(&[true, true]), Value::pair(nats(&[1, 2]), nats(&[])));
         assert_eq!(apply_sa(&f, &all_true).unwrap().0, nats(&[1, 2]));
         let all_false = Value::pair(flags(&[false]), Value::pair(nats(&[]), nats(&[9])));

@@ -233,7 +233,7 @@ fn exp_opt() {
 /// (a batch of one for kernels; `[0 .. 32)` for the suite).
 fn pass_census() {
     use nsc_compile::opt::{optimize_with, PASSES};
-    use nsc_compile::{compile_nsc_opts, run_compiled, Compiled, OptLevel, VerifyLevel};
+    use nsc_compile::{compile_nsc_opts, run_compiled, Compiled, OptLevel};
     let mut programs: Vec<(Compiled, Value)> = Vec::new();
     let suite = t71_suite()
         .into_iter()
@@ -241,7 +241,7 @@ fn pass_census() {
     let goldens = nsc_runtime::workloads::goldens().into_iter();
     for (name, f, dom, input) in goldens.chain(suite) {
         let o0 = |f: &nsc_core::Func, dom: &Type| {
-            compile_nsc_opts(f, dom, OptLevel::O0, VerifyLevel::Off, true).expect(name)
+            compile_nsc_opts(f, dom, OptLevel::O0, true).expect(name)
         };
         let kernel = o0(&nsc_core::ast::map(f.clone()), &Type::seq(dom.clone()));
         programs.push((o0(&f, &dom), input.clone()));
@@ -545,9 +545,8 @@ fn exp_interp() {
 fn exp_fusion() {
     println!("\n## EXP-FUSION: source map fusion (fused vs unfused differential)\n");
     println!("claim: bit-identical results incl. fault class; >= 30% pack W' cut on the chain\n");
-    use nsc_compile::{OptLevel, VerifyLevel};
+    use nsc_compile::OptLevel;
     use nsc_core::ast;
-    let verify = VerifyLevel::default();
     let dom = Type::seq(Type::Nat);
 
     let mut workloads = vec![
@@ -560,8 +559,8 @@ fn exp_fusion() {
     workloads.extend(t71_suite());
     header(&["workload", "fused stages", "instrs fused/unfused"]);
     for (name, f) in &workloads {
-        let fused = nsc_compile::compile_nsc_verified(f, &dom, OptLevel::O1, verify).expect(name);
-        let unfused = nsc_compile::compile_nsc_unfused(f, &dom, OptLevel::O1, verify).expect(name);
+        let fused = nsc_compile::compile_nsc_with(f, &dom, OptLevel::O1).expect(name);
+        let unfused = nsc_compile::compile_nsc_unfused(f, &dom, OptLevel::O1).expect(name);
         // 1..9 is fault-free everywhere; 0..8 drives the Ω chain's
         // division by zero; the empty sequence runs every map zero times.
         for input in [
@@ -591,14 +590,9 @@ fn exp_fusion() {
     // lowering must cut the fused batch run's W' by at least 30%.
     let chain = nsc_runtime::workloads::chained_maps();
     let kernel_dom = Type::seq(dom.clone());
-    let kf = nsc_compile::compile_nsc_verified(
-        &ast::map(chain.clone()),
-        &kernel_dom,
-        OptLevel::O1,
-        verify,
-    )
-    .expect("fused kernel");
-    let ku = nsc_compile::compile_nsc_unfused(&ast::map(chain), &kernel_dom, OptLevel::O1, verify)
+    let kf = nsc_compile::compile_nsc_with(&ast::map(chain.clone()), &kernel_dom, OptLevel::O1)
+        .expect("fused kernel");
+    let ku = nsc_compile::compile_nsc_unfused(&ast::map(chain), &kernel_dom, OptLevel::O1)
         .expect("unfused kernel");
     assert_eq!(kf.fused_stages, 2, "the kernel fuses through map(chain)");
     let batch = Value::seq(vec![Value::nat_seq(1..17); 64]);
@@ -920,7 +914,7 @@ fn exp_d1() {
     println!("\n## EXP-D1: Example D.1 (combine in SA)\n");
     println!("claim: combine is O(1) time, O(n) work\n");
     use nsc_algebra::sa::map_lemma::merge_leaf;
-    let f = merge_leaf(&Type::Nat);
+    let f = merge_leaf();
     header(&["n", "time", "work", "work/n"]);
     for n in [8u64, 64, 512, 4096] {
         let flags = Value::seq((0..n).map(|i| Value::bool_(i % 3 != 0)).collect());

@@ -14,9 +14,9 @@ pub mod opt;
 pub mod pipeline;
 
 pub use codegen::compile_sa;
-pub use opt::{optimize, optimize_checked, OptLevel, PassError, VerifyLevel};
+pub use opt::{optimize, optimize_checked, OptLevel, PassError};
 pub use pipeline::{
-    compile_nsc, compile_nsc_opts, compile_nsc_unfused, compile_nsc_verified, compile_nsc_with,
-    decode_result, differential, encode_arg, eval_error_of, run_compiled, run_encoded,
-    run_program_on, Backend, Compiled, OPT_BUDGET,
+    compile_nsc, compile_nsc_opts, compile_nsc_unfused, compile_nsc_with, decode_result,
+    differential, encode_arg, eval_error_of, run_compiled, run_encoded, run_program_on, Backend,
+    Compiled, OPT_BUDGET,
 };

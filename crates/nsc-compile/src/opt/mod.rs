@@ -31,8 +31,12 @@
 //! [`bvram::Machine::with_step_limit`]: a run that previously exceeded a
 //! step budget may now fit inside it.
 //!
-//! Every pass can also be translation-validated ([`VerifyLevel`]): a
-//! debug build does so by default, a release build only when asked.
+//! In a debug build every pass is also translation-validated, like a
+//! debug assertion: the static verifier re-runs after each pass
+//! application and the first pass to break an invariant is reported by
+//! name ([`PassError`]).  Release builds run no per-pass check; the
+//! compile gate in [`crate::pipeline`] verifies every finished program
+//! in every build.
 
 pub mod coalesce;
 pub mod dce;
@@ -50,39 +54,6 @@ pub enum OptLevel {
     /// The full pass pipeline (the default).
     #[default]
     O1,
-}
-
-/// Whether compilation runs the static verifier as translation
-/// validation (`bvram::verify` after codegen and after *every*
-/// optimizer pass, naming the pass that broke an invariant).
-///
-/// The default follows the build: [`VerifyLevel::Full`] with debug
-/// assertions on (so `cargo test` validates every compilation) and
-/// [`VerifyLevel::Off`] in release builds, where an explicit level
-/// (`nsc --verify`) still turns validation on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VerifyLevel {
-    /// No validation: passes are trusted.
-    Off,
-    /// Verify after codegen and after every pass application.
-    Full,
-}
-
-impl Default for VerifyLevel {
-    fn default() -> VerifyLevel {
-        if cfg!(debug_assertions) {
-            VerifyLevel::Full
-        } else {
-            VerifyLevel::Off
-        }
-    }
-}
-
-impl VerifyLevel {
-    /// Whether any validation runs.
-    pub fn enabled(self) -> bool {
-        self == VerifyLevel::Full
-    }
 }
 
 /// Pass name for the register-compaction step (the rewrite passes
@@ -153,7 +124,7 @@ const MAX_ROUNDS: usize = 8;
 
 /// Instruction-count ceiling for the per-pass cost-regression check:
 /// symbolic cost analysis of a large kernel costs more than the pass
-/// pipeline itself, so verified builds only cross-check `T'`/`W'`
+/// pipeline itself, so debug builds only cross-check `T'`/`W'`
 /// bounds on programs this size or smaller.
 const COST_CHECK_MAX_INSTRS: usize = 4096;
 
@@ -213,56 +184,31 @@ fn check_cost_regression(
 /// cost-non-increasing; see the module docs for the pass list.  Takes
 /// the program by value (compiled programs reach millions of
 /// instructions; callers holding a borrow can clone at the call site).
+///
+/// # Panics
+///
+/// In a debug build, if a pass breaks a verifier invariant; the message
+/// names the pass (see [`optimize_checked`]).
 pub fn optimize(prog: Program, level: OptLevel) -> Program {
-    optimize_checked(prog, level, VerifyLevel::Off, "input")
-        .expect("unverified optimization is infallible")
+    optimize_checked(prog, level, "input").unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`optimize`] under translation validation: with
-/// [`VerifyLevel::Full`], the static verifier runs on the input (stage
-/// `input_stage` — callers name it `"codegen"` when handing over fresh
-/// codegen output) and again after every pass application, and the
-/// first pass to break an invariant is reported by name with pc +
-/// instruction diagnostics.
+/// [`optimize`], returning a translation-validation failure instead of
+/// panicking.  In a debug build the static verifier runs on the input
+/// (stage `input_stage` — callers name it `"codegen"` when handing over
+/// fresh codegen output) and again after every pass application, and
+/// the first pass to break an invariant is reported by name with pc +
+/// instruction diagnostics.  A release build checks nothing and always
+/// returns `Ok`.
 pub fn optimize_checked(
     p: Program,
     level: OptLevel,
-    verify: VerifyLevel,
     input_stage: &'static str,
 ) -> Result<Program, PassError> {
-    let base = if verify.enabled() {
-        let report = verify_program(&p);
-        if !report.ok() {
-            return Err(PassError {
-                pass: input_stage,
-                detail: report.to_string(),
-            });
-        }
-        Baseline::of(&report)
-    } else {
-        Baseline {
-            init_clean: false,
-            no_fall_off: false,
-        }
-    };
-    if level == OptLevel::O0 {
-        return Ok(p);
+    match level {
+        OptLevel::O0 => validate_input(&p, input_stage).map(|_| p),
+        OptLevel::O1 => run_rounds(p, &PASSES, input_stage),
     }
-    // Cost-regression validation: snapshot the symbolic `T'`/`W'` bounds
-    // of the input and require every pass to keep them non-increasing.
-    let mut prev_cost: Option<CostReport> =
-        (verify.enabled() && p.instrs.len() <= COST_CHECK_MAX_INSTRS).then(|| cost_program(&p));
-    run_rounds(p, &PASSES, |pass, p| {
-        if verify.enabled() {
-            check_stage(pass, p, base)?;
-        }
-        if let Some(pre) = &mut prev_cost {
-            let post = cost_program(p);
-            check_cost_regression(pass, pre, &post)?;
-            *pre = post;
-        }
-        Ok(())
-    })
 }
 
 /// A rewrite pass: mutates the program, returns whether anything changed.
@@ -278,19 +224,54 @@ pub const PASSES: [(&str, Pass); 3] = [
 
 /// [`optimize`] at [`OptLevel::O1`] over an arbitrary pass list — the
 /// pass census of `exp opt` drops one [`PASSES`] row at a time to count
-/// what each row earns.
+/// what each row earns.  Validated like [`optimize`], and panics like it.
 pub fn optimize_with(prog: Program, passes: &[(&'static str, Pass)]) -> Program {
-    run_rounds(prog, passes, |_, _| Ok(())).expect("unchecked rounds are infallible")
+    run_rounds(prog, passes, "input").unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The input's verifier baseline, or a [`PassError`] naming
+/// `input_stage` if the input is structurally invalid.  `None` in a
+/// release build, which validates nothing.
+fn validate_input(p: &Program, input_stage: &'static str) -> Result<Option<Baseline>, PassError> {
+    if !cfg!(debug_assertions) {
+        return Ok(None);
+    }
+    let report = verify_program(p);
+    if !report.ok() {
+        return Err(PassError {
+            pass: input_stage,
+            detail: report.to_string(),
+        });
+    }
+    Ok(Some(Baseline::of(&report)))
 }
 
 /// The round loop: runs `passes` in order until a round changes nothing
-/// (or stops paying), then compacts registers, calling `after` with each
-/// stage's name and output.
+/// (or stops paying), then compacts registers.  In a debug build every
+/// stage's output is validated against the input's baseline.
 fn run_rounds(
     mut p: Program,
     passes: &[(&'static str, Pass)],
-    mut after: impl FnMut(&'static str, &Program) -> Result<(), PassError>,
+    input_stage: &'static str,
 ) -> Result<Program, PassError> {
+    let base = validate_input(&p, input_stage)?;
+    // Cost-regression validation: snapshot the symbolic `T'`/`W'` bounds
+    // of the input and require every pass to keep them non-increasing.
+    let mut prev_cost = base
+        .filter(|_| p.instrs.len() <= COST_CHECK_MAX_INSTRS)
+        .map(|_| cost_program(&p));
+    let mut after = |pass: &'static str, p: &Program| -> Result<(), PassError> {
+        let Some(base) = base else {
+            return Ok(());
+        };
+        check_stage(pass, p, base)?;
+        if let Some(pre) = &mut prev_cost {
+            let post = cost_program(p);
+            check_cost_regression(pass, pre, &post)?;
+            *pre = post;
+        }
+        Ok(())
+    };
     for round in 0..MAX_ROUNDS {
         let before = p.instrs.len();
         let mut changed = false;
@@ -561,8 +542,8 @@ mod tests {
         // the structural verifier accepts the result (it is well-formed
         // and semantics-preserving), so only the cost-regression check
         // can object — and it must name the offending pass, like every
-        // other translation-validation failure.  Debug builds arm the
-        // same check for whole compilations via `VerifyLevel::default`.
+        // other translation-validation failure.  Debug builds run the
+        // same check on every optimization.
         let mut b = Builder::new(1, 1);
         b.push(Enumerate { dst: 1, src: 0 })
             .push(Move { dst: 0, src: 1 })
@@ -579,9 +560,9 @@ mod tests {
         assert_eq!(err.pass, "mutant_pad_work");
         assert!(err.to_string().contains("increased"), "{err}");
 
-        // The genuine pipeline under full validation stays clean and
-        // keeps the bounds finite.
-        let opt = optimize_checked(p, OptLevel::O1, VerifyLevel::Full, "input").unwrap();
+        // The genuine pipeline (validated in a debug build) stays clean
+        // and keeps the bounds finite.
+        let opt = optimize_checked(p, OptLevel::O1, "input").unwrap();
         assert!(cost_program(&opt).is_finite());
     }
 
@@ -608,8 +589,8 @@ mod tests {
         let err = check_stage("mutant_vn_undominated", &mutated, base).unwrap_err();
         assert_eq!(err.pass, "mutant_vn_undominated");
         // The real pass leaves the program alone (see vn's own tests)
-        // and the full verified pipeline stays clean on it.
-        optimize_checked(p, OptLevel::O1, VerifyLevel::Full, "input").unwrap();
+        // and the pipeline, validated in a debug build, stays clean on it.
+        optimize_checked(p, OptLevel::O1, "input").unwrap();
     }
 
     #[test]
@@ -656,7 +637,7 @@ mod tests {
             .push(Halt);
         let p = b.build().unwrap();
         assert!(cost_program(&p).is_finite());
-        let opt = optimize_checked(p.clone(), OptLevel::O1, VerifyLevel::Full, "input").unwrap();
+        let opt = optimize_checked(p.clone(), OptLevel::O1, "input").unwrap();
         assert_eq!(opt.trip_hints.len(), 1, "certificate lost: {opt}");
         let hint = &opt.trip_hints[0];
         assert!(
@@ -677,11 +658,27 @@ mod tests {
         }
     }
 
+    #[cfg(debug_assertions)]
     #[test]
-    fn default_verify_level_follows_the_build() {
-        assert_eq!(
-            VerifyLevel::default() == VerifyLevel::Full,
-            cfg!(debug_assertions)
+    fn broken_pass_is_named_by_the_round_loop() {
+        // A mutant pass that redirects the output move to a register
+        // nothing writes: structurally valid, but it introduces a
+        // use-before-def, which the shared round loop reports by name.
+        fn mutant(p: &mut Program) -> bool {
+            p.instrs[1] = Move { dst: 0, src: 2 };
+            p.n_regs = p.n_regs.max(3);
+            true
+        }
+        let mut b = Builder::new(1, 1);
+        b.push(Length { dst: 1, src: 0 })
+            .push(Move { dst: 0, src: 1 })
+            .push(Halt);
+        let p = b.build().unwrap();
+        let err = run_rounds(p, &[("mutant_uninit_read", mutant)], "input").unwrap_err();
+        assert_eq!(err.pass, "mutant_uninit_read");
+        assert!(
+            err.to_string().contains("v2 is read before any write"),
+            "{err}"
         );
     }
 

@@ -13,7 +13,7 @@
 
 use crate::codegen::compile_sa;
 use crate::layout::{regs_to_value, value_to_regs};
-use crate::opt::{optimize_checked, OptLevel, VerifyLevel};
+use crate::opt::{optimize_checked, OptLevel};
 use bvram::{verify_program, Machine, MachineError, Program, RunOutcome, Vector};
 use nsc_algebra::nsa::from_nsc::func_to_nsa;
 use nsc_algebra::sa::flatten::{compile, compile_type, decode, encode};
@@ -59,39 +59,16 @@ pub fn compile_nsc(f: &Func, dom: &Type) -> Result<Compiled, E> {
 /// Compiles a closed NSC function `f : dom → cod` down to the BVRAM,
 /// running the [`crate::opt`] pass pipeline at the requested level under
 /// the compile policy of [`compile_nsc_opts`].
-///
-/// Translation validation follows the build ([`VerifyLevel::default`]);
-/// use [`compile_nsc_verified`] to choose explicitly.
 pub fn compile_nsc_with(f: &Func, dom: &Type, level: OptLevel) -> Result<Compiled, E> {
-    compile_nsc_verified(f, dom, level, VerifyLevel::default())
+    compile_nsc_opts(f, dom, level, level != OptLevel::O0)
 }
 
-/// [`compile_nsc_with`] with explicit translation validation: under
-/// [`VerifyLevel::Full`] the static verifier (`bvram::verify`) checks
-/// the codegen output and re-checks after every optimizer pass, and a
-/// broken invariant is reported as [`E::MachineFault`] naming the pass,
-/// the pc and the instruction — a miscompile can never masquerade as a
-/// legitimate runtime `Ω`.
-pub fn compile_nsc_verified(
-    f: &Func,
-    dom: &Type,
-    level: OptLevel,
-    verify: VerifyLevel,
-) -> Result<Compiled, E> {
-    compile_nsc_opts(f, dom, level, verify, level != OptLevel::O0)
-}
-
-/// [`compile_nsc_verified`] with source-level map fusion disabled at
+/// [`compile_nsc_with`] with source-level map fusion disabled at
 /// every opt level — the differential baseline `exp_fusion` and the
 /// fusion proptests compare against, so the fused and unfused pipelines
 /// run the *same* BVRAM pass stack and differ only in the rewrite.
-pub fn compile_nsc_unfused(
-    f: &Func,
-    dom: &Type,
-    level: OptLevel,
-    verify: VerifyLevel,
-) -> Result<Compiled, E> {
-    compile_nsc_opts(f, dom, level, verify, false)
+pub fn compile_nsc_unfused(f: &Func, dom: &Type, level: OptLevel) -> Result<Compiled, E> {
+    compile_nsc_opts(f, dom, level, false)
 }
 
 /// Lowerings above this instruction count ship **unoptimized**.
@@ -109,20 +86,17 @@ pub fn compile_nsc_unfused(
 /// 2,530,664, `range_sum3` 2,547,866).
 pub const OPT_BUDGET: usize = 1 << 20;
 
-/// The fully explicit pipeline entry: optimization level, translation
-/// validation, and source-level fusion are all caller-chosen.  The
-/// compile policy is the same for every caller: a lowering over
-/// [`OPT_BUDGET`] skips the optimizer, and every returned program
-/// verifies clean under `bvram::verify` (no structural violation, no
-/// use-before-def, no path off the end), or the call fails with
-/// [`E::MachineFault`].
-pub fn compile_nsc_opts(
-    f: &Func,
-    dom: &Type,
-    level: OptLevel,
-    verify: VerifyLevel,
-    fuse: bool,
-) -> Result<Compiled, E> {
+/// The fully explicit pipeline entry: optimization level and
+/// source-level fusion are caller-chosen.  The compile policy is the
+/// same for every caller: a lowering over [`OPT_BUDGET`] skips the
+/// optimizer, and every returned program verifies clean under
+/// `bvram::verify` (no structural violation, no use-before-def, no path
+/// off the end), or the call fails with [`E::MachineFault`].  A debug
+/// build also translation-validates the codegen output and every
+/// optimizer pass ([`optimize_checked`]), so a broken invariant is
+/// reported naming the pass, the pc and the instruction — a miscompile
+/// can never masquerade as a legitimate runtime `Ω`.
+pub fn compile_nsc_opts(f: &Func, dom: &Type, level: OptLevel, fuse: bool) -> Result<Compiled, E> {
     // Fusion runs on NSC source, before variable elimination, so the
     // Map-Lemma encoding is paid once per chain instead of once per
     // stage.  O0 skips it: "exactly as emitted" stays the baseline.
@@ -159,8 +133,8 @@ pub fn compile_nsc_opts(
     } else {
         level
     };
-    let program = optimize_checked(program, level, verify, "codegen")
-        .map_err(|e| E::MachineFault(e.to_string()))?;
+    let program =
+        optimize_checked(program, level, "codegen").map_err(|e| E::MachineFault(e.to_string()))?;
     let mut c = Compiled::from_parts(verified(program)?, dom.clone(), cod);
     c.fused_stages = fused_stages;
     Ok(c)
@@ -497,7 +471,7 @@ mod tests {
         let chain = a::app(inc(), a::app(dbl, a::var("x")));
         let f = a::map(a::lam("x", stdlib::numeric::sum_seq(chain)));
         let dom = Type::seq(seq_n);
-        let o0 = compile_nsc_opts(&f, &dom, OptLevel::O0, VerifyLevel::Off, true).unwrap();
+        let o0 = compile_nsc_opts(&f, &dom, OptLevel::O0, true).unwrap();
         assert!(o0.program.instrs.len() > OPT_BUDGET, "workload choice");
         assert_eq!(o0.fused_stages, 1, "workload choice");
         let c = compile_nsc_with(&f, &dom, OptLevel::O1).unwrap();

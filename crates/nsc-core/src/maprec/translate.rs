@@ -51,11 +51,6 @@ pub fn levels_type(def: &MapRecDef) -> Type {
     Type::seq(level_type(def))
 }
 
-/// Divide-phase state type: `levels × frontier`.
-pub fn divide_state_type(def: &MapRecDef) -> Type {
-    Type::prod(levels_type(def), Type::seq(def.dom.clone()))
-}
-
 /// One divide round as a term transformer:
 /// `(levels, frontier) ↦ (levels @ [level], children)`.
 pub fn divide_round(def: &MapRecDef, st: Term) -> Term {

@@ -126,11 +126,6 @@ impl Server {
         &self.cache
     }
 
-    /// The server's configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.cfg
-    }
-
     /// Submits one request: `input` is NSC value literal text for
     /// registered function `fn_name`, and `reply` is invoked exactly once
     /// from the shard when the request is answered.

@@ -6,7 +6,7 @@
 //! printing the source `T`/`W` next to the machine `T'`/`W'`.
 //!
 //! ```text
-//! nsc check   file.nsc                 parse + type check, print signatures
+//! nsc check   file.nsc                 parse + type check + compile, print signatures
 //! nsc run     file.nsc [options]       evaluate + compile + run, cost table
 //! nsc compile file.nsc [options]       print the compiled BVRAM program
 //! nsc serve   file.nsc [options]       micro-batching request server
@@ -20,7 +20,7 @@
 //! or a pipe via `--stdin`) through the adaptive micro-batching server in
 //! `nsc::serve` — see the README's "Serving" section for the protocol.
 
-use nsc::compile::{compile_nsc_verified, run_compiled, OptLevel, VerifyLevel};
+use nsc::compile::{compile_nsc_with, run_compiled, OptLevel};
 use nsc::core::ast::map;
 use nsc::core::eval::Evaluator;
 use nsc::core::parse::{parse_module, parse_value, Module};
@@ -35,8 +35,9 @@ const USAGE: &str = "\
 nsc — surface-language driver for the Suciu & Tannen compilation pipeline
 
 USAGE:
-    nsc check   <file.nsc> [OPTIONS]   parse and type check, print signatures
-                                       (lint warnings go to stderr)
+    nsc check   <file.nsc>             parse and type check, print signatures
+                                       (lint warnings go to stderr), and
+                                       compile every non-recursive definition
     nsc lint    <file.nsc>             print lint warnings (unused definitions,
                                        shadowed binders, unreachable case arms,
                                        non-compilable recursion, superlinear
@@ -55,10 +56,6 @@ OPTIONS:
     --entry <name>      entry function (default: `main`, or the sole definition)
     --input <value>     argument, e.g. '[1, 2, 3]' (default: the file's `input`)
     --opt <0|1>         (run/compile/cost) BVRAM optimization level (default: 1)
-    --verify            (check/run/compile) run the static BVRAM verifier as
-                        translation validation: every optimizer pass is
-                        checked and the first invariant-breaking pass is
-                        reported by name (always on in debug builds)
     --source-only       (run) skip compilation, evaluate only
     --fuel <n>          abort source evaluation after n rule applications
     --batch <n>         (run) also serve the input n times through the batch
@@ -96,7 +93,6 @@ struct Opts {
     stdin: bool,
     max_batch: usize,
     queue_cap: usize,
-    verify: VerifyLevel,
     explain_fusion: bool,
 }
 
@@ -122,15 +118,13 @@ fn parse_args(mut args: Vec<String>) -> Result<Opts, String> {
         stdin: false,
         max_batch: 32,
         queue_cap: 1024,
-        verify: VerifyLevel::default(),
         explain_fusion: false,
     };
     // Silently dropping a flag hides typos; each subcommand accepts only
     // the options it actually reads.
     let allowed: &[&str] = match opts.cmd.as_str() {
-        "check" => &["--verify"],
-        "lint" => &[],
-        "compile" => &["--entry", "--opt", "--verify", "--explain-fusion"],
+        "check" | "lint" => &[],
+        "compile" => &["--entry", "--opt", "--explain-fusion"],
         "cost" => &["--entry", "--opt"],
         "serve" => &["--addr", "--stdin", "--max-batch", "--queue-cap"],
         _ => &[
@@ -140,7 +134,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Opts, String> {
             "--source-only",
             "--fuel",
             "--batch",
-            "--verify",
         ],
     };
     let mut it = args.into_iter();
@@ -160,7 +153,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Opts, String> {
                 }
             }
             "--source-only" => opts.source_only = true,
-            "--verify" => opts.verify = VerifyLevel::Full,
             "--fuel" => {
                 opts.fuel = Some(
                     val("--fuel")?
@@ -249,7 +241,7 @@ fn drive(opts: &Opts) -> Result<(), String> {
     module.check().map_err(|e| format!("{}: {e}", opts.file))?;
 
     match opts.cmd.as_str() {
-        "check" => cmd_check(opts, &module),
+        "check" => cmd_check(&module),
         "lint" => {
             // Warnings on stdout (they are this command's output), one
             // per line, deterministic order; findings do not fail the
@@ -285,7 +277,7 @@ fn entry_name(opts: &Opts, module: &Module) -> Result<String, String> {
     Err("no `main` and several definitions; pick one with --entry".into())
 }
 
-fn cmd_check(opts: &Opts, module: &Module) -> Result<(), String> {
+fn cmd_check(module: &Module) -> Result<(), String> {
     // One line per definition on stdout; lint warnings go to stderr so
     // scripted consumers of the signature listing never see them.
     use std::io::Write;
@@ -297,19 +289,18 @@ fn cmd_check(opts: &Opts, module: &Module) -> Result<(), String> {
     for l in nsc::core::lint_module(module) {
         eprintln!("{l}");
     }
-    if opts.verify.enabled() {
-        // Compile every pure-NSC definition under per-pass translation
-        // validation; a pass that breaks a verifier invariant fails the
-        // check.  Recursive definitions have no compiled form to verify.
-        for d in &module.defs {
-            let pure = match module.inlined(&d.name) {
-                Ok(p) => p,
-                Err(nsc::core::parse::ModuleError::Recursive(_)) => continue,
-                Err(e) => return Err(e.to_string()),
-            };
-            compile_nsc_verified(&pure, &d.dom, opts.opt, VerifyLevel::Full)
-                .map_err(|e| format!("verifying `{}`: {e}", d.name))?;
-        }
+    // Compile every pure-NSC definition: a program that fails the
+    // compile gate (or, in a debug build, a pass that breaks a verifier
+    // invariant) fails the check.  Recursive definitions have no
+    // compiled form to verify.
+    for d in &module.defs {
+        let pure = match module.inlined(&d.name) {
+            Ok(p) => p,
+            Err(nsc::core::parse::ModuleError::Recursive(_)) => continue,
+            Err(e) => return Err(e.to_string()),
+        };
+        compile_nsc_with(&pure, &d.dom, OptLevel::default())
+            .map_err(|e| format!("compiling `{}`: {e}", d.name))?;
     }
     Ok(())
 }
@@ -320,7 +311,7 @@ fn cmd_compile(opts: &Opts, module: &Module) -> Result<(), String> {
         .get(&entry)
         .ok_or_else(|| format!("no definition named `{entry}`"))?;
     let pure = module.inlined(&entry).map_err(|e| e.to_string())?;
-    let compiled = compile_nsc_verified(&pure, &def.dom, opts.opt, opts.verify)
+    let compiled = compile_nsc_with(&pure, &def.dom, opts.opt)
         .map_err(|e| format!("compiling `{entry}`: {e}"))?;
     // Listings are long; tolerate a closed pipe (`nsc compile … | head`).
     use std::io::Write;
@@ -372,9 +363,7 @@ fn superlinear_lints(module: &Module) -> Vec<nsc::core::Lint> {
         let Ok(pure) = module.inlined(&d.name) else {
             continue;
         };
-        let Ok(compiled) =
-            compile_nsc_verified(&pure, &d.dom, OptLevel::default(), VerifyLevel::Off)
-        else {
+        let Ok(compiled) = compile_nsc_with(&pure, &d.dom, OptLevel::default()) else {
             continue;
         };
         let report = nsc::machine::cost_program(&compiled.program);
@@ -431,7 +420,7 @@ fn cmd_cost(opts: &Opts, module: &Module) -> Result<(), String> {
             }
             Err(e) => return Err(e.to_string()),
         };
-        let compiled = compile_nsc_verified(&pure, &d.dom, opts.opt, VerifyLevel::Off)
+        let compiled = compile_nsc_with(&pure, &d.dom, opts.opt)
             .map_err(|e| format!("compiling `{}`: {e}", d.name))?;
         let report = nsc::machine::cost_program(&compiled.program);
         for line in report.to_string().lines() {
@@ -489,7 +478,7 @@ fn cmd_run(opts: &Opts, module: &Module) -> Result<(), String> {
             }
             Err(e) => return Err(e.to_string()),
             Ok(pure) => {
-                let compiled = compile_nsc_verified(&pure, &def.dom, opts.opt, opts.verify)
+                let compiled = compile_nsc_with(&pure, &def.dom, opts.opt)
                     .map_err(|e| format!("compiling `{entry}`: {e}"))?;
                 // `seq` names the one machine in the rows below; the
                 // committed `tests/fixtures/run/*.out` goldens spell it so.
@@ -509,13 +498,9 @@ fn cmd_run(opts: &Opts, module: &Module) -> Result<(), String> {
                 // Serve the input --batch times through the batched
                 // runtime; every result must equal the single-run answer.
                 if let Some(b) = opts.batch {
-                    let kernel = compile_nsc_verified(
-                        &map(pure.clone()),
-                        &Type::seq(def.dom.clone()),
-                        opts.opt,
-                        opts.verify,
-                    )
-                    .map_err(|e| format!("batch compile `{entry}`: {e}"))?;
+                    let kernel =
+                        compile_nsc_with(&map(pure.clone()), &Type::seq(def.dom.clone()), opts.opt)
+                            .map_err(|e| format!("batch compile `{entry}`: {e}"))?;
                     let key = CacheKey::of(&pure, &def.dom, opts.opt);
                     let cached = CachedProgram::new(key, compiled, kernel);
                     let mode = explain_mode(&cached);

@@ -12,9 +12,7 @@
 //! The randomized counterpart (fuzz functions, random map chains) lives
 //! in `tests/properties.rs`.
 
-use nsc::compile::{
-    compile_nsc_unfused, compile_nsc_verified, run_compiled, Compiled, OptLevel, VerifyLevel,
-};
+use nsc::compile::{compile_nsc_unfused, compile_nsc_with, run_compiled, Compiled, OptLevel};
 use nsc::core::ast as a;
 use nsc::core::value::Value;
 use nsc::core::{EvalError, Func, Type};
@@ -32,11 +30,11 @@ fn chained_workloads_fuse_and_classify_omega() {
             nsc::runtime::workloads::chained_maps_faulting(),
         ),
     ] {
-        let c = compile_nsc_verified(&f, &dom, OptLevel::O1, VerifyLevel::Full).expect(name);
+        let c = compile_nsc_with(&f, &dom, OptLevel::O1).expect(name);
         assert_eq!(c.fused_stages, 2, "{name}: expected both seams to fuse");
     }
     let faulting = nsc::runtime::workloads::chained_maps_faulting();
-    let c = compile_nsc_verified(&faulting, &dom, OptLevel::O1, VerifyLevel::Full).unwrap();
+    let c = compile_nsc_with(&faulting, &dom, OptLevel::O1).unwrap();
     let err = run_compiled(&c, &Value::nat_seq(0..4))
         .expect_err("input contains a zero, the middle stage divides by it");
     assert_eq!(err, EvalError::Omega, "fault misclassified: {err:?}");
@@ -48,9 +46,9 @@ fn chained_workloads_fuse_and_classify_omega() {
 /// spread of inputs, reporting the first divergence by rewrite name.
 fn check_rewrite(rewrite: &str, original: &Func, rewritten: &Func) -> Result<(), String> {
     let dom = Type::seq(Type::Nat);
-    let co = compile_nsc_unfused(original, &dom, OptLevel::O1, VerifyLevel::Full)
+    let co = compile_nsc_unfused(original, &dom, OptLevel::O1)
         .map_err(|e| format!("fuse rewrite `{rewrite}`: original no longer compiles: {e}"))?;
-    let cr = compile_nsc_unfused(rewritten, &dom, OptLevel::O1, VerifyLevel::Full)
+    let cr = compile_nsc_unfused(rewritten, &dom, OptLevel::O1)
         .map_err(|e| format!("fuse rewrite `{rewrite}`: rewritten form does not compile: {e}"))?;
     for n in [0u64, 1, 4, 9] {
         let arg = Value::nat_seq((0..n).map(|i| i * 5 % 13));
@@ -117,7 +115,6 @@ fn unfused_pipeline_reports_zero_stages() {
         &nsc::runtime::workloads::chained_maps(),
         &Type::seq(Type::Nat),
         OptLevel::O1,
-        VerifyLevel::Full,
     )
     .unwrap();
     assert_eq!(c.fused_stages, 0);

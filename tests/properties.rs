@@ -402,11 +402,11 @@ proptest! {
         depth in 1u64..4,
         xs in proptest::collection::vec(0u64..50, 0..10),
     ) {
-        use nsc::compile::{compile_nsc_unfused, compile_nsc_verified, OptLevel, VerifyLevel};
+        use nsc::compile::{compile_nsc_unfused, compile_nsc_with, OptLevel};
         let f = gen_func(&mut Words { ws: &words, i: 0 }, depth);
         let dom = Type::seq(Type::Nat);
-        let fused = compile_nsc_verified(&f, &dom, OptLevel::O1, VerifyLevel::Full);
-        let unfused = compile_nsc_unfused(&f, &dom, OptLevel::O1, VerifyLevel::Full);
+        let fused = compile_nsc_with(&f, &dom, OptLevel::O1);
+        let unfused = compile_nsc_unfused(&f, &dom, OptLevel::O1);
         prop_assert_eq!(
             fused.is_ok(), unfused.is_ok(),
             "fusion changed compilability of {}: fused {:?} vs unfused {:?}",
@@ -431,7 +431,7 @@ proptest! {
         k in 2u64..5,
         xs in proptest::collection::vec(0u64..20, 0..10),
     ) {
-        use nsc::compile::{compile_nsc_unfused, compile_nsc_verified, run_compiled, OptLevel, VerifyLevel};
+        use nsc::compile::{compile_nsc_unfused, compile_nsc_with, run_compiled, OptLevel};
         use nsc::core::ast as a;
         let mut w = Words { ws: &words, i: 0 };
         let mut body = a::var("v");
@@ -440,8 +440,8 @@ proptest! {
         }
         let f = a::lam("v", body);
         let dom = Type::seq(Type::Nat);
-        let cf = compile_nsc_verified(&f, &dom, OptLevel::O1, VerifyLevel::Full).unwrap();
-        let cu = compile_nsc_unfused(&f, &dom, OptLevel::O1, VerifyLevel::Full).unwrap();
+        let cf = compile_nsc_with(&f, &dom, OptLevel::O1).unwrap();
+        let cu = compile_nsc_unfused(&f, &dom, OptLevel::O1).unwrap();
         prop_assert_eq!(cf.fused_stages, (k - 1) as usize, "chain did not fully fuse: {}", f);
         prop_assert_eq!(cu.fused_stages, 0usize);
         let arg = Value::nat_seq(xs.iter().copied());

@@ -1,30 +1,28 @@
 //! Fusion semantics preservation over the stdlib roster and the workload
 //! suite, from `tests/fusion.rs`: the shared `O1` program (the fused
 //! pipeline every other sweep runs) against the unfused pipeline, both
-//! translation-validated pass by pass, bit-identical in value *and*
-//! fault classification at every sample size.
+//! translation-validated pass by pass in a debug build, bit-identical in
+//! value *and* fault classification at every sample size.
 
 use super::common::{on_big_stack, roster, sample};
 use super::{entry, suite};
-use nsc::compile::{
-    compile_nsc_unfused, compile_nsc_verified, run_compiled, Compiled, OptLevel, VerifyLevel,
-};
+use nsc::compile::{compile_nsc_unfused, compile_nsc_with, run_compiled, Compiled, OptLevel};
 use nsc::core::{Func, Type};
 use nsc::runtime::workloads;
 
-/// Asserts the fused pipeline and the unfused one (full translation
-/// validation) give bit-identical `Result`s at every sample size.  The
+/// Asserts the fused pipeline and the unfused one give bit-identical
+/// `Result`s at every sample size.  The
 /// fused side is `shared`, the cache's `O1` program, where `f` has a
 /// cache entry, checked to be what the validated pipeline compiles.
 fn assert_fusion_invisible(name: &str, f: &Func, dom: &Type, shared: Option<&Compiled>) {
-    let cu = compile_nsc_unfused(f, dom, OptLevel::O1, VerifyLevel::Full)
+    let cu = compile_nsc_unfused(f, dom, OptLevel::O1)
         .unwrap_or_else(|e| panic!("{name}: unfused compile failed: {e}"));
     let validated;
     let cf = match shared {
         // Fusion left the program alone: `cu`'s validation covered it.
         Some(c) if c.program.instrs == cu.program.instrs => c,
         _ => {
-            validated = compile_nsc_verified(f, dom, OptLevel::O1, VerifyLevel::Full)
+            validated = compile_nsc_with(f, dom, OptLevel::O1)
                 .unwrap_or_else(|e| panic!("{name}: fused compile failed: {e}"));
             if let Some(c) = shared {
                 assert!(

@@ -4,16 +4,15 @@
 //! structural violations, no uninit reads, no fall-off-the-end paths — at
 //! `O0` and `O1`, however large the program, with the verifier's sparse
 //! definite-initialization check matching the dense reference finding for
-//! finding.  The `O1` kernels are re-derived under per-pass translation
-//! validation, so plain runs validate every optimizer pass on every
-//! kernel the batch and serving sweeps run.
+//! finding.  The `O1` kernels are re-derived through the pipeline, which
+//! a debug build translation-validates pass by pass.
 
 use super::common::reference::assert_init_matches_reference;
 use super::common::{on_big_stack, roster};
 use super::{entry, goldens};
 use bvram::instr::{Instr, Reg};
 use bvram::{verify_program, Program};
-use nsc::compile::{compile_nsc_verified, OptLevel, VerifyLevel, OPT_BUDGET};
+use nsc::compile::{compile_nsc_with, OptLevel, OPT_BUDGET};
 use nsc::core::ast as a;
 use nsc::core::Type;
 
@@ -44,8 +43,7 @@ fn stdlib_verifies_clean_at_o0_and_o1() {
 /// The Map-Lemma pack kernels `map(f) : [s] → [t]` — what the batch
 /// runtime actually executes — verify clean as lowered, and the shared
 /// `O1` kernel is, instruction for instruction, what the pipeline makes
-/// of `map(f)` under per-pass translation validation
-/// (`VerifyLevel::Full`).
+/// of `map(f)` (translation-validated pass by pass in a debug build).
 #[test]
 fn map_kernels_verify_clean() {
     on_big_stack(|| {
@@ -57,11 +55,10 @@ fn map_kernels_verify_clean() {
             if k0.instrs.len() > OPT_BUDGET {
                 continue;
             }
-            let validated = compile_nsc_verified(
+            let validated = compile_nsc_with(
                 &a::map(s.f.clone()),
                 &Type::seq(s.dom.clone()),
                 OptLevel::O1,
-                VerifyLevel::Full,
             )
             .unwrap_or_else(|e| panic!("compiling map({}): {e}", s.name))
             .program;

@@ -503,10 +503,24 @@ fn cli_reports_errors_with_nonzero_exit() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("does not accept `--opt`"));
+
+    // Per-pass translation validation follows the build: no subcommand
+    // takes `--verify`.
+    for cmd in ["check", "run", "compile"] {
+        let out = std::process::Command::new(&bin)
+            .args([cmd, spo, "--verify"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "nsc {cmd} --verify");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("does not accept `--verify`"),
+            "nsc {cmd} --verify"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
-// `nsc lint` golden files and `nsc check --verify`.
+// `nsc lint` golden files and `nsc check`.
 // ---------------------------------------------------------------------------
 
 fn lint_fixture_dir() -> PathBuf {
@@ -615,30 +629,29 @@ fn cli_cost_matches_goldens() {
     }
 }
 
-/// `nsc check --verify` compiles every definition and runs the static
-/// verifier on the result; all shipped examples must come back clean,
-/// and lint warnings must stay on stderr so stdout remains exactly the
-/// signature listing.
+/// `nsc check` compiles every definition, and the compile gate runs the
+/// static verifier on the result; all shipped examples must come back
+/// clean, and lint warnings must stay on stderr so stdout remains
+/// exactly the signature listing.
 #[test]
-fn cli_check_verify_accepts_every_example() {
+fn cli_check_accepts_every_example() {
     let bin = nsc_bin();
     for (name, _) in golden() {
         let out = std::process::Command::new(&bin)
             .arg("check")
             .arg(examples_src_dir().join(name))
-            .arg("--verify")
             .output()
             .expect("spawn nsc");
         assert!(
             out.status.success(),
-            "nsc check {name} --verify failed\n--- stderr ---\n{}",
+            "nsc check {name} failed\n--- stderr ---\n{}",
             String::from_utf8_lossy(&out.stderr)
         );
         let stdout = String::from_utf8_lossy(&out.stdout);
         for line in stdout.lines() {
             assert!(
                 line.starts_with("fn "),
-                "nsc check {name} --verify: unexpected stdout line {line:?}"
+                "nsc check {name}: unexpected stdout line {line:?}"
             );
         }
     }
