@@ -2,13 +2,14 @@
 //!
 //! Section 7 and Appendices C/D of Suciu & Tannen 1994:
 //!
-//! * [`fuse`] — source-level **map fusion** (deforestation), applied
-//!   before translation so chained maps flatten once, not per stage;
 //! * [`nsa`] — the variable-free **Nested Sequence Algebra** and the
 //!   NSC → NSA translation (Proposition C.1);
 //! * [`sa`] — the flat **Sequence Algebra**, the `SEQ(t)`
 //!   segment-descriptor encoding, the **Map Lemma** (Lemma 7.2), and the
 //!   flattening translation `COMPILE` (Proposition 7.4).
+//!
+//! [`fuse`] holds only a pin: an identity stand-in for the deleted
+//! source-level map-fusion pass.
 #![warn(missing_docs)]
 
 pub mod fuse;

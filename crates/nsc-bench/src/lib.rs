@@ -233,16 +233,15 @@ fn exp_opt() {
 /// (a batch of one for kernels; `[0 .. 32)` for the suite).
 fn pass_census() {
     use nsc_compile::opt::{optimize_with, PASSES};
-    use nsc_compile::{compile_nsc_opts, run_compiled, Compiled, OptLevel};
+    use nsc_compile::{compile_nsc_with, run_compiled, Compiled, OptLevel};
     let mut programs: Vec<(Compiled, Value)> = Vec::new();
     let suite = t71_suite()
         .into_iter()
         .map(|(name, f)| (name, f, Type::seq(Type::Nat), Value::nat_seq(0..32)));
     let goldens = nsc_runtime::workloads::goldens().into_iter();
     for (name, f, dom, input) in goldens.chain(suite) {
-        let o0 = |f: &nsc_core::Func, dom: &Type| {
-            compile_nsc_opts(f, dom, OptLevel::O0, true).expect(name)
-        };
+        let o0 =
+            |f: &nsc_core::Func, dom: &Type| compile_nsc_with(f, dom, OptLevel::O0).expect(name);
         let kernel = o0(&nsc_core::ast::map(f.clone()), &Type::seq(dom.clone()));
         programs.push((o0(&f, &dom), input.clone()));
         if kernel.program.instrs.len() <= nsc_compile::OPT_BUDGET {
@@ -252,7 +251,11 @@ fn pass_census() {
     let measure =
         |c: &Compiled, input: &Value, passes: &[(&'static str, nsc_compile::opt::Pass)]| {
             let p = optimize_with(c.program.clone(), passes);
-            let c = Compiled::from_parts(p, c.dom.clone(), c.cod.clone());
+            let c = Compiled {
+                program: p,
+                dom: c.dom.clone(),
+                cod: c.cod.clone(),
+            };
             let t = run_compiled(&c, input).map_or(0, |(_, cost)| cost.time);
             (c.program.instrs.len() as i64, t as i64)
         };
@@ -527,92 +530,6 @@ fn exp_interp() {
             share(k.1, work),
         ]);
     }
-}
-
-/// EXP-FUSION — the source-level map-fusion differential (the
-/// deforestation acceptance gate):
-///
-/// * for every workload — the chained-map pair plus the shared suite —
-///   the fused and unfused compile pipelines agree **bit for bit per
-///   input**, including error classification (an `Ω`
-///   input faults as `Ω` through both; neither ever turns it into a
-///   machine fault or a value);
-/// * on the chained-map workload the fused pack kernel (`map(chain)`)
-///   cuts `W'` by ≥ 30% at `B = 64` — the Map-Lemma encoding is paid
-///   once instead of once per stage;
-/// * workloads with no `map ∘ map` chain report `fused_stages = 0` and
-///   compile to the identical program fused or not.
-fn exp_fusion() {
-    println!("\n## EXP-FUSION: source map fusion (fused vs unfused differential)\n");
-    println!("claim: bit-identical results incl. fault class; >= 30% pack W' cut on the chain\n");
-    use nsc_compile::OptLevel;
-    use nsc_core::ast;
-    let dom = Type::seq(Type::Nat);
-
-    let mut workloads = vec![
-        ("map-chain x3", nsc_runtime::workloads::chained_maps()),
-        (
-            "map-chain omega",
-            nsc_runtime::workloads::chained_maps_faulting(),
-        ),
-    ];
-    workloads.extend(t71_suite());
-    header(&["workload", "fused stages", "instrs fused/unfused"]);
-    for (name, f) in &workloads {
-        let fused = nsc_compile::compile_nsc_with(f, &dom, OptLevel::O1).expect(name);
-        let unfused = nsc_compile::compile_nsc_unfused(f, &dom, OptLevel::O1).expect(name);
-        // 1..9 is fault-free everywhere; 0..8 drives the Ω chain's
-        // division by zero; the empty sequence runs every map zero times.
-        for input in [
-            Value::nat_seq(1..9),
-            Value::nat_seq(0..8),
-            Value::nat_seq(0..0),
-        ] {
-            let a = nsc_compile::run_compiled(&fused, &input).map(|p| p.0);
-            let b = nsc_compile::run_compiled(&unfused, &input).map(|p| p.0);
-            assert_eq!(a, b, "{name}: fused and unfused disagree on {input}");
-        }
-        if f == &nsc_runtime::workloads::chained_maps() {
-            assert_eq!(fused.fused_stages, 2, "{name}: three stages collapse twice");
-        }
-        row(&[
-            name.to_string(),
-            fused.fused_stages.to_string(),
-            format!(
-                "{}/{}",
-                fused.program.instrs.len(),
-                unfused.program.instrs.len()
-            ),
-        ]);
-    }
-
-    // The pack-kernel claim: fusing the chain before the Map-Lemma
-    // lowering must cut the fused batch run's W' by at least 30%.
-    let chain = nsc_runtime::workloads::chained_maps();
-    let kernel_dom = Type::seq(dom.clone());
-    let kf = nsc_compile::compile_nsc_with(&ast::map(chain.clone()), &kernel_dom, OptLevel::O1)
-        .expect("fused kernel");
-    let ku = nsc_compile::compile_nsc_unfused(&ast::map(chain), &kernel_dom, OptLevel::O1)
-        .expect("unfused kernel");
-    assert_eq!(kf.fused_stages, 2, "the kernel fuses through map(chain)");
-    let batch = Value::seq(vec![Value::nat_seq(1..17); 64]);
-    let (vf, cf) = nsc_compile::run_compiled(&kf, &batch).expect("fused kernel run");
-    let (vu, cu) = nsc_compile::run_compiled(&ku, &batch).expect("unfused kernel run");
-    assert_eq!(vf, vu, "fused and unfused pack kernels disagree at B=64");
-    let cut = 1.0 - cf.work as f64 / cu.work.max(1) as f64;
-    println!(
-        "\npack kernel at B=64: W' {} fused vs {} unfused ({:.1}% cut), T' {} vs {}",
-        cf.work,
-        cu.work,
-        100.0 * cut,
-        cf.time,
-        cu.time
-    );
-    assert!(
-        cut >= 0.30,
-        "fusion must cut the chained-map pack kernel's W' by >= 30% (got {:.1}%)",
-        100.0 * cut
-    );
 }
 
 /// EXP-COST — the symbolic cost analyzer's own budget.  `cost_program`
@@ -933,12 +850,11 @@ fn exp_d1() {
 
 /// Every experiment, in `exp all` order: the name `exp` takes and the
 /// function it runs.  A new experiment is one row here.
-pub const EXPERIMENTS: [(&str, fn()); 14] = [
+pub const EXPERIMENTS: [(&str, fn()); 13] = [
     ("fig123", exp_fig123),
     ("t42", exp_t42),
     ("t71", exp_t71),
     ("opt", exp_opt),
-    ("fusion", exp_fusion),
     ("batch", exp_batch),
     ("interp", exp_interp),
     ("cost", exp_cost),

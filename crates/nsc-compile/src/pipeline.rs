@@ -32,43 +32,12 @@ pub struct Compiled {
     pub dom: Type,
     /// NSC codomain type.
     pub cod: Type,
-    /// Number of `map ∘ map` stages source-level fusion collapsed before
-    /// translation ([`nsc_algebra::fuse`]); `0` at [`OptLevel::O0`] and
-    /// for programs with no chained maps.
-    pub fused_stages: usize,
-}
-
-impl Compiled {
-    /// Wraps an already-built program.
-    pub fn from_parts(program: Program, dom: Type, cod: Type) -> Compiled {
-        Compiled {
-            program,
-            dom,
-            cod,
-            fused_stages: 0,
-        }
-    }
 }
 
 /// Compiles a closed NSC function `f : dom → cod` down to the BVRAM at
 /// the default optimization level ([`OptLevel::O1`]).
 pub fn compile_nsc(f: &Func, dom: &Type) -> Result<Compiled, E> {
     compile_nsc_with(f, dom, OptLevel::default())
-}
-
-/// Compiles a closed NSC function `f : dom → cod` down to the BVRAM,
-/// running the [`crate::opt`] pass pipeline at the requested level under
-/// the compile policy of [`compile_nsc_opts`].
-pub fn compile_nsc_with(f: &Func, dom: &Type, level: OptLevel) -> Result<Compiled, E> {
-    compile_nsc_opts(f, dom, level, level != OptLevel::O0)
-}
-
-/// [`compile_nsc_with`] with source-level map fusion disabled at
-/// every opt level — the differential baseline `exp_fusion` and the
-/// fusion proptests compare against, so the fused and unfused pipelines
-/// run the *same* BVRAM pass stack and differ only in the rewrite.
-pub fn compile_nsc_unfused(f: &Func, dom: &Type, level: OptLevel) -> Result<Compiled, E> {
-    compile_nsc_opts(f, dom, level, false)
 }
 
 /// Lowerings above this instruction count ship **unoptimized**.
@@ -83,33 +52,21 @@ pub fn compile_nsc_unfused(f: &Func, dom: &Type, level: OptLevel) -> Result<Comp
 /// budget; past it are the `while`-heavy stdlib `map(f)` kernels (up to
 /// 9.4M instructions) and the Theorem 4.2 translations of the
 /// map-recursion fixtures (`range_sum` 1,295,309, `staircase`
-/// 2,530,664, `range_sum3` 2,547,866).
+/// 2,548,260, `range_sum3` 2,565,462).
 pub const OPT_BUDGET: usize = 1 << 20;
 
-/// The fully explicit pipeline entry: optimization level and
-/// source-level fusion are caller-chosen.  The compile policy is the
-/// same for every caller: a lowering over [`OPT_BUDGET`] skips the
-/// optimizer, and every returned program verifies clean under
-/// `bvram::verify` (no structural violation, no use-before-def, no path
-/// off the end), or the call fails with [`E::MachineFault`].  A debug
-/// build also translation-validates the codegen output and every
-/// optimizer pass ([`optimize_checked`]), so a broken invariant is
-/// reported naming the pass, the pc and the instruction — a miscompile
-/// can never masquerade as a legitimate runtime `Ω`.
-pub fn compile_nsc_opts(f: &Func, dom: &Type, level: OptLevel, fuse: bool) -> Result<Compiled, E> {
-    // Fusion runs on NSC source, before variable elimination, so the
-    // Map-Lemma encoding is paid once per chain instead of once per
-    // stage.  O0 skips it: "exactly as emitted" stays the baseline.
-    let (fused_f, fused_stages);
-    let f = if fuse {
-        let fused = nsc_algebra::fuse::fuse_func(f);
-        fused_stages = fused.stages;
-        fused_f = fused.func;
-        &fused_f
-    } else {
-        fused_stages = 0;
-        f
-    };
+/// Compiles a closed NSC function `f : dom → cod` down to the BVRAM,
+/// running the [`crate::opt`] pass pipeline at the requested level.  The
+/// compile policy is the same for every caller: a lowering over
+/// [`OPT_BUDGET`] skips the optimizer, and every returned program
+/// verifies clean under `bvram::verify` (no structural violation, no
+/// use-before-def, no path off the end), or the call fails with
+/// [`E::MachineFault`].  A debug build also translation-validates the
+/// codegen output and every optimizer pass ([`optimize_checked`]), so a
+/// broken invariant is reported naming the pass, the pc and the
+/// instruction — a miscompile can never masquerade as a legitimate
+/// runtime `Ω`.
+pub fn compile_nsc_with(f: &Func, dom: &Type, level: OptLevel) -> Result<Compiled, E> {
     let nsa = func_to_nsa(f).map_err(E::Translation)?;
     let (sa, cod) = compile(&nsa, dom)?;
     let (program, sa_cod) = compile_sa(&sa, &compile_type(dom))?;
@@ -135,9 +92,11 @@ pub fn compile_nsc_opts(f: &Func, dom: &Type, level: OptLevel, fuse: bool) -> Re
     };
     let program =
         optimize_checked(program, level, "codegen").map_err(|e| E::MachineFault(e.to_string()))?;
-    let mut c = Compiled::from_parts(verified(program)?, dom.clone(), cod);
-    c.fused_stages = fused_stages;
-    Ok(c)
+    Ok(Compiled {
+        program: verified(program)?,
+        dom: dom.clone(),
+        cod,
+    })
 }
 
 /// The compile gate: `program` if it verifies clean, else a
@@ -343,7 +302,10 @@ mod tests {
                 values: 1,
             })
             .push(Instr::Halt);
-        let broken = Compiled::from_parts(b.build().unwrap(), good.dom.clone(), good.cod.clone());
+        let broken = Compiled {
+            program: b.build().unwrap(),
+            ..good
+        };
         let err = run_compiled(&broken, &Value::nat_seq([1, 2, 3])).unwrap_err();
         assert!(
             matches!(err, E::MachineFault(_)),
@@ -465,18 +427,16 @@ mod tests {
         let c1 = compile_nsc_with(&inc(), &seq_n, OptLevel::O1).unwrap();
         assert!(c1.program.instrs.len() < c0.program.instrs.len());
 
-        // `map(sum)` of a fusable chain lowers past the budget: it comes
-        // back exactly as lowered, verified, with its fusion count.
+        // `map(sum)` of a two-stage map chain lowers past the budget: it
+        // comes back exactly as lowered, verified.
         let dbl = a::map(a::lam("y", a::mul(a::var("y"), a::nat(2))));
         let chain = a::app(inc(), a::app(dbl, a::var("x")));
         let f = a::map(a::lam("x", stdlib::numeric::sum_seq(chain)));
         let dom = Type::seq(seq_n);
-        let o0 = compile_nsc_opts(&f, &dom, OptLevel::O0, true).unwrap();
+        let o0 = compile_nsc_with(&f, &dom, OptLevel::O0).unwrap();
         assert!(o0.program.instrs.len() > OPT_BUDGET, "workload choice");
-        assert_eq!(o0.fused_stages, 1, "workload choice");
         let c = compile_nsc_with(&f, &dom, OptLevel::O1).unwrap();
         assert_eq!(c.program.instrs, o0.program.instrs);
-        assert_eq!(c.fused_stages, 1);
         assert!(verify_program(&c.program).clean());
     }
 

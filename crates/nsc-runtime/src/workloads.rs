@@ -1,8 +1,8 @@
 //! Shared workload builders for experiments and tests.
 //!
 //! Every experiment constructs its programs here, so "the sum workload"
-//! means the same AST in `exp_t71`, `exp_opt`, `exp_batch`, `exp_fusion`
-//! and `exp_cost` — apples to apples across the whole model-cost surface.
+//! means the same AST in `exp_t71`, `exp_opt`, `exp_batch` and
+//! `exp_cost` — apples to apples across the whole model-cost surface.
 
 use nsc_core::ast as a;
 use nsc_core::stdlib;
@@ -32,38 +32,6 @@ pub fn halve_all() -> Func {
         a::lam("x", a::lt(a::nat(0), a::var("x"))),
         a::lam("x", a::rshift(a::var("x"), a::nat(1))),
     ))
-}
-
-/// A three-stage `map` chain (`(+1) ∘ (x·x) ∘ (+2)` elementwise) the
-/// source-level fusion rewrite collapses to one stage — the
-/// `exp_fusion` differential workload.  Every stage materializes an
-/// intermediate sequence unfused, so the Map-Lemma encoding is paid
-/// three times instead of once.
-pub fn chained_maps() -> Func {
-    let add = |k: u64| a::lam("x", a::add(a::var("x"), a::nat(k)));
-    let sq = a::lam("x", a::mul(a::var("x"), a::var("x")));
-    a::lam(
-        "v",
-        a::app(
-            a::map(add(1)),
-            a::app(a::map(sq), a::app(a::map(add(2)), a::var("v"))),
-        ),
-    )
-}
-
-/// Like [`chained_maps`], but the middle stage divides by the element:
-/// `Ω` exactly when the input contains a zero — the fault-classification
-/// side of the fusion differential.
-pub fn chained_maps_faulting() -> Func {
-    let add = |k: u64| a::lam("x", a::add(a::var("x"), a::nat(k)));
-    let inv = a::lam("x", a::div(a::nat(100), a::var("x")));
-    a::lam(
-        "v",
-        a::app(
-            a::map(add(1)),
-            a::app(a::map(inv), a::app(a::map(add(0)), a::var("v"))),
-        ),
-    )
 }
 
 /// The shared `EXP-T71`/`EXP-OPT`/`EXP-BATCH` suite over `[N]`.

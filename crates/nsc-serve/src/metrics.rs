@@ -157,10 +157,13 @@ impl Metrics {
     }
 
     /// Batcher side: a batch of `size` requests is about to execute
-    /// under `mode` (`fused` per [`nsc_runtime::BatchOutcome::fused`]);
-    /// batches that never reach the runner (all requests malformed) pass
-    /// no mode.  A pack batch that did not complete fused counts as
-    /// [`Snapshot::pack_slower`].
+    /// under `mode` (`fused` per [`nsc_runtime::BatchOutcome::fused`]).
+    /// Two kinds of batch pass no mode: one that never reaches the runner
+    /// (every request malformed), and one with exactly one valid request,
+    /// which runs on the single-request program.  So
+    /// `pack_batches + lanes_batches` falls short of `batches` by the
+    /// number of such batches.  A pack batch that did not complete fused
+    /// counts as [`Snapshot::pack_slower`].
     pub fn on_batch(&self, size: usize, mode: Option<nsc_runtime::BatchMode>, fused: bool) {
         let mut m = self.inner.lock().unwrap();
         m.batches += 1;
@@ -192,16 +195,11 @@ impl Metrics {
         m.latency_ns.record(latency_ns);
     }
 
-    /// A point-in-time copy of every counter.  `fused_stages` is the
-    /// shard's compile-time property (how many `map ∘ map` stages source
-    /// fusion collapsed in its pack kernel), passed through so the
-    /// metrics reply reports compile-time and run-time batching facts
-    /// together.
-    pub fn snapshot(&self, function: &str, fused_stages: usize) -> Snapshot {
+    /// A point-in-time copy of every counter.
+    pub fn snapshot(&self, function: &str) -> Snapshot {
         let m = self.inner.lock().unwrap();
         Snapshot {
             function: function.to_string(),
-            fused_stages,
             queue_depth: self.depth.load(Ordering::Relaxed),
             submitted: m.submitted,
             rejected: m.rejected,
@@ -228,10 +226,6 @@ impl Metrics {
 pub struct Snapshot {
     /// Registered function name the shard serves.
     pub function: String,
-    /// `map ∘ map` stages source fusion collapsed in the shard's pack
-    /// kernel (0 until the batcher finishes compiling, and for functions
-    /// with no chained maps).
-    pub fused_stages: usize,
     /// Requests admitted but not yet answered.
     pub queue_depth: usize,
     /// Requests accepted into the queue, ever.
@@ -282,7 +276,6 @@ impl Snapshot {
         let mut m = BTreeMap::new();
         m.insert("fn".into(), Json::Str(self.function.clone()));
         m.insert("backend".into(), Json::Str("seq".into()));
-        m.insert("fused_stages".into(), Json::Num(self.fused_stages as f64));
         m.insert("queue_depth".into(), Json::Num(self.queue_depth as f64));
         m.insert("submitted".into(), Json::Num(self.submitted as f64));
         m.insert("rejected".into(), Json::Num(self.rejected as f64));
@@ -362,8 +355,7 @@ mod tests {
         m.on_reply(1000, false);
         m.on_reply(2000, true);
         m.on_panic();
-        let s = m.snapshot("f", 3);
-        assert_eq!(s.fused_stages, 3);
+        let s = m.snapshot("f");
         assert_eq!(s.submitted, 2);
         assert_eq!(s.rejected, 1);
         assert_eq!(s.completed, 2);

@@ -51,7 +51,7 @@ use nsc_core::types::Type;
 use nsc_core::Func;
 use nsc_runtime::{BatchRunner, CompiledCache};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -86,10 +86,6 @@ pub struct Shard {
     metrics: Arc<Metrics>,
     handle: Mutex<Option<JoinHandle<()>>>,
     function: String,
-    /// `map ∘ map` stages source fusion collapsed in this shard's pack
-    /// kernel — written once by the batcher after it compiles, read by
-    /// [`Shard::snapshot`] (0 until compilation finishes or if it fails).
-    fused_stages: Arc<AtomicUsize>,
 }
 
 impl std::fmt::Debug for Shard {
@@ -117,14 +113,12 @@ impl Shard {
     ) -> Shard {
         let (tx, rx) = std::sync::mpsc::sync_channel(cfg.queue_cap.max(1));
         let metrics = Arc::new(Metrics::default());
-        let fused_stages = Arc::new(AtomicUsize::new(0));
         let thread_cfg = cfg.clone();
         let thread_metrics = Arc::clone(&metrics);
-        let thread_fused = Arc::clone(&fused_stages);
         let handle = std::thread::Builder::new()
             .name(format!("nsc-serve/{function_name}"))
             .stack_size(BATCHER_STACK)
-            .spawn(move || batcher(rx, f, dom, thread_cfg, cache, thread_metrics, thread_fused))
+            .spawn(move || batcher(rx, f, dom, thread_cfg, cache, thread_metrics))
             .expect("spawn batcher thread");
         Shard {
             tx: Mutex::new(Some(tx)),
@@ -132,7 +126,6 @@ impl Shard {
             metrics,
             handle: Mutex::new(Some(handle)),
             function: function_name.to_string(),
-            fused_stages,
         }
     }
 
@@ -174,8 +167,7 @@ impl Shard {
 
     /// Point-in-time metrics.
     pub fn snapshot(&self) -> crate::Snapshot {
-        self.metrics
-            .snapshot(&self.function, self.fused_stages.load(Ordering::Relaxed))
+        self.metrics.snapshot(&self.function)
     }
 
     /// Closes admission, lets the batcher drain every queued request,
@@ -196,15 +188,11 @@ fn batcher(
     cfg: ServeConfig,
     cache: Arc<CompiledCache>,
     metrics: Arc<Metrics>,
-    fused_stages: Arc<AtomicUsize>,
 ) {
     let runner = BatchRunner::from_cache(&cache, &f, &dom, OptLevel::default())
         .map_err(|e| ServeError::Compile(e.to_string()));
     let runner = match runner {
-        Ok(r) => {
-            fused_stages.store(r.cached().batch.fused_stages, Ordering::Relaxed);
-            r
-        }
+        Ok(r) => r,
         Err(e) => {
             // The compilation failure is this shard's permanent answer.
             while let Ok(job) = rx.recv() {

@@ -63,11 +63,6 @@ OPTIONS:
                         the structural rule that chose it (pack iff
                         the compiled program and its map(f) kernel are
                         straight-line)
-    --explain-fusion    (compile) print what source-level map fusion did to
-                        the entry: how many map∘map stages collapsed and,
-                        for each seam that did not, why it was blocked
-                        (fusion applies at --opt 1; --opt 0 compiles the
-                        program exactly as written)
     --addr <host:port>  (serve) listen for TCP connections; a client line
                         {\"cmd\": \"shutdown\"} drains and stops the server
     --stdin             (serve) read requests from stdin, answer on stdout,
@@ -93,7 +88,6 @@ struct Opts {
     stdin: bool,
     max_batch: usize,
     queue_cap: usize,
-    explain_fusion: bool,
 }
 
 fn parse_args(mut args: Vec<String>) -> Result<Opts, String> {
@@ -118,14 +112,12 @@ fn parse_args(mut args: Vec<String>) -> Result<Opts, String> {
         stdin: false,
         max_batch: 32,
         queue_cap: 1024,
-        explain_fusion: false,
     };
     // Silently dropping a flag hides typos; each subcommand accepts only
     // the options it actually reads.
     let allowed: &[&str] = match opts.cmd.as_str() {
         "check" | "lint" => &[],
-        "compile" => &["--entry", "--opt", "--explain-fusion"],
-        "cost" => &["--entry", "--opt"],
+        "compile" | "cost" => &["--entry", "--opt"],
         "serve" => &["--addr", "--stdin", "--max-batch", "--queue-cap"],
         _ => &[
             "--entry",
@@ -169,7 +161,6 @@ fn parse_args(mut args: Vec<String>) -> Result<Opts, String> {
                 }
                 opts.batch = Some(n);
             }
-            "--explain-fusion" => opts.explain_fusion = true,
             "--addr" => opts.addr = Some(val("--addr")?),
             "--stdin" => opts.stdin = true,
             "--max-batch" => {
@@ -321,29 +312,6 @@ fn cmd_compile(opts: &Opts, module: &Module) -> Result<(), String> {
         "-- {} : {} -> {} (opt {:?})",
         entry, def.dom, def.cod, opts.opt
     );
-    // `--explain-fusion`: what the source-level rewrite did to this
-    // entry.  `fuse_func` is re-run here (it is pure and cheap) so the
-    // report is available even at --opt 0, where compilation skips it.
-    if opts.explain_fusion {
-        let fused = nsc::algebra::fuse::fuse_func(&pure);
-        let _ = writeln!(
-            out,
-            "-- fusion: {} map∘map stage(s) collapsed",
-            fused.stages
-        );
-        for reason in &fused.blocked {
-            let _ = writeln!(out, "-- fusion blocked: {reason}");
-        }
-        if fused.stages == 0 && fused.blocked.is_empty() {
-            let _ = writeln!(out, "-- fusion: no map chains in `{entry}`");
-        }
-        if opts.opt == OptLevel::O0 {
-            let _ = writeln!(
-                out,
-                "-- fusion: not applied below (--opt 0 compiles the program as written)"
-            );
-        }
-    }
     let _ = write!(out, "{}", compiled.program);
     Ok(())
 }
@@ -541,7 +509,7 @@ fn cmd_run(opts: &Opts, module: &Module) -> Result<(), String> {
 
 /// The discipline every batch of `cached` runs under, the structural
 /// fact that chose it (pack iff the single program and its `map(f)`
-/// kernel are straight-line), and the kernel's fused `map∘map` stages.
+/// kernel are straight-line).
 fn explain_mode(cached: &CachedProgram) -> String {
     let why = match cached.mode() {
         BatchMode::Pack => format!(
@@ -559,11 +527,7 @@ fn explain_mode(cached: &CachedProgram) -> String {
             }
         }
     };
-    format!(
-        "{}: {why}, fused_stages {}",
-        cached.mode().name(),
-        cached.batch.fused_stages
-    )
+    format!("{}: {why}", cached.mode().name())
 }
 
 fn cmd_serve(opts: &Opts, module: &Module) -> Result<(), String> {

@@ -391,47 +391,67 @@ proptest! {
         }
     }
 
-    /// Source-level `map` fusion is invisible to fuzz functions: the
-    /// fused and unfused pipelines agree on whether a function compiles
-    /// at all, and where both compile they agree bit-for-bit — including whether a run faults as `Ω` or as a machine
-    /// fault.  A step-limit trip on either side skips the case (fuzz
-    /// functions can type check a genuinely divergent `while`).
+    /// The compiler agrees with the Definition 3.1 evaluator on fuzz
+    /// functions: wherever a function compiles at `O1`, the compiled
+    /// program returns the evaluator's value, and `Ω` exactly where the
+    /// evaluator reports a source-level error.  A machine fault — from
+    /// the compile gate or from a run — is never acceptable.  An
+    /// evaluator out of fuel or a machine at its step limit skips the
+    /// case (fuzz functions can type check a genuinely divergent
+    /// `while`); so does a function the front end rejects.
     #[test]
-    fn prop_fusion_preserves_fuzz_semantics(
+    fn prop_compiled_fuzz_functions_agree_with_the_evaluator(
         words in proptest::collection::vec(0u64..u64::MAX, 1..40),
         depth in 1u64..4,
         xs in proptest::collection::vec(0u64..50, 0..10),
     ) {
-        use nsc::compile::{compile_nsc_unfused, compile_nsc_with, OptLevel};
+        use nsc::compile::{compile_nsc_with, OptLevel};
+        use nsc::core::eval::{Evaluator, FuncTable};
+        use nsc::core::EvalError;
         let f = gen_func(&mut Words { ws: &words, i: 0 }, depth);
         let dom = Type::seq(Type::Nat);
-        let fused = compile_nsc_with(&f, &dom, OptLevel::O1);
-        let unfused = compile_nsc_unfused(&f, &dom, OptLevel::O1);
-        prop_assert_eq!(
-            fused.is_ok(), unfused.is_ok(),
-            "fusion changed compilability of {}: fused {:?} vs unfused {:?}",
-            f, fused.as_ref().err(), unfused.as_ref().err()
-        );
-        if let (Ok(cf), Ok(cu)) = (fused, unfused) {
-            let arg = Value::nat_seq(xs.iter().copied());
-            if let (Some(rf), Some(ru)) = (run_bounded(&cf, &arg), run_bounded(&cu, &arg)) {
-                prop_assert_eq!(rf, ru, "fused and unfused runs diverge on {}", f);
+        let c = match compile_nsc_with(&f, &dom, OptLevel::O1) {
+            Ok(c) => c,
+            Err(e) => {
+                prop_assert!(
+                    !matches!(e, EvalError::MachineFault(_)),
+                    "compiling {} hit a machine fault: {:?}", f, e
+                );
+                return Ok(());
             }
+        };
+        let arg = Value::nat_seq(xs.iter().copied());
+        let Some(got) = run_bounded(&c, &arg) else { return Ok(()) };
+        let table = FuncTable::new();
+        let want = Evaluator::new(&table)
+            .with_fuel(1 << 22)
+            .apply_closed(&f, arg.clone())
+            .map(|p| p.0);
+        match (&got, &want) {
+            (_, Err(EvalError::FuelExhausted)) => {}
+            (Ok(g), Ok(v)) => prop_assert_eq!(g, v, "{} disagrees with the evaluator on {}", f, arg),
+            (Err(EvalError::Omega), Err(e)) => prop_assert!(
+                !matches!(e, EvalError::MachineFault(_)),
+                "evaluator reported a machine fault on {}: {:?}", f, e
+            ),
+            _ => prop_assert!(
+                false,
+                "{} on {}: compiled {:?} vs evaluator {:?}",
+                f, arg, got, want
+            ),
         }
     }
 
-    /// A chain of `k` `map`s over random total scalar bodies fuses to a
-    /// single stage (`fused_stages = k-1`, and `0` on the unfused
-    /// pipeline) and the fused kernel agrees with both the unfused one
-    /// and the NSC evaluator on every input — division-by-zero faults
-    /// classify identically as `Ω` everywhere.
+    /// A chain of `k` `map`s over random total scalar bodies agrees with
+    /// the NSC evaluator on every input: division-by-zero faults classify
+    /// as `Ω` on the machine, never as a machine fault.
     #[test]
-    fn prop_map_chains_fuse_and_agree(
+    fn prop_map_chains_agree_with_the_evaluator(
         words in proptest::collection::vec(0u64..u64::MAX, 1..20),
         k in 2u64..5,
         xs in proptest::collection::vec(0u64..20, 0..10),
     ) {
-        use nsc::compile::{compile_nsc_unfused, compile_nsc_with, run_compiled, OptLevel};
+        use nsc::compile::{compile_nsc_with, run_compiled, OptLevel};
         use nsc::core::ast as a;
         let mut w = Words { ws: &words, i: 0 };
         let mut body = a::var("v");
@@ -439,29 +459,22 @@ proptest! {
             body = a::app(a::map(a::lam("x", gen_scalar_body(&mut w, 3))), body);
         }
         let f = a::lam("v", body);
-        let dom = Type::seq(Type::Nat);
-        let cf = compile_nsc_with(&f, &dom, OptLevel::O1).unwrap();
-        let cu = compile_nsc_unfused(&f, &dom, OptLevel::O1).unwrap();
-        prop_assert_eq!(cf.fused_stages, (k - 1) as usize, "chain did not fully fuse: {}", f);
-        prop_assert_eq!(cu.fused_stages, 0usize);
+        let c = compile_nsc_with(&f, &Type::seq(Type::Nat), OptLevel::O1).unwrap();
         let arg = Value::nat_seq(xs.iter().copied());
-        let rf = run_compiled(&cf, &arg).map(|p| p.0);
-        let ru = run_compiled(&cu, &arg).map(|p| p.0);
-        prop_assert_eq!(rf, ru, "fused and unfused map chains diverge on {}", f);
         // The evaluator keeps fine-grained fault causes (`DivisionByZero`)
-        // that the machine legitimately coarsens to `Ω`; what fusion must
-        // preserve is success vs source-level fault, never a machine fault.
+        // that the machine legitimately coarsens to `Ω`; what must agree
+        // is success vs source-level fault, never a machine fault.
         let want = nsc::core::eval::apply_func(&f, arg.clone()).map(|p| p.0);
-        let got = run_compiled(&cf, &arg).map(|p| p.0);
+        let got = run_compiled(&c, &arg).map(|p| p.0);
         match (&got, &want) {
-            (Ok(g), Ok(v)) => prop_assert_eq!(g, v, "fused chain disagrees with the evaluator on {}", f),
+            (Ok(g), Ok(v)) => prop_assert_eq!(g, v, "map chain disagrees with the evaluator on {}", f),
             (Err(nsc::core::EvalError::Omega), Err(e)) => prop_assert!(
                 !matches!(e, nsc::core::EvalError::MachineFault(_)),
                 "evaluator reported a machine fault on {}: {:?}", f, e
             ),
             _ => prop_assert!(
                 false,
-                "fused chain fault behavior diverges from the evaluator on {}: {:?} vs {:?}",
+                "map chain fault behavior diverges from the evaluator on {}: {:?} vs {:?}",
                 f, got, want
             ),
         }

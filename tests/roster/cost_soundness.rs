@@ -112,10 +112,10 @@ fn golden_example_bounds_are_sound_and_finite() {
     });
 }
 
-/// Old-vs-new degree comparison: going from the unoptimized, unfused
-/// `O0` lowering to the full `O1` pipeline (fusion + the BVRAM pass
-/// stack) may tighten a certified bound but must never raise its
-/// polynomial degree or collapse it to `⊤` — a rewrite that turns an
+/// Old-vs-new degree comparison: going from the unoptimized `O0`
+/// lowering to the full `O1` pipeline (the BVRAM pass stack) may tighten
+/// a certified bound but must never raise its polynomial degree or
+/// collapse it to `⊤` — a rewrite that turns an
 /// `O(n)` certificate into `O(n²)` (or loses it entirely) would silently
 /// corrupt everything that reads these bounds (`nsc cost`, the
 /// superlinear lint, the optimizer's no-regression gate).

@@ -20,7 +20,6 @@ mod batch_equiv;
 mod batch_rule;
 mod cfg_reference;
 mod cost_soundness;
-mod fusion;
 mod serve_equiv;
 mod static_verify;
 

@@ -517,6 +517,14 @@ fn cli_reports_errors_with_nonzero_exit() {
             "nsc {cmd} --verify"
         );
     }
+
+    // Source-level map fusion is deleted, and its report with it.
+    let out = std::process::Command::new(&bin)
+        .args(["compile", spo, "--explain-fusion"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("does not accept `--explain-fusion`"));
 }
 
 // ---------------------------------------------------------------------------
