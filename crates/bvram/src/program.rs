@@ -39,13 +39,11 @@ pub struct Program {
 pub enum TripBound {
     /// At most `n` traversals, independent of input.
     Const(u64),
-    /// At most `len(reg) + add` traversals, where `len(reg)` is the
+    /// At most `len(reg) + 1` traversals, where `len(reg)` is the
     /// length of `reg` when control first enters the loop head.
     Len {
         /// The register whose entry length bounds the trip count.
         reg: Reg,
-        /// Additive slack on top of the entry length.
-        add: u64,
     },
 }
 

@@ -272,7 +272,7 @@ pub fn check_structure(prog: &Program) -> Vec<Violation> {
         }
     }
     for h in &prog.trip_hints {
-        if let TripBound::Len { reg, .. } = h.bound {
+        if let TripBound::Len { reg } = h.bound {
             if reg as usize >= prog.n_regs {
                 out.push(Violation::TripHintRegisterOutOfBounds {
                     pc: h.pc as usize,
@@ -718,7 +718,7 @@ mod tests {
         b.label("head")
             .if_empty_goto(0, "end")
             .push(Move { dst: 1, src: 0 })
-            .trip_hint(TripBound::Len { reg: 99, add: 1 })
+            .trip_hint(TripBound::Len { reg: 99 })
             .goto("head")
             .label("end")
             .push(Halt);

@@ -534,18 +534,19 @@ fn exp_interp() {
 
 /// EXP-COST — the symbolic cost analyzer's own budget.  `cost_program`
 /// runs on demand (`nsc cost`, the lint, the optimizer's gate), so it
-/// must stay interactive even on the largest
-/// kernel the cache ever holds — the while-heavy `sum` workload's
-/// `map(f)` kernel, which blows past [`nsc_compile::OPT_BUDGET`]
-/// and ships at full unoptimized size.  Analyzes both cached programs of
-/// every shared-suite entry, timing each run, and asserts the slowest
-/// pack-kernel analysis finishes under 2 s; every pack kernel *within
-/// the analyzer's own budget* ([`bvram::cost::COST_BUDGET`], blocks ×
-/// registers — the scalar-map kernels pack actually wins on all qualify)
-/// must additionally carry a finite (non-`⊤`) bound.
+/// must stay interactive on every program the cache holds.  Analyzes
+/// both cached programs of every shared-suite entry — the single
+/// program and the `map(f)` pack kernel — timing each run, and asserts
+/// that the slowest analysis finishes under 2 s.  The largest kernels
+/// (the while-heavy `sum` workload's blows past
+/// [`nsc_compile::OPT_BUDGET`] and ships at full unoptimized size) are
+/// cut off by the analyzer's own budget ([`bvram::cost::COST_BUDGET`],
+/// blocks × registers); every pack kernel within it — the scalar-map
+/// kernels pack actually wins on all qualify — must additionally carry a
+/// finite (non-`⊤`) bound.
 fn exp_cost() {
     println!("\n## EXP-COST: symbolic cost analyzer budget\n");
-    println!("claim: analyzing the largest cached pack kernel stays under 2s\n");
+    println!("claim: analyzing any cached program stays under 2s\n");
     use nsc_compile::OptLevel;
     use nsc_runtime::{BatchRunner, CompiledCache};
     header(&[
@@ -557,7 +558,7 @@ fn exp_cost() {
         "T' bound",
     ]);
     let cache = CompiledCache::new();
-    let mut slowest_kernel = (0.0f64, "");
+    let mut slowest = (0.0f64, "", "");
     let mut finite_maps = 0usize;
     let mut scalar_maps = 0usize;
     for (name, f) in t71_suite() {
@@ -568,8 +569,8 @@ fn exp_cost() {
             let t0 = std::time::Instant::now();
             let report = bvram::cost_program(&art.program);
             let ms = t0.elapsed().as_secs_f64() * 1e3;
-            if what == "pack" && ms > slowest_kernel.0 {
-                slowest_kernel = (ms, name);
+            if ms > slowest.0 {
+                slowest = (ms, name, what);
             }
             // The finite-bound requirement applies to kernels the
             // analyzer actually analyzes: past COST_BUDGET it returns ⊤
@@ -594,16 +595,12 @@ fn exp_cost() {
             ]);
         }
     }
-    println!(
-        "\nslowest pack-kernel analysis: {} at {:.1}ms",
-        slowest_kernel.1, slowest_kernel.0
-    );
+    let (ms, name, what) = slowest;
+    println!("\nslowest analysis: {name} ({what}) at {ms:.1}ms");
     assert!(
-        slowest_kernel.0 < 2000.0,
-        "cost analysis of the largest cached pack kernel must stay under 2s \
-         ({} took {:.1}ms)",
-        slowest_kernel.1,
-        slowest_kernel.0
+        ms < 2000.0,
+        "cost analysis of every cached program must stay under 2s \
+         ({name} ({what}) took {ms:.1}ms)"
     );
     assert!(
         finite_maps == scalar_maps && scalar_maps > 0,

@@ -743,7 +743,7 @@ fn resolve_trip(trip: &Trip, state: &[Reg], dom: &Type) -> Option<TripBound> {
             if reg_count(ty) == 0 {
                 return None;
             }
-            state.get(off).map(|r| TripBound::Len { reg: *r, add: 1 })
+            state.get(off).map(|r| TripBound::Len { reg: *r })
         }
     }
 }

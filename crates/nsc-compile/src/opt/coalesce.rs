@@ -120,7 +120,7 @@ pub fn coalesce_moves(prog: &mut Program) -> bool {
     // block (the back edge's target), so the register stays live across
     // the loop and nothing merges over its certified value.
     for h in &prog.trip_hints {
-        if let bvram::TripBound::Len { reg, .. } = h.bound {
+        if let bvram::TripBound::Len { reg } = h.bound {
             if let Some(c) = cand(reg) {
                 if let Some(Instr::Goto { target } | Instr::IfEmptyGoto { target, .. }) =
                     prog.instrs.get(h.pc as usize)
@@ -231,7 +231,7 @@ pub fn coalesce_moves(prog: &mut Program) -> bool {
     // their names (a pinned candidate is always its group's
     // representative, so the certificate stays valid after renaming).
     for h in &prog.trip_hints {
-        if let bvram::TripBound::Len { reg, .. } = h.bound {
+        if let bvram::TripBound::Len { reg } = h.bound {
             if let Some(c) = cand(reg) {
                 pinned[c as usize] = true;
             }

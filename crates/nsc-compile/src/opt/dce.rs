@@ -43,7 +43,7 @@ pub fn eliminate_dead(prog: &mut Program) -> bool {
     // entry: treat that as a use, or the defining chain would be deleted
     // and the certificate would silently bound by an empty vector.
     for h in &prog.trip_hints {
-        if let bvram::TripBound::Len { reg, .. } = h.bound {
+        if let bvram::TripBound::Len { reg } = h.bound {
             uses[reg as usize] += 1;
         }
     }
@@ -137,7 +137,7 @@ mod tests {
     #[test]
     fn fallthrough_goto_dies_with_its_trip_hint() {
         let mut b = Builder::new(1, 1);
-        b.trip_hint(TripBound::Len { reg: 0, add: 1 })
+        b.trip_hint(TripBound::Len { reg: 0 })
             .goto("next")
             .label("next")
             .push(Halt);

@@ -380,7 +380,7 @@ pub fn compact_registers(prog: &mut Program) -> bool {
     // the rest (an unused hint register means the loop body no longer
     // reads it — the certificate is stale, so drop it).
     prog.trip_hints.retain_mut(|h| {
-        if let bvram::TripBound::Len { reg, .. } = &mut h.bound {
+        if let bvram::TripBound::Len { reg } = &mut h.bound {
             let m = map[*reg as usize];
             if m == u32::MAX {
                 return false;
@@ -631,7 +631,7 @@ mod tests {
             .push(Enumerate { dst: 1, src: 0 })
             .push(Select { dst: 2, src: 1 })
             .push(Move { dst: 0, src: 2 })
-            .trip_hint(TripBound::Len { reg: 0, add: 1 })
+            .trip_hint(TripBound::Len { reg: 0 })
             .goto("loop")
             .label("done")
             .push(Halt);

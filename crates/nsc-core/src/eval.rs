@@ -84,9 +84,6 @@ pub type EvalOutcome = Result<(Value, Cost), EvalError>;
 pub struct Evaluator<'a> {
     defs: &'a FuncTable,
     fuel: u64,
-    /// Charge environment sizes in `SIZE` (Definition 3.1 includes them).
-    /// Disabled only for the cost-model ablation experiment.
-    pub charge_env: bool,
 }
 
 impl<'a> Evaluator<'a> {
@@ -95,7 +92,6 @@ impl<'a> Evaluator<'a> {
         Evaluator {
             defs,
             fuel: u64::MAX,
-            charge_env: true,
         }
     }
 
@@ -113,14 +109,6 @@ impl<'a> Evaluator<'a> {
         Ok(())
     }
 
-    fn env_charge(&self, env: &Env, fv: &crate::ast::FvSet) -> u64 {
-        if self.charge_env {
-            env.restricted_size(fv)
-        } else {
-            0
-        }
-    }
-
     /// Evaluates a closed term.
     pub fn eval_closed(&mut self, term: &Term) -> EvalOutcome {
         self.eval(&Env::empty(), term)
@@ -134,7 +122,8 @@ impl<'a> Evaluator<'a> {
     /// `ρ ⊢ M ⇓ C` with cost.
     pub fn eval(&mut self, env: &Env, term: &Term) -> EvalOutcome {
         self.tick()?;
-        let ec = self.env_charge(env, term.fv());
+        // Definition 3.1 charges the environment's share of `SIZE`.
+        let ec = env.restricted_size(term.fv());
         match term.kind() {
             TermK::Var(x) => {
                 let v = env
@@ -323,7 +312,7 @@ impl<'a> Evaluator<'a> {
     /// `ρ ⊢ F(C) ⇓ C'` with cost.
     pub fn apply(&mut self, env: &Env, f: &Func, arg: Value) -> EvalOutcome {
         self.tick()?;
-        let ec = self.env_charge(env, f.fv());
+        let ec = env.restricted_size(f.fv());
         match f.kind() {
             FuncK::Lambda(x, _, body) => {
                 let arg_size = arg.size();

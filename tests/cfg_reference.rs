@@ -46,7 +46,7 @@ fn nested_loops_have_two_back_edges_and_a_finite_bound() {
     doubling_loop(&mut b, "inner", "inner_done");
     b.push(Instr::Enumerate { dst: 6, src: 5 })
         .push(Instr::Select { dst: 5, src: 6 })
-        .trip_hint(TripBound::Len { reg: 5, add: 1 })
+        .trip_hint(TripBound::Len { reg: 5 })
         .goto("outer")
         .label("exit")
         .push(Instr::Halt);

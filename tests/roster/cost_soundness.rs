@@ -6,13 +6,15 @@
 //! `W ≤ W'(lens)` — at both optimization levels.
 //!
 //! Soundness alone is satisfiable by `⊤` everywhere, so the five golden
-//! examples are also pinned to finite polynomial bounds, and optimizing
-//! may never raise a certified degree.
+//! examples are also pinned to finite `T'` bounds and all but
+//! `halve_all` to finite `W'` bounds, no finite certificate may carry a
+//! saturated coefficient, and optimizing may never raise a certified
+//! degree.
 
 use super::common::reference::{assert_sound, reg_lens};
 use super::common::{on_big_stack, roster, sample};
-use super::{entry, goldens};
-use bvram::{cost_program, CostReport};
+use super::{entry, goldens, suite};
+use bvram::{cost_program, CostBound, CostReport};
 use nsc::compile::{encode_arg, run_encoded, OptLevel};
 use nsc::core::{Func, Type};
 use nsc::runtime::CacheKey;
@@ -88,8 +90,11 @@ fn stdlib_bounds_are_sound() {
 
 /// Every golden `.nsc` example on its shipped `input`: measured cost
 /// under the symbolic bound, `O0` and `O1` — and the
-/// precision half: each example's bounds must be finite polynomials at
-/// both levels (a sound-but-`⊤` analyzer fails here).
+/// precision half: each example's `T'` must be a finite polynomial at
+/// both levels, and so must its `W'` except `halve_all`'s, whose
+/// done-buffer accumulates across its loop: the analyzer's widening
+/// makes that `W'` exactly `⊤`, reported as an unbounded register
+/// length (a sound-but-`⊤` analyzer fails here).
 #[test]
 fn golden_example_bounds_are_sound_and_finite() {
     on_big_stack(|| {
@@ -97,10 +102,16 @@ fn golden_example_bounds_are_sound_and_finite() {
             for level in [OptLevel::O0, OptLevel::O1] {
                 let c = &entry(name, pure, dom, level).single;
                 let report = certificate(name, pure, dom, level);
+                let finite_work = match &report.work {
+                    CostBound::Top { reason, .. } => {
+                        name == "halve_all" && reason == "unbounded register length"
+                    }
+                    CostBound::Poly(_) => name != "halve_all",
+                };
                 assert!(
-                    report.is_finite(),
-                    "{name} at {level:?}: golden examples must get polynomial \
-                     bounds, got\n{report}"
+                    !report.time.is_top() && finite_work,
+                    "{name} at {level:?}: golden examples must get a polynomial \
+                     T' and the expected W', got\n{report}"
                 );
                 let regs = encode_arg(&input, dom).unwrap();
                 let lens = reg_lens(&regs);
@@ -109,6 +120,39 @@ fn golden_example_bounds_are_sound_and_finite() {
                 assert_sound(&format!("{name} at {level:?}"), &report, &lens, &out.stats);
             }
         }
+    });
+}
+
+/// A coefficient saturated at `u64::MAX` is a bound no run can exceed,
+/// so it certifies nothing: no finite certificate of a single program —
+/// the roster and the goldens at `O0` and `O1`, the workload suite at
+/// `O1` — may carry one.
+#[test]
+fn finite_certificates_have_no_saturated_coefficient() {
+    on_big_stack(|| {
+        let seq_n = Type::seq(Type::Nat);
+        let roster = roster().iter().map(|s| (s.name, &s.f, &s.dom));
+        let goldens = goldens().into_iter().map(|(n, f, d, _)| (n, f, d));
+        let both = roster
+            .chain(goldens)
+            .flat_map(|p| [(p, OptLevel::O0), (p, OptLevel::O1)]);
+        let suite = suite().iter().map(|(n, f)| ((*n, f, &seq_n), OptLevel::O1));
+        let saturated = u64::MAX.to_string();
+        let mut finite = 0usize;
+        for ((name, f, dom), level) in both.chain(suite) {
+            let report = certificate(name, f, dom, level);
+            for (what, bound) in [("T'", &report.time), ("W'", &report.work)] {
+                let Some(p) = bound.as_poly() else {
+                    continue;
+                };
+                finite += 1;
+                assert!(
+                    !p.to_string().contains(&saturated),
+                    "{name} at {level:?}: {what} <= {p} has a saturated coefficient"
+                );
+            }
+        }
+        assert!(finite >= 50, "only {finite} finite certificates checked");
     });
 }
 
