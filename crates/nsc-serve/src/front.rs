@@ -20,8 +20,9 @@ use crate::server::Server;
 use crate::{Reply, ServeError};
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
@@ -239,79 +240,74 @@ pub fn serve_lines<R: BufRead, W: Write + Send + 'static>(
 /// stops accepting, waits for open connections to finish, drains the
 /// server, and returns.
 ///
-/// The listener is polled (non-blocking accept + sleep) so the shutdown
-/// flag is honored promptly; connection handling itself is plain
-/// blocking I/O.
+/// `accept` blocks; the connection that answers the shutdown request
+/// wakes it by connecting once, and the loop drops that connection and
+/// stops.  Connections are scoped threads: leaving the scope joins every
+/// one — a panicked one too — so their queued requests are answered
+/// through open sockets before the drain.
 pub fn serve_tcp(server: &Arc<Server>, listener: TcpListener) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let active = Arc::new(AtomicUsize::new(0));
+    let mut wake = listener.local_addr()?;
+    if wake.ip().is_unspecified() {
+        // `0.0.0.0` and `[::]` are bind addresses, not ones to connect to.
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let shutdown = &AtomicBool::new(false);
     let mut errors: u32 = 0;
     let mut fatal: Option<std::io::Error> = None;
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                errors = 0;
-                let server = Arc::clone(server);
-                let shutdown = Arc::clone(&shutdown);
-                let active = Arc::clone(&active);
-                active.fetch_add(1, Ordering::SeqCst);
-                std::thread::Builder::new()
-                    .name("nsc-serve/conn".into())
-                    .spawn(move || {
-                        let _ = serve_connection(&server, stream, &shutdown);
-                        active.fetch_sub(1, Ordering::SeqCst);
-                    })
-                    .expect("spawn connection thread");
+    std::thread::scope(|scope| {
+        for accepted in listener.incoming() {
+            if shutdown.load(Ordering::SeqCst) {
+                break;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                errors = 0;
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            // Transient accept failures (ECONNABORTED, EMFILE under
-            // load, …) must not kill the server: back off and retry.
-            // Only a *persistent* failure (~1s of nothing but errors)
-            // stops the accept loop — and even then the server drains,
-            // so already-admitted requests are still answered.
-            Err(e) => {
-                errors += 1;
-                if errors >= 200 {
-                    fatal = Some(e);
-                    shutdown.store(true, Ordering::SeqCst);
-                    break;
+            match accepted {
+                Ok(stream) => {
+                    errors = 0;
+                    std::thread::Builder::new()
+                        .name("nsc-serve/conn".into())
+                        .spawn_scoped(scope, move || {
+                            catch_unwind(AssertUnwindSafe(|| {
+                                serve_connection(server, stream, shutdown, wake)
+                            }))
+                        })
+                        .expect("spawn connection thread");
                 }
-                std::thread::sleep(Duration::from_millis(5));
+                // Transient accept failures (ECONNABORTED, EMFILE under
+                // load, …) must not kill the server: back off and retry.
+                // Only a *persistent* failure (~1s of nothing but errors)
+                // stops the accept loop — and even then the server drains,
+                // so already-admitted requests are still answered.
+                Err(e) => {
+                    errors += 1;
+                    if errors >= 200 {
+                        fatal = Some(e);
+                        shutdown.store(true, Ordering::SeqCst);
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(5));
+                }
             }
         }
-    }
-    // Let in-flight connections finish before draining the shards, so
-    // their queued requests are answered through open sockets.
-    while active.load(Ordering::SeqCst) > 0 {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    });
     server.drain();
-    match fatal {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    fatal.map_or(Ok(()), Err)
 }
 
 /// Serves one TCP connection; returns when the client closes, errors,
-/// requests shutdown (which also flips the accept loop's flag), or
-/// another connection's shutdown request flips the flag — reads run
-/// under a short timeout so an *idle* connection notices the flag
-/// promptly instead of pinning the accept loop's drain forever.
+/// requests shutdown (which also flips the flag and wakes the accept loop
+/// at `wake`), or another connection's shutdown flips the flag — reads
+/// time out so an *idle* connection notices the flag promptly instead of
+/// pinning the accept loop's drain forever.
 fn serve_connection(
     server: &Arc<Server>,
     mut stream: TcpStream,
     shutdown: &AtomicBool,
+    wake: SocketAddr,
 ) -> std::io::Result<()> {
     use std::io::Read;
 
-    stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
     let write_half = stream.try_clone()?;
     let (tx, rx) = channel::<(u64, String)>();
@@ -340,8 +336,9 @@ fn serve_connection(
             0 => lines.end_line(),
             n => lines.feed(&chunk[..n]),
         };
-        if outcome == LineOutcome::Shutdown {
-            shutdown.store(true, Ordering::SeqCst);
+        // The first shutdown request wakes the blocked accept loop.
+        if outcome == LineOutcome::Shutdown && !shutdown.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
         }
         if n == 0 {
             break;
@@ -481,6 +478,46 @@ not json at all\n\
             ],
             "{replies}"
         );
+    }
+
+    /// A listener bound to an unspecified address shuts down: the bind
+    /// address is not one to connect to, so the shutdown request wakes
+    /// the accept loop through loopback.  (Linux routes a connection to
+    /// `0.0.0.0` or `[::]` to the local host anyway; Windows refuses it.)
+    /// `[::]` is skipped where it cannot be bound.
+    #[test]
+    fn a_listener_on_an_unspecified_address_shuts_down() {
+        use std::io::Read;
+
+        let binds: [(&str, std::net::IpAddr); 2] = [
+            ("0.0.0.0:0", Ipv4Addr::LOCALHOST.into()),
+            ("[::]:0", Ipv6Addr::LOCALHOST.into()),
+        ];
+        for (bind, loopback) in binds {
+            let Ok(listener) = TcpListener::bind(bind) else {
+                eprintln!("skipping {bind}: cannot bind it here");
+                continue;
+            };
+            let addr = SocketAddr::new(loopback, listener.local_addr().unwrap().port());
+            let server = test_server();
+            let (done, returned) = channel();
+            std::thread::spawn(move || done.send(serve_tcp(&server, listener).is_ok()));
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .write_all(b"{\"fn\": \"sq1\", \"input\": \"[3]\"}\n{\"cmd\": \"shutdown\"}\n")
+                .unwrap();
+            let mut replies = String::new();
+            stream.read_to_string(&mut replies).unwrap();
+            assert_eq!(replies, "{\"output\": \"[10]\"}\n{\"ok\": \"draining\"}\n");
+            // Hang guard: a wake-up sent to the bind address itself may
+            // never arrive, and then `serve_tcp` blocks in `accept`.
+            let served = returned.recv_timeout(Duration::from_secs(60));
+            assert_eq!(
+                served,
+                Ok(true),
+                "serve_tcp on {bind} returns after shutdown"
+            );
+        }
     }
 
     /// Both fronts split lines with the same rules: one byte stream —

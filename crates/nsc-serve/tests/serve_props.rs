@@ -517,6 +517,51 @@ fn tcp_front_answers_a_deeply_nested_line_and_keeps_serving() {
     serving.join().expect("accept loop exits after shutdown");
 }
 
+/// An idle connection does not hold shutdown up: connection A gets its
+/// one request answered, sends half a line and stays open while
+/// connection B asks for shutdown.  The server returns, and A reads end
+/// of stream after its reply — the half line is never served.
+#[test]
+fn an_idle_connection_held_open_across_shutdown_is_closed_unserved() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let (_server, addr, serving) = start_tcp(ServeConfig::default());
+    let read_line = |reader: &mut BufReader<std::net::TcpStream>| {
+        let mut line = String::new();
+        reader
+            .read_line(&mut line)
+            .expect("a line or end of stream");
+        line.trim().to_string()
+    };
+
+    let mut idle = std::net::TcpStream::connect(addr).unwrap();
+    // Hang guard for the final read.
+    idle.set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    writeln!(idle, r#"{{"fn": "sq1", "input": "[2]", "id": 0}}"#).unwrap();
+    write!(idle, r#"{{"fn": "sq1", "input": "[3]", "id": 1}}"#).unwrap();
+    let mut idle_reader = BufReader::new(idle.try_clone().unwrap());
+    assert_eq!(read_line(&mut idle_reader), r#"{"id": 0, "output": "[5]"}"#);
+
+    let mut stop = std::net::TcpStream::connect(addr).unwrap();
+    writeln!(stop, r#"{{"cmd": "shutdown"}}"#).unwrap();
+    let mut stop_reader = BufReader::new(stop.try_clone().unwrap());
+    assert_eq!(read_line(&mut stop_reader), r#"{"ok": "draining"}"#);
+
+    let (done, returned) = mpsc::channel();
+    std::thread::spawn(move || done.send(serving.join().is_ok()));
+    assert_eq!(
+        returned.recv_timeout(Duration::from_secs(60)),
+        Ok(true),
+        "serve_tcp returns with a connection held open"
+    );
+    assert_eq!(
+        read_line(&mut idle_reader),
+        "",
+        "nothing after the one reply"
+    );
+}
+
 /// A panic inside a flush fails that batch, not the shard: every request
 /// of the batch is answered `internal`, in order, and later requests on
 /// the same connection are answered.  (An unanswered request used to
