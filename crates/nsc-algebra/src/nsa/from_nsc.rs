@@ -9,7 +9,9 @@
 //! * `case` distributes the environment with `δ`;
 //! * `map(F)(M)` broadcasts the environment with `ρ₂` — "this replaces the
 //!   free variables present in NSC" (Appendix C) — and maps the translated
-//!   body over the paired sequence;
+//!   body over the paired sequence; the environment is first trimmed to
+//!   the free variables of `F`, so the broadcast copies only what the
+//!   body reads;
 //! * `while(P, F)(M)` threads the environment through the loop state
 //!   (`⟨Γ⟩ × t`), projecting it away at the end.
 //!
@@ -20,7 +22,7 @@
 use super::build::*;
 use super::Nsa;
 use crate::trip::{Step, Trip};
-use nsc_core::ast::{ArithOp, CmpOp, Func, FuncK, Ident, Term, TermK};
+use nsc_core::ast::{ArithOp, CmpOp, Func, FuncK, FvSet, Ident, Term, TermK};
 use nsc_core::error::TypeError;
 use nsc_core::value::Value;
 
@@ -51,6 +53,26 @@ impl EnvLayout {
             f = comp(f, Nsa::Pi2);
         }
         Some(f)
+    }
+
+    /// The sub-layout that keeps the innermost binding of each name in
+    /// `fv`, with the projection `⟨Γ⟩ → ⟨Γ'⟩` onto it; `None` when nothing
+    /// would be dropped.
+    fn trim(&self, fv: &FvSet) -> Option<(EnvLayout, Nsa)> {
+        let vars: Vec<Ident> = self
+            .vars
+            .iter()
+            .enumerate()
+            .filter(|&(i, x)| fv.contains(x) && !self.vars[..i].contains(x))
+            .map(|(_, x)| x.clone())
+            .collect();
+        if vars.len() == self.vars.len() {
+            return None;
+        }
+        let proj = vars.iter().rev().fold(Nsa::Bang, |rest, x| {
+            pair(self.project(x).expect("a kept name is bound"), rest)
+        });
+        Some((EnvLayout { vars }, proj))
     }
 
     /// Packs an `nsc_core` runtime environment into the tuple value this
@@ -140,8 +162,16 @@ fn trans_func(f: &Func, env: &EnvLayout) -> Result<Nsa, TypeError> {
         FuncK::Lambda(x, _, body) => term_to_nsa(body, &env.bind(x.clone())),
         FuncK::Map(g) => {
             // (xs, Γ) → ρ₂(Γ, xs) = [(Γ, x)…] → map over swapped pairs.
-            let g_f = trans_func(g, env)?;
-            Ok(comp(mapf(comp(g_f, swap())), comp(Nsa::Broadcast, swap())))
+            // Only what `g` reads is broadcast: `Γ` is first trimmed to
+            // `fv(g)`, so no element carries a copy of a sequence the
+            // body never reads (Theorem 7.1's `W' = O(W)`).
+            let trimmed = env.trim(g.fv());
+            let g_f = trans_func(g, trimmed.as_ref().map_or(env, |(inner, _)| inner))?;
+            let mapped = comp(mapf(comp(g_f, swap())), comp(Nsa::Broadcast, swap()));
+            Ok(match trimmed {
+                Some((_, proj)) => comp(mapped, pair(Nsa::Pi1, comp(proj, Nsa::Pi2))),
+                None => mapped,
+            })
         }
         FuncK::While(p, body) => {
             // State (x, Γ): predicate on the state, body preserves Γ.

@@ -1,30 +1,31 @@
 //! Front ends: newline-delimited JSON over TCP and over a pipe.
 //!
-//! Both fronts feed the bytes they read to one line splitter, which
-//! hands each request line to one request path ([`handle_line`]), and
-//! share one guarantee: **responses are written in request order per
-//! connection**.
-//! A connection may hit several shards (one per function)
-//! whose batches complete out of order, so each connection runs a writer
-//! with a reorder buffer keyed by the connection-local request sequence
-//! number — shard-level FIFO plus connection-level reordering gives
-//! pipelined clients a deterministic stream.
+//! Both fronts run one blocking read loop per stream, which feeds the
+//! bytes it reads to one line splitter, which hands each request line to
+//! one request path ([`handle_line`]); and both guarantee that
+//! **responses are written in request order per connection**.  A
+//! connection may hit several shards (one per function) whose batches
+//! complete out of order, so each connection runs a writer with a
+//! reorder buffer keyed by the connection-local request sequence number —
+//! shard-level FIFO plus connection-level reordering gives pipelined
+//! clients a deterministic stream.
 //!
-//! Shutdown is graceful everywhere: the pipe front drains the server at
-//! EOF, the TCP front drains after a `{"cmd": "shutdown"}` request stops
-//! the accept loop and every open connection finishes — queued requests
-//! are always answered before the process exits.
+//! No clock is involved.  Shutdown is graceful everywhere: the pipe front
+//! drains the server at EOF; on the TCP front a `{"cmd": "shutdown"}`
+//! request closes the read half of every open connection and wakes the
+//! accept loop, and the server drains once every connection has written
+//! what it owes — queued requests are always answered before the process
+//! exits.
 
 use crate::protocol::{self, Request};
 use crate::server::Server;
 use crate::{Reply, ServeError};
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::io::{Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// What a handled line asked the front end to do next.
@@ -190,61 +191,91 @@ impl<'a> RequestLines<'a> {
     }
 }
 
-/// The pipe front end: reads request lines from `reader`, writes ordered
-/// response lines to `writer`, and on EOF (or a read error) drains the
-/// server — every *admitted* request is answered before this returns.
-/// Blank lines are ignored.  The error, if any, is reported after the
-/// drain, never instead of it.
-pub fn serve_lines<R: BufRead, W: Write + Send + 'static>(
+/// Serves one stream on either front: blocking reads of `reader` until
+/// EOF, a read error or a shutdown request, replies written in order to
+/// `writer` by a thread of its own.  Returns, once every reply is
+/// written, the last line's outcome and the first error, a read error
+/// before the writer's.  Once `closed()` — the server shut the stream's
+/// read half — whatever a read returns is dropped unread, so a half line
+/// is never served.
+fn serve_stream<R: Read, W: Write + Send>(
     server: &Arc<Server>,
     mut reader: R,
     writer: W,
-) -> std::io::Result<()> {
+    closed: impl Fn() -> bool,
+) -> (LineOutcome, std::io::Result<()>) {
     let (tx, rx) = channel::<(u64, String)>();
-    let writer = std::thread::Builder::new()
-        .name("nsc-serve/writer".into())
-        .spawn(move || ordered_writer(rx, writer))
-        .expect("spawn writer thread");
-    let mut lines = RequestLines::new(server, tx);
-    let read_err = loop {
-        match reader.fill_buf() {
-            Ok([]) => {
-                lines.end_line();
-                break None;
-            }
-            Ok(chunk) => {
-                let n = chunk.len();
-                if lines.feed(chunk) == LineOutcome::Shutdown {
-                    break None;
+    std::thread::scope(|scope| {
+        let writer = std::thread::Builder::new()
+            .name("nsc-serve/writer".into())
+            .spawn_scoped(scope, move || ordered_writer(rx, writer))
+            .expect("spawn writer thread");
+        let mut lines = RequestLines::new(server, tx);
+        let mut chunk = [0u8; 4096];
+        let (outcome, read_err) = loop {
+            match reader.read(&mut chunk) {
+                Ok(_) if closed() => break (LineOutcome::Continue, None),
+                // EOF: a final request without a trailing `\n` still counts.
+                Ok(0) => break (lines.end_line(), None),
+                Ok(n) => {
+                    if lines.feed(&chunk[..n]) == LineOutcome::Shutdown {
+                        break (LineOutcome::Shutdown, None);
+                    }
                 }
-                reader.consume(n);
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => break (LineOutcome::Continue, Some(e)),
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            // Stop reading, but still drain and flush what was admitted.
-            Err(e) => break Some(e),
-        }
-    };
+        };
+        // The shards still hold reply senders for queued requests; the
+        // writer exits when the last one is used or dropped.
+        drop(lines);
+        let written = writer.join().expect("writer thread panicked").map(drop);
+        (outcome, read_err.map_or(written, Err))
+    })
+}
+
+/// The pipe front end: serves the request lines of `reader`, writes the
+/// ordered replies to `writer`, and at EOF, a read error or a shutdown
+/// request drains the server — every *admitted* request is answered
+/// before this returns.  The error, if any, is reported after the drain,
+/// never instead of it.
+pub fn serve_lines<R: Read, W: Write + Send>(
+    server: &Arc<Server>,
+    reader: R,
+    writer: W,
+) -> std::io::Result<()> {
+    let (_, served) = serve_stream(server, reader, writer, || false);
     server.drain();
-    // Shards are joined, so every reply closure has run (or been
-    // dropped); dropping our sender lets the writer finish and exit.
-    drop(lines);
-    let write_result = writer.join().expect("writer thread panicked").map(|_| ());
-    match read_err {
-        Some(e) => Err(e),
-        None => write_result,
+    served
+}
+
+/// The open TCP connections by accept number, each a handle on its
+/// socket; `None` once shutdown has begun.
+type Open = Mutex<Option<HashMap<u64, Arc<TcpStream>>>>;
+
+/// Begins shutdown, unless it has begun: shuts down the read half of
+/// every open connection, so its blocked read returns.
+fn close_all(open: &Open) -> bool {
+    let Some(conns) = open.lock().expect("registry poisoned").take() else {
+        return false;
+    };
+    for conn in conns.values() {
+        let _ = conn.shutdown(Shutdown::Read);
     }
+    true
 }
 
 /// The TCP front end: accepts connections on `listener` and serves each
 /// on its own thread until some client sends `{"cmd": "shutdown"}`; then
-/// stops accepting, waits for open connections to finish, drains the
-/// server, and returns.
+/// stops accepting, lets open connections finish, drains the server, and
+/// returns.
 ///
-/// `accept` blocks; the connection that answers the shutdown request
-/// wakes it by connecting once, and the loop drops that connection and
-/// stops.  Connections are scoped threads: leaving the scope joins every
-/// one — a panicked one too — so their queued requests are answered
-/// through open sockets before the drain.
+/// `accept` and every read block; nothing polls.  Shutdown closes the
+/// read half of every registered connection and wakes `accept` by
+/// connecting once; the loop drops that connection and stops.
+/// Connections are scoped threads: leaving the scope joins every one — a
+/// panicked one too — so their queued requests are answered through open
+/// sockets before the drain.
 pub fn serve_tcp(server: &Arc<Server>, listener: TcpListener) -> std::io::Result<()> {
     let mut wake = listener.local_addr()?;
     if wake.ip().is_unspecified() {
@@ -254,36 +285,37 @@ pub fn serve_tcp(server: &Arc<Server>, listener: TcpListener) -> std::io::Result
             SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
         });
     }
-    let shutdown = &AtomicBool::new(false);
+    let open: &Open = &Mutex::new(Some(HashMap::new()));
     let mut errors: u32 = 0;
     let mut fatal: Option<std::io::Error> = None;
     std::thread::scope(|scope| {
-        for accepted in listener.incoming() {
-            if shutdown.load(Ordering::SeqCst) {
-                break;
-            }
+        for (n, accepted) in (0u64..).zip(listener.incoming()) {
             match accepted {
                 Ok(stream) => {
                     errors = 0;
+                    let stream = Arc::new(stream);
+                    match open.lock().expect("registry poisoned").as_mut() {
+                        Some(conns) => conns.insert(n, Arc::clone(&stream)),
+                        // Shutting down: the wake-up, or a client too late.
+                        None => break,
+                    };
                     std::thread::Builder::new()
                         .name("nsc-serve/conn".into())
                         .spawn_scoped(scope, move || {
-                            catch_unwind(AssertUnwindSafe(|| {
-                                serve_connection(server, stream, shutdown, wake)
-                            }))
+                            serve_connection(server, &stream, open, n, wake)
                         })
                         .expect("spawn connection thread");
                 }
                 // Transient accept failures (ECONNABORTED, EMFILE under
                 // load, …) must not kill the server: back off and retry.
                 // Only a *persistent* failure (~1s of nothing but errors)
-                // stops the accept loop — and even then the server drains,
-                // so already-admitted requests are still answered.
+                // stops the accept loop — and even then the connections
+                // are closed and the server drains.
                 Err(e) => {
                     errors += 1;
                     if errors >= 200 {
                         fatal = Some(e);
-                        shutdown.store(true, Ordering::SeqCst);
+                        close_all(open);
                         break;
                     }
                     std::thread::sleep(Duration::from_millis(5));
@@ -295,62 +327,27 @@ pub fn serve_tcp(server: &Arc<Server>, listener: TcpListener) -> std::io::Result
     fatal.map_or(Ok(()), Err)
 }
 
-/// Serves one TCP connection; returns when the client closes, errors,
-/// requests shutdown (which also flips the flag and wakes the accept loop
-/// at `wake`), or another connection's shutdown flips the flag — reads
-/// time out so an *idle* connection notices the flag promptly instead of
-/// pinning the accept loop's drain forever.
+/// Serves connection `n` (see [`serve_stream`]), then leaves the
+/// registry — after a panic too — and, if its shutdown request was the
+/// first, closes the other connections and wakes the accept loop at
+/// `wake`.
 fn serve_connection(
     server: &Arc<Server>,
-    mut stream: TcpStream,
-    shutdown: &AtomicBool,
+    stream: &TcpStream,
+    open: &Open,
+    n: u64,
     wake: SocketAddr,
-) -> std::io::Result<()> {
-    use std::io::Read;
-
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    let write_half = stream.try_clone()?;
-    let (tx, rx) = channel::<(u64, String)>();
-    let writer = std::thread::Builder::new()
-        .name("nsc-serve/conn-writer".into())
-        .spawn(move || ordered_writer(rx, write_half))
-        .expect("spawn connection writer");
-    // Timed reads straight off the socket: `BufRead::read_line`'s buffer
-    // contents are unspecified after an error, and a read timeout is a
-    // routine event here, not an error.
-    let mut lines = RequestLines::new(server, tx);
-    let mut chunk = [0u8; 4096];
-    while !shutdown.load(Ordering::SeqCst) {
-        let n = match stream.read(&mut chunk) {
-            Ok(n) => n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue; // idle: re-check the shutdown flag
-            }
-            Err(_) => break, // client went away mid-line
-        };
-        // `0` is EOF, where a trailing shutdown command still counts.
-        let outcome = match n {
-            0 => lines.end_line(),
-            n => lines.feed(&chunk[..n]),
-        };
-        // The first shutdown request wakes the blocked accept loop.
-        if outcome == LineOutcome::Shutdown && !shutdown.swap(true, Ordering::SeqCst) {
-            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
-        }
-        if n == 0 {
-            break;
-        }
+) {
+    let closed = || open.lock().expect("registry poisoned").is_none();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        serve_stream(server, stream, stream, closed).0
+    }));
+    if let Some(conns) = open.lock().expect("registry poisoned").as_mut() {
+        conns.remove(&n);
     }
-    drop(lines);
-    // Wait for every in-flight reply on this connection to be written —
-    // this is what makes shutdown graceful per connection.  The shards
-    // still hold reply senders for queued requests; the writer exits
-    // when the last one is used or dropped.
-    let _ = writer.join().expect("connection writer panicked");
-    Ok(())
+    if matches!(outcome, Ok(LineOutcome::Shutdown)) && close_all(open) {
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+    }
 }
 
 #[cfg(test)]
@@ -544,8 +541,8 @@ not json at all\n\
         ];
 
         let out = shared_buffer();
-        // A chain of slices is a `BufRead` that yields them one at a time
-        // — a pipe whose writer flushed after each segment.
+        // A chain of slices is a reader that yields them one at a time —
+        // a pipe whose writer flushed after each segment.
         let [s0, s1, s2, s3, s4, s5, s6, s7, s8] = segments;
         let pipe = s0
             .chain(s1)
@@ -616,6 +613,67 @@ not json at all\n\
         assert!(seq == 0 && reply.contains("bad-request"), "{reply}");
         assert!(!lines.overlong);
         server.drain();
+    }
+
+    /// A request id the protocol cannot echo exactly — out of `f64`
+    /// range, past `2^53`, or not an RFC 8259 number — gets one
+    /// `bad-request` line that is itself JSON, with no id in it.
+    #[test]
+    fn serve_lines_answers_hostile_ids_with_json() {
+        let ids = ["1e400", "9007199254740993", "01", "1.", "-.5"];
+        let input: String = ids
+            .iter()
+            .map(|id| format!("{{\"fn\": \"sq1\", \"input\": \"[1]\", \"id\": {id}}}\n"))
+            .collect();
+        let out = shared_buffer();
+        serve_lines(&test_server(), input.as_bytes(), out.clone()).unwrap();
+        let text = out.take();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), ids.len(), "{text}");
+        for line in lines {
+            let reply = crate::json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(
+                reply.get("kind").and_then(|k| k.as_str()),
+                Some("bad-request")
+            );
+            assert_eq!(reply.get("id"), None, "{line}");
+        }
+    }
+
+    /// A read interrupted by a signal is retried: the line it cut in two
+    /// is served whole, and the stream carries on.
+    #[test]
+    fn an_interrupted_read_mid_line_is_retried() {
+        struct Interrupting<'a>(Vec<&'a [u8]>);
+        impl Read for Interrupting<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                match self.0.pop() {
+                    None => Ok(0),
+                    Some(b"") => Err(std::io::ErrorKind::Interrupted.into()),
+                    Some(chunk) => {
+                        buf[..chunk.len()].copy_from_slice(chunk);
+                        Ok(chunk.len())
+                    }
+                }
+            }
+        }
+        let reads: [&[u8]; 5] = [
+            b"{\"fn\": \"sq1\", \"in",
+            b"",
+            b"put\": \"[3]\"}\n",
+            b"",
+            b"{\"fn\": \"double\", \"input\": \"[4]\"}\n",
+        ];
+        let reader = Interrupting(reads.into_iter().rev().collect());
+        let out = shared_buffer();
+        let server = test_server();
+        let (outcome, served) = serve_stream(&server, reader, out.clone(), || false);
+        server.drain();
+        assert!(outcome == LineOutcome::Continue && served.is_ok());
+        assert_eq!(
+            out.take(),
+            "{\"output\": \"[10]\"}\n{\"output\": \"[8]\"}\n"
+        );
     }
 
     #[test]

@@ -8,10 +8,13 @@
 //! [`Json::render`] emits them back, so `parse(render(j)) == j` up to
 //! float formatting.
 //!
-//! Numbers are kept as `f64`.  Every integer the protocol carries (batch
-//! sizes, ids, nanosecond latencies) is far below `2^53`, so the round
-//! trip is exact where it matters; [`Json::as_u64`]
-//! rejects non-integral values rather than truncating.
+//! Numbers are kept as `f64`, and a number whose value is not finite is
+//! a [`JsonError`] ("number out of range"), so every parsed document
+//! renders back as JSON.  Every integer the protocol carries (batch
+//! sizes, nanosecond latencies) is far below `2^53`, and a numeric request
+//! id at or past it is refused, so the round trip is exact where it
+//! matters; [`Json::as_u64`] rejects non-integral values rather than
+//! truncating.
 //!
 //! Arrays and objects may nest [`MAX_DEPTH`] levels — the bound the NSC
 //! parser puts on value literals; the deepest document the protocol
@@ -357,19 +360,48 @@ impl Parser<'_> {
         }
     }
 
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, the
+    /// RFC 8259 grammar, with a finite value.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.i;
         if self.peek() == Some(b'-') {
             self.i += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
+        if self.peek() == Some(b'0') {
             self.i += 1;
+        } else {
+            self.digits()?;
+        }
+        if self.peek() == Some(b'.') {
+            self.i += 1;
+            self.digits()?;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.i += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.i += 1;
+            }
+            self.digits()?;
         }
         let s = std::str::from_utf8(&self.bytes[start..self.i]).expect("digits are ASCII");
-        s.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("malformed number"))
+        match s.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            _ => Err(JsonError {
+                at: start,
+                msg: "number out of range",
+            }),
+        }
+    }
+
+    /// One or more decimal digits.
+    fn digits(&mut self) -> Result<(), JsonError> {
+        if !matches!(self.peek(), Some(b'0'..=b'9')) {
+            return Err(self.err("malformed number"));
+        }
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.i += 1;
+        }
+        Ok(())
     }
 }
 
@@ -453,6 +485,33 @@ mod tests {
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
         assert_eq!(parse("-3").unwrap().as_u64(), None);
         assert_eq!(parse("1.5").unwrap().as_f64(), Some(1.5));
+    }
+
+    /// Exactly the RFC 8259 number grammar, and only finite values: a
+    /// number the parser accepts renders back as JSON.
+    #[test]
+    fn numbers_follow_the_rfc_grammar_and_stay_finite() {
+        for good in [
+            "0", "-0", "10", "1.5", "-0.25e+3", "2E-2", "1e308", "1e-400",
+        ] {
+            let n = parse(good).unwrap_or_else(|e| panic!("{good}: {e}"));
+            assert!(
+                parse(&n.render()).is_ok(),
+                "{good} renders as {}",
+                n.render()
+            );
+        }
+        for bad in [
+            "01", "-01", "1.", "-.5", ".5", "+1", "-", "1e", "1e+", "0x1", "1.e3", "--1",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
+        for huge in ["1e400", "-1e400", "1e999999999999"] {
+            let e = parse(huge).unwrap_err();
+            assert_eq!((e.at, e.msg), (0, "number out of range"), "{huge}");
+        }
+        let e = parse(r#"{"id": 1e400}"#).unwrap_err();
+        assert_eq!(e.at, 7, "{e}");
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! ```
 //!
 //! `input` is a **string containing an NSC value literal** (the same
-//! grammar `nsc run --input` accepts); `id` is any JSON scalar and is
-//! echoed back verbatim.  There is one machine: a call may still say
+//! grammar `nsc run --input` accepts); `id` is any JSON scalar — a
+//! number below `2^53` in magnitude, so that it round-trips exactly — and
+//! is echoed back verbatim.  There is one machine: a call may still say
 //! `"backend": "seq"`, and any other `backend` is a `bad-request`.
 //! Responses:
 //!
@@ -85,24 +86,37 @@ pub fn parse_request(line: &str) -> Result<Request, ServeError> {
         return Err(bad("`backend` must be \"seq\", the one machine"));
     }
     let id = doc.get("id").cloned();
-    if id.as_ref().is_some_and(|id| !is_scalar(id)) {
-        return Err(bad("`id` must be a JSON scalar"));
+    match &id {
+        Some(Json::Arr(_) | Json::Obj(_)) => return Err(bad("`id` must be a JSON scalar")),
+        Some(id) if !echoes_exactly(id) => {
+            return Err(bad(
+                "a numeric `id` must be below 2^53 in magnitude; send it as a string",
+            ))
+        }
+        _ => {}
     }
     Ok(Request::Call { fn_name, input, id })
 }
 
-fn is_scalar(j: &Json) -> bool {
-    !matches!(j, Json::Arr(_) | Json::Obj(_))
+/// Whether `id` comes back as the client sent it: a scalar, and if a
+/// number, one below `2^53` in magnitude — past that an `f64` may round
+/// it to a neighbour.
+fn echoes_exactly(id: &Json) -> bool {
+    match id {
+        Json::Arr(_) | Json::Obj(_) => false,
+        Json::Num(n) => n.abs() < 9_007_199_254_740_992.0,
+        _ => true,
+    }
 }
 
 /// The correlation id to echo in the error reply to a line
-/// [`parse_request`] rejected: its scalar `id`, when the line is still a
-/// JSON object carrying one.
+/// [`parse_request`] rejected: its `id`, when the line is still a JSON
+/// object carrying one that [`parse_request`] would have echoed.
 pub fn rejected_id(line: &str) -> Option<Json> {
     json::parse(line)
         .ok()?
         .get("id")
-        .filter(|id| is_scalar(id))
+        .filter(|id| echoes_exactly(id))
         .cloned()
 }
 
@@ -198,6 +212,40 @@ mod tests {
         ] {
             let e = parse_request(bad).unwrap_err();
             assert_eq!(e.kind(), "bad-request", "{bad:?} -> {e}");
+        }
+    }
+
+    /// An id that would not come back as sent is refused, and its error
+    /// reply carries no id; every id up to `2^53 - 1` is echoed exactly.
+    #[test]
+    fn ids_are_echoed_exactly_or_refused() {
+        let call = |id: &str| format!(r#"{{"fn": "f", "input": "()", "id": {id}}}"#);
+        for id in [
+            "9007199254740991",
+            "-9007199254740991",
+            "0.5",
+            "\"9007199254740993\"",
+        ] {
+            let Request::Call { id: Some(got), .. } = parse_request(&call(id)).unwrap() else {
+                panic!("{id} is a call with an id");
+            };
+            assert_eq!(
+                render_output(Some(&got), "()"),
+                format!(r#"{{"id": {id}, "output": "()"}}"#)
+            );
+        }
+        for id in [
+            "9007199254740992",
+            "9007199254740993",
+            "-9007199254740992",
+            "1e300",
+            "1e400",
+            "01",
+        ] {
+            let line = call(id);
+            let e = parse_request(&line).unwrap_err();
+            assert_eq!(e.kind(), "bad-request", "{id}");
+            assert_eq!(rejected_id(&line), None, "{id}");
         }
     }
 

@@ -573,17 +573,18 @@ fn cli_lint_matches_goldens() {
 
 /// `⊤` is the analyzer giving up, not a proof of unbounded work: the
 /// `superlinear-work` lint says so and passes on the analyzer's pc and
-/// reason.  The stdlib `index` at `O1` is over the analysis budget.
+/// reason.  The stdlib `index` mapped over a sequence of pairs, at `O1`,
+/// is over the analysis budget.
 #[test]
 fn cli_lint_words_top_as_uncertified_not_unbounded() {
     let bin = nsc_bin();
-    let index = a::lam(
+    let index = a::map(a::lam(
         "p",
         stdlib::index(a::fst(a::var("p")), a::snd(a::var("p")), &Type::Nat),
-    );
-    let dom = Type::prod(Type::seq(Type::Nat), Type::seq(Type::Nat));
+    ));
+    let dom = Type::seq(Type::prod(Type::seq(Type::Nat), Type::seq(Type::Nat)));
     let path = std::env::temp_dir().join(format!("__nsc_index_{}.nsc", std::process::id()));
-    std::fs::write(&path, format!("fn main : {dom} -> [N] = {index}")).unwrap();
+    std::fs::write(&path, format!("fn main : {dom} -> [[N]] = {index}")).unwrap();
     let out = std::process::Command::new(&bin)
         .arg("lint")
         .arg(&path)
