@@ -565,7 +565,8 @@ fn exp_cost() {
         let dom = Type::seq(Type::Nat);
         let runner = BatchRunner::from_cache(&cache, &f, &dom, OptLevel::O1).expect(name);
         let entry = runner.cached();
-        for (what, art) in [("single", &entry.single), ("pack", &entry.batch)] {
+        let kernel = entry.batch.get().expect(name);
+        for (what, art) in [("single", &entry.single), ("pack", kernel)] {
             let t0 = std::time::Instant::now();
             let report = bvram::cost_program(&art.program);
             let ms = t0.elapsed().as_secs_f64() * 1e3;

@@ -26,7 +26,9 @@
 //! branchy goldens); only when `f` has no control flow at all does the
 //! kernel do the same work as `B` single runs for one `T'`.  The rule
 //! never looks at a request: every batch of one entry runs the same
-//! discipline, whatever its size.
+//! discipline, whatever its size.  The single program is read first: one
+//! jump there decides lanes, and the kernel is then not compiled unless a
+//! caller forces a pack run ([`BatchRunner::run_batch_mode`]).
 //!
 //! **Fault semantics.** Results are per request and bit-identical to a
 //! loop of single runs, including error classification (`Ω` vs compiler
@@ -34,7 +36,8 @@
 //! machine state, so any request's fault aborts the fused run; the
 //! runner then falls back to per-request execution, which reproduces the
 //! exact per-request classification ([`BatchOutcome::fused`] reports
-//! whether the fused run was used).
+//! whether the fused run was used).  A forced pack run on a kernel that
+//! fails to compile falls back the same way.
 
 use crate::cache::{CachedProgram, CompiledCache};
 use bvram::{Instr, Program};
@@ -61,11 +64,6 @@ impl BatchMode {
     /// its `map(f)` `kernel` are both straight-line (see the module
     /// docs), else [`BatchMode::Lanes`].
     pub fn of(single: &Program, kernel: &Program) -> BatchMode {
-        let straight_line = |p: &Program| {
-            !p.instrs
-                .iter()
-                .any(|i| matches!(i, Instr::Goto { .. } | Instr::IfEmptyGoto { .. }))
-        };
         if straight_line(single) && straight_line(kernel) {
             BatchMode::Pack
         } else {
@@ -80,6 +78,13 @@ impl BatchMode {
             BatchMode::Lanes => "lanes",
         }
     }
+}
+
+/// Whether `p` has no `Goto`/`IfEmptyGoto`: one basic block.
+pub(crate) fn straight_line(p: &Program) -> bool {
+    !p.instrs
+        .iter()
+        .any(|i| matches!(i, Instr::Goto { .. } | Instr::IfEmptyGoto { .. }))
 }
 
 /// What a batch run returns.
@@ -181,10 +186,11 @@ impl BatchRunner {
 
     fn run_pack(&self, inputs: &[Value]) -> BatchOutcome {
         let fused = (|| -> Result<(Vec<Value>, Cost), EvalError> {
+            let kernel = self.cached.batch.get()?;
             let seqv = Value::seq(inputs.to_vec());
-            let regs = encode_arg(&seqv, &self.cached.batch.dom)?;
-            let out = run_encoded(&self.cached.batch.program, regs)?;
-            let val = decode_result(&out.outputs, &self.cached.batch.cod)?;
+            let regs = encode_arg(&seqv, &kernel.dom)?;
+            let out = run_encoded(&kernel.program, regs)?;
+            let val = decode_result(&out.outputs, &kernel.cod)?;
             let items = val
                 .as_seq()
                 .ok_or(EvalError::Stuck("batch kernel returned a non-sequence"))?
@@ -201,10 +207,11 @@ impl BatchRunner {
                 fused: true,
                 cost,
             },
-            // Some lane faulted (or failed to encode): the fused run
-            // cannot attribute the fault, so replay per request — through
-            // the lanes discipline, which gives the exact per-request
-            // classification *and* keeps the replay parallel.
+            // Some lane faulted (or failed to encode), or the kernel did
+            // not compile: the fused run cannot attribute the fault, so
+            // replay per request — through the lanes discipline, which
+            // gives the exact per-request classification *and* keeps the
+            // replay parallel.
             Err(_) => BatchOutcome {
                 mode: BatchMode::Pack,
                 ..self.run_lanes(inputs)

@@ -8,12 +8,13 @@
 //! requester blocks on that one compilation, and everybody gets the same
 //! shared [`CachedProgram`].
 //!
-//! Each entry holds **two** compiled programs:
+//! Each entry holds the compiled single program and, behind it, the
+//! Map-Lemma kernel:
 //!
 //! * `single` — the function `f : s → t` itself, for one-request runs and
 //!   for the *lanes* batch mode;
-//! * `batch` — the Map-Lemma kernel `map(f) : [s] → [t]`, which is what
-//!   the *pack* batch mode executes: one BVRAM run whose lane-offset
+//! * `batch` — the kernel `map(f) : [s] → [t]` ([`PackKernel`]), which is
+//!   what the *pack* batch mode executes: one BVRAM run whose lane-offset
 //!   registers carry a whole batch (see [`crate::batch`]).
 //!
 //! Both come straight from [`compile_nsc_with`], under its compile
@@ -24,7 +25,14 @@
 //! Each entry also fixes, once and for all, the **batching discipline**
 //! its batches run under ([`CachedProgram::mode`]): pack iff both
 //! programs are straight-line, a structural fact of the compiled code
-//! that no request can change (see [`crate::batch`]).
+//! that no request can change (see [`crate::batch`]).  The single
+//! program is compiled first, and if it has a jump the entry runs lanes
+//! whatever the kernel looks like, so the kernel is not compiled: only a
+//! straight-line `f` compiles `map(f)` at insert.  A lanes entry's kernel
+//! is compiled on first use, by a caller that forces a pack run — never
+//! on the serving path.  (A `while`-heavy `map(f)` kernel runs to
+//! hundreds of thousands of instructions, most of such an entry's cold
+//! compile time and memory.)
 //!
 //! No **symbolic cost certificate** ([`bvram::cost`]) is derived here:
 //! nothing on the serving path reads one, and the analysis is most of a
@@ -44,7 +52,7 @@
 //! distinct keys — callers that generate fresh names per request should
 //! normalize first or reuse the built AST.
 
-use crate::batch::BatchMode;
+use crate::batch::{straight_line, BatchMode};
 use nsc_compile::{compile_nsc_with, Backend, Compiled, OptLevel};
 use nsc_core::ast;
 use nsc_core::error::EvalError;
@@ -81,30 +89,100 @@ pub struct CachedProgram {
     pub key: CacheKey,
     /// `f : s → t` — single runs and the lanes mode.
     pub single: Compiled,
-    /// `map(f) : [s] → [t]` — the pack mode's fused kernel.
-    pub batch: Compiled,
-    /// [`BatchMode::of`] the two programs; private so it cannot disagree
-    /// with them.
+    /// `map(f) : [s] → [t]` — the pack mode's fused kernel, compiled at
+    /// insert only when `single` is straight-line.
+    pub batch: PackKernel,
+    /// The batching rule applied to `single` and, if `single` is
+    /// straight-line, to the kernel; private so it cannot disagree with
+    /// them.
     mode: BatchMode,
 }
 
 impl CachedProgram {
-    /// Assembles an entry, fixing its batching discipline from the two
-    /// programs' structure.
-    pub fn new(key: CacheKey, single: Compiled, batch: Compiled) -> CachedProgram {
-        let mode = BatchMode::of(&single.program, &batch.program);
-        CachedProgram {
-            key,
+    /// The entry of `f : dom` at `opt` around its compiled single program
+    /// `single`, with its batching discipline fixed: a `single` with a
+    /// jump runs lanes and leaves the kernel uncompiled, and a
+    /// straight-line one compiles the kernel now and takes
+    /// [`BatchMode::of`] the two.  Fails with the kernel's compile error
+    /// in the second case.
+    pub fn from_single(
+        f: &Func,
+        dom: &Type,
+        opt: OptLevel,
+        single: Compiled,
+    ) -> Result<CachedProgram, EvalError> {
+        let batch = PackKernel::new(f, dom, opt);
+        let mode = if straight_line(&single.program) {
+            BatchMode::of(&single.program, &batch.get()?.program)
+        } else {
+            BatchMode::Lanes
+        };
+        Ok(CachedProgram {
+            key: CacheKey::of(f, dom, opt),
             single,
             batch,
             mode,
-        }
+        })
     }
 
     /// The discipline every batch of this entry runs under, decided
     /// once, at insert.
     pub fn mode(&self) -> BatchMode {
         self.mode
+    }
+}
+
+/// The Map-Lemma kernel `map(f) : [s] → [t]` of one cache entry,
+/// compiled at most once, on first use.
+#[derive(Debug)]
+pub struct PackKernel {
+    f: Func,
+    dom: Type,
+    opt: OptLevel,
+    compiled: OnceLock<Result<Compiled, EvalError>>,
+}
+
+impl PackKernel {
+    fn new(f: &Func, dom: &Type, opt: OptLevel) -> PackKernel {
+        PackKernel {
+            f: f.clone(),
+            dom: dom.clone(),
+            opt,
+            compiled: OnceLock::new(),
+        }
+    }
+
+    /// The compiled kernel, compiling it on the first call (concurrent
+    /// callers wait for that one compilation).  A compile error is kept
+    /// and returned to every caller, like a failed cache entry's.
+    pub fn get(&self) -> Result<&Compiled, EvalError> {
+        self.compiled
+            .get_or_init(|| {
+                compile_nsc_with(
+                    &ast::map(self.f.clone()),
+                    &Type::seq(self.dom.clone()),
+                    self.opt,
+                )
+            })
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    /// Whether the kernel has been compiled (or has failed to compile).
+    pub fn is_compiled(&self) -> bool {
+        self.compiled.get().is_some()
+    }
+}
+
+/// [`PackKernel::get`], panicking on a compile error — kept only because
+/// `bench/src/replay.rs` reads `entry.batch.program` and `bench/` is
+/// frozen; ROADMAP item 1 removes it.
+impl std::ops::Deref for PackKernel {
+    type Target = Compiled;
+
+    fn deref(&self) -> &Compiled {
+        self.get()
+            .unwrap_or_else(|e| panic!("compiling the map(f) kernel: {e}"))
     }
 }
 
@@ -168,11 +246,12 @@ impl CompiledCache {
         self.entry(f, dom, opt)
     }
 
-    /// Returns the cached entry for `(f, opt)`, compiling *both* programs
-    /// (single and pack kernel) on the first request.  Blocks if another
-    /// thread is currently compiling the same key; never compiles a key
-    /// twice — including failed compilations, whose error is cached and
-    /// returned to every requester.
+    /// Returns the cached entry for `(f, opt)`, compiling it on the first
+    /// request ([`CachedProgram::from_single`]: the single program, and
+    /// the pack kernel only if the single program is straight-line).
+    /// Blocks if another thread is currently compiling the same key;
+    /// never compiles a key twice — including failed compilations, whose
+    /// error is cached and returned to every requester.
     pub fn entry(
         &self,
         f: &Func,
@@ -197,8 +276,7 @@ impl CompiledCache {
                 h(&key);
             }
             let single = compile_nsc_with(f, dom, opt)?;
-            let batch = compile_nsc_with(&ast::map(f.clone()), &Type::seq(dom.clone()), opt)?;
-            Ok(Arc::new(CachedProgram::new(key.clone(), single, batch)))
+            CachedProgram::from_single(f, dom, opt, single).map(Arc::new)
         })
         .clone()
     }
@@ -216,7 +294,9 @@ impl std::fmt::Debug for CompiledCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BatchRunner;
     use nsc_core::ast as a;
+    use nsc_core::value::Value;
 
     fn inc() -> Func {
         a::map(a::lam("x", a::add(a::var("x"), a::nat(1))))
@@ -253,6 +333,84 @@ mod tests {
         let e2 = cache.entry(&broken, &Type::Nat, OptLevel::O1).unwrap_err();
         assert_eq!(e1, e2);
         assert_eq!(cache.compiles(), 1, "negative result cached");
+    }
+
+    fn halve() -> Func {
+        a::while_(
+            a::lam("x", a::lt(a::nat(0), a::var("x"))),
+            a::lam("x", a::rshift(a::var("x"), a::nat(1))),
+        )
+    }
+
+    fn singles(r: &BatchRunner, inputs: &[Value]) -> Vec<Result<Value, EvalError>> {
+        inputs
+            .iter()
+            .map(|v| r.run_single(v).map(|p| p.0))
+            .collect()
+    }
+
+    /// A program with a jump runs lanes whatever its kernel looks like,
+    /// so its entry never compiles `map(f)` unless a pack run is forced;
+    /// the forced run compiles it once and agrees with the single runs.
+    #[test]
+    fn a_lanes_entry_compiles_its_kernel_only_when_pack_is_forced() {
+        let cache = CompiledCache::new();
+        let r = BatchRunner::from_cache(&cache, &halve(), &Type::Nat, OptLevel::O1).unwrap();
+        let entry = r.cached();
+        assert_eq!(entry.mode(), BatchMode::Lanes);
+        assert!(!entry.batch.is_compiled(), "compiled at insert");
+        let inputs: Vec<Value> = [9, 0, 100, 3, 77, 1024].map(Value::nat).into();
+        let want = singles(&r, &inputs);
+        let lanes = r.run_batch(&inputs);
+        assert_eq!((lanes.mode, &lanes.results), (BatchMode::Lanes, &want));
+        assert!(!entry.batch.is_compiled(), "compiled by a lanes batch");
+
+        let packed = r.run_batch_mode(&inputs, BatchMode::Pack);
+        assert!(packed.fused);
+        assert_eq!(packed.results, want);
+        let kernel: *const Compiled = entry.batch.get().unwrap();
+        r.run_batch_mode(&inputs, BatchMode::Pack);
+        assert!(
+            std::ptr::eq(kernel, entry.batch.get().unwrap()),
+            "recompiled"
+        );
+        assert_eq!(cache.compiles(), 1);
+    }
+
+    #[test]
+    fn a_pack_entry_holds_its_kernel_at_insert() {
+        let cache = CompiledCache::new();
+        let entry = cache
+            .entry(&inc(), &Type::seq(Type::Nat), OptLevel::O1)
+            .unwrap();
+        assert_eq!(entry.mode(), BatchMode::Pack);
+        assert!(entry.batch.is_compiled());
+    }
+
+    /// A kernel that fails to compile costs a lanes entry nothing: its
+    /// batches run as they would anyway, and a forced pack run falls
+    /// back to lanes like any fused-run fault.  (No program is known
+    /// whose single program compiles and whose `map(f)` does not, so the
+    /// failing kernel is `map` of a function with a free variable.)
+    #[test]
+    fn a_kernel_compile_error_falls_back_to_lanes() {
+        let dom = Type::Nat;
+        let single = compile_nsc_with(&halve(), &dom, OptLevel::O1).unwrap();
+        let broken = a::lam("x", a::add(a::var("x"), a::var("y")));
+        let entry = CachedProgram {
+            key: CacheKey::of(&halve(), &dom, OptLevel::O1),
+            single,
+            batch: PackKernel::new(&broken, &dom, OptLevel::O1),
+            mode: BatchMode::Lanes,
+        };
+        let r = BatchRunner::of(Arc::new(entry));
+        let inputs: Vec<Value> = (0..5).map(|i| Value::nat(i * 37)).collect();
+        let want = singles(&r, &inputs);
+        assert_eq!(r.run_batch(&inputs).results, want);
+        let packed = r.run_batch_mode(&inputs, BatchMode::Pack);
+        assert!(!packed.fused);
+        assert_eq!((packed.mode, packed.results), (BatchMode::Pack, want));
+        assert!(r.cached().batch.get().is_err());
     }
 
     /// The core types are `Arc`-based, so everything the serving layers

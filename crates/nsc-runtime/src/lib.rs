@@ -6,8 +6,9 @@
 //!
 //! * [`cache::CompiledCache`] — a thread-safe compile-once cache keyed by
 //!   `(function, opt level)`.  Each entry holds the optimized
-//!   program **and** the function's Map-Lemma batch kernel `map(f)`,
-//!   compiled alongside it.
+//!   program and the function's Map-Lemma batch kernel `map(f)`,
+//!   compiled alongside it only when the program is straight-line (the
+//!   one case pack can be chosen), else on first forced use.
 //! * [`batch::BatchRunner`] — executes `B` independent requests against
 //!   one cached entry, either *packed* (one fused BVRAM run of `map(f)`
 //!   over lane-offset registers — the paper's flattening aggregation
@@ -34,7 +35,7 @@ pub mod cache;
 pub mod workloads;
 
 pub use batch::{BatchMode, BatchOutcome, BatchRunner};
-pub use cache::{CacheKey, CachedProgram, CompileHook, CompiledCache};
+pub use cache::{CacheKey, CachedProgram, CompileHook, CompiledCache, PackKernel};
 /// [`nsc_compile::OPT_BUDGET`] under its old name, kept only because
 /// `bench/src/replay.rs` imports it and `bench/` is frozen; ROADMAP
 /// item 1 removes it.

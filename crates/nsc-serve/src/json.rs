@@ -326,20 +326,7 @@ impl Parser<'_> {
                         b'n' => out.push('\n'),
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.i..self.i + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.i += 4;
-                            // Surrogate pairs are not needed by this
-                            // protocol; reject rather than mis-decode.
-                            let c = char::from_u32(hex)
-                                .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
-                            out.push(c);
-                        }
+                        b'u' => out.push(self.unicode_escape()?),
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
@@ -358,6 +345,36 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+
+    /// The character of a `\u` escape, `i` just past its `u`.  A
+    /// character outside the BMP is escaped as a UTF-16 surrogate pair: a
+    /// high surrogate, then `\u` and a low one.  Any other use of a
+    /// surrogate is not a scalar value.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let mut code = self.hex4()?;
+        if (0xd800..0xdc00).contains(&code) && self.bytes.get(self.i..self.i + 2) == Some(b"\\u") {
+            self.i += 2;
+            let low = self.hex4()?;
+            if !(0xdc00..0xe000).contains(&low) {
+                return Err(self.err("\\u escape is not a scalar value"));
+            }
+            code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+        }
+        char::from_u32(code).ok_or_else(|| self.err("\\u escape is not a scalar value"))
+    }
+
+    /// The four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let code = self
+            .bytes
+            .get(self.i..self.i + 4)
+            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+            .and_then(|h| std::str::from_utf8(h).ok())
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .ok_or_else(|| self.err("bad \\u escape"))?;
+        self.i += 4;
+        Ok(code)
     }
 
     /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, the
@@ -430,6 +447,26 @@ mod tests {
         let j = parse(r#""aA\t\n\"\\""#).unwrap();
         assert_eq!(j, Json::Str("aA\t\n\"\\".into()));
         assert_eq!(escape("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_char() {
+        assert_eq!(parse(r#""\ud83d\ude00""#), Ok(Json::Str("😀".into())));
+        assert_eq!(parse(r#""a\ud834\udd1eb""#), Ok(Json::Str("a𝄞b".into())));
+        assert_eq!(parse(r#""\u00e9\u0041""#), Ok(Json::Str("éA".into())));
+        for bad in [
+            r#""\ud83d""#,       // lone high surrogate
+            r#""\ud83dx""#,      // high surrogate, then a plain char
+            r#""\ude00""#,       // lone low surrogate
+            r#""\ude00\ud83d""#, // reversed pair
+            r#""\ud83d\ud83d""#, // two high surrogates
+            r#""\ud83d\u0041""#, // high surrogate, then a BMP escape
+            r#""\ud83d\n""#,     // high surrogate, then another escape
+            r#""\u+041""#,       // a sign is not a hex digit
+            r#""\ud83d\u+e00""#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

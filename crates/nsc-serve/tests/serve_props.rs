@@ -402,6 +402,45 @@ fn small_branchy_batches_run_as_lanes() {
     assert_eq!((snap.lanes_batches, snap.pack_batches), (1, 0));
 }
 
+/// A lanes program never runs its `map(f)` kernel, so serving it never
+/// compiles one: after `halve_all` (a `while` under `map`, whose kernel
+/// is over 300k instructions) is answered through a single run and a
+/// lanes batch, the shard's cache entry still holds no kernel.
+#[test]
+fn serving_a_lanes_program_leaves_its_kernel_uncompiled() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/halve_all.nsc");
+    let module = nsc_core::parse::parse_module(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let f = module.inlined("main").unwrap();
+    let dom = module.get("main").unwrap().dom.clone();
+    let (hook, held) = first_flush_gate();
+    let mut server = Server::new(ServeConfig {
+        on_flush: Some(hook),
+        ..ServeConfig::default()
+    });
+    server.register("main", &f, &dom);
+    let (tx, rx) = mpsc::channel::<Reply>();
+    submit(&server, "main", "[9, 0, 100]".into(), &tx).unwrap();
+    held.wait();
+    for input in ["[3, 77]", "[1024]", "[]"] {
+        submit(&server, "main", input.to_string(), &tx).unwrap();
+    }
+    held.release();
+    for want in ["[0, 0, 0]", "[0, 0]", "[0]", "[]"] {
+        let reply = rx.recv_timeout(Duration::from_secs(120)).expect("reply");
+        assert_eq!(reply.result.as_deref(), Ok(want));
+    }
+    server.drain();
+    assert_eq!(held.sizes(), [1, 3]);
+    assert_eq!(server.snapshots()[0].lanes_batches, 1);
+    let entry = server
+        .cache()
+        .entry(&f, &dom, Default::default())
+        .expect("compiled");
+    assert_eq!(server.cache().compiles(), 1, "the shard's own entry");
+    assert_eq!(entry.mode(), nsc_runtime::BatchMode::Lanes);
+    assert!(!entry.batch.is_compiled(), "the kernel was compiled");
+}
+
 /// Serves `sq1` and `get` on an ephemeral loopback port; the handle
 /// joins once some client has sent `{"cmd": "shutdown"}`.
 fn start_tcp(

@@ -21,12 +21,11 @@
 //! `nsc::serve` — see the README's "Serving" section for the protocol.
 
 use nsc::compile::{compile_nsc_with, run_compiled, OptLevel};
-use nsc::core::ast::map;
 use nsc::core::eval::Evaluator;
 use nsc::core::parse::{parse_module, parse_value, Module};
-use nsc::core::{Cost, EvalError, Type};
+use nsc::core::{Cost, EvalError};
 use nsc::machine::cfg::Cfg;
-use nsc::runtime::{BatchMode, BatchRunner, CacheKey, CachedProgram};
+use nsc::runtime::{BatchMode, BatchRunner, CachedProgram};
 use nsc::serve::{front, ServeConfig, Server};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -466,11 +465,8 @@ fn cmd_run(opts: &Opts, module: &Module) -> Result<(), String> {
                 // Serve the input --batch times through the batched
                 // runtime; every result must equal the single-run answer.
                 if let Some(b) = opts.batch {
-                    let kernel =
-                        compile_nsc_with(&map(pure.clone()), &Type::seq(def.dom.clone()), opts.opt)
-                            .map_err(|e| format!("batch compile `{entry}`: {e}"))?;
-                    let key = CacheKey::of(&pure, &def.dom, opts.opt);
-                    let cached = CachedProgram::new(key, compiled, kernel);
+                    let cached = CachedProgram::from_single(&pure, &def.dom, opts.opt, compiled)
+                        .map_err(|e| format!("batch compile `{entry}`: {e}"))?;
                     let mode = explain_mode(&cached);
                     let outcome =
                         BatchRunner::of(Arc::new(cached)).run_batch(&vec![input.clone(); b]);
@@ -509,23 +505,24 @@ fn cmd_run(opts: &Opts, module: &Module) -> Result<(), String> {
 
 /// The discipline every batch of `cached` runs under, the structural
 /// fact that chose it (pack iff the single program and its `map(f)`
-/// kernel are straight-line).
+/// kernel are straight-line).  The kernel is read only when the single
+/// program is straight-line, the one case its entry compiled it.
 fn explain_mode(cached: &CachedProgram) -> String {
-    let why = match cached.mode() {
-        BatchMode::Pack => format!(
-            "straight-line, kernel {} instrs",
-            cached.batch.program.instrs.len()
+    let kernel = || {
+        &cached
+            .batch
+            .get()
+            .expect("a straight-line entry compiled its kernel")
+            .program
+    };
+    let blocks = |p| Cfg::build(p).n_blocks();
+    let why = match (cached.mode(), blocks(&cached.single.program)) {
+        (BatchMode::Pack, _) => format!("straight-line, kernel {} instrs", kernel().instrs.len()),
+        (BatchMode::Lanes, 1) => format!(
+            "control flow in the map(f) kernel, {} blocks",
+            blocks(kernel())
         ),
-        BatchMode::Lanes => {
-            let blocks = |p| Cfg::build(p).n_blocks();
-            match blocks(&cached.single.program) {
-                1 => format!(
-                    "control flow in the map(f) kernel, {} blocks",
-                    blocks(&cached.batch.program)
-                ),
-                n => format!("control flow, {n} blocks"),
-            }
-        }
+        (BatchMode::Lanes, n) => format!("control flow, {n} blocks"),
     };
     format!("{}: {why}", cached.mode().name())
 }

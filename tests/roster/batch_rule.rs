@@ -6,9 +6,11 @@
 //! * the small branchy cells where a certified-`W'` threshold would say
 //!   pack (`classify` at B = 2, `regroup` at B = 8);
 //! * a soundness sweep over the stdlib roster, the
-//!   `nsc::runtime::workloads` suite and the five goldens: every program
-//!   with a jump plans lanes, and wherever the rule says pack the fused
-//!   kernel does at most 1.25x the work of the single runs it replaces.
+//!   `nsc::runtime::workloads` suite and the five goldens: every entry's
+//!   mode is the rule applied to its single program and its (forced)
+//!   kernel, every program with a jump plans lanes, and wherever the rule
+//!   says pack the fused kernel does at most 1.25x the work of the single
+//!   runs it replaces.
 
 use super::common::{on_big_stack, roster, sample};
 use super::{entry, goldens, suite};
@@ -65,8 +67,16 @@ fn rule_is_sound_over_stdlib_workloads_and_goldens() {
         for (name, f, dom, inputs) in &subjects {
             let r = runner(name, f, dom);
             let entry = r.cached();
+            // The entry decided from its single program alone wherever
+            // that has a jump; the kernel, forced here, agrees.
+            let kernel = &entry.batch.get().expect("kernel compiles").program;
+            assert_eq!(
+                entry.mode(),
+                BatchMode::of(&entry.single.program, kernel),
+                "{name}"
+            );
             let blocks = Cfg::build(&entry.single.program).n_blocks();
-            let kernel_blocks = Cfg::build(&entry.batch.program).n_blocks();
+            let kernel_blocks = Cfg::build(kernel).n_blocks();
             if blocks > 1 || kernel_blocks > 1 {
                 assert_eq!(entry.mode(), BatchMode::Lanes, "{name}: has a jump");
             }

@@ -56,9 +56,10 @@ fn goldens() -> Vec<(&'static str, &'static Func, &'static Type, Value)> {
 
 /// The cache every sweep reads, filled on first use with every roster
 /// and golden entry at `O0` and `O1` (the opt level is part of the key)
-/// and every workload-suite entry at `O1`.  The compilations are shared
-/// out over big-stack workers, one per core, largest first; a sweep that
-/// asked meanwhile waits for the whole cache.
+/// and every workload-suite entry at `O1`, each with its `map(f)` kernel
+/// compiled.  The compilations are shared out over big-stack workers, one
+/// per core, largest first; a sweep that asked meanwhile waits for the
+/// whole cache.
 fn cache() -> &'static Arc<CompiledCache> {
     static CACHE: OnceLock<Arc<CompiledCache>> = OnceLock::new();
     CACHE.get_or_init(|| {
@@ -87,7 +88,10 @@ fn cache() -> &'static Arc<CompiledCache> {
                         while let Some(&((name, f, dom), opt)) =
                             jobs.get(next.fetch_add(1, Ordering::Relaxed))
                         {
-                            if let Err(e) = cache.entry(f, dom, opt) {
+                            // The sweeps force every kernel, lanes
+                            // entries' too: compile them here, in parallel.
+                            let built = cache.entry(f, dom, opt);
+                            if let Err(e) = built.and_then(|p| p.batch.get().map(|_| ())) {
                                 panic!("compiling {name} at {opt:?}: {e}");
                             }
                         }

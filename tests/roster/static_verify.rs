@@ -44,14 +44,16 @@ fn stdlib_verifies_clean_at_o0_and_o1() {
 fn map_kernels_verify_clean() {
     on_big_stack(|| {
         for s in roster() {
-            let k0 = &entry(s.name, &s.f, &s.dom, OptLevel::O0).batch.program;
+            let e0 = entry(s.name, &s.f, &s.dom, OptLevel::O0);
+            let k0 = &e0.batch.get().unwrap().program;
             assert_clean(&format!("map({}) at O0", s.name), k0);
             // Lowerings past the budget ship unoptimized: the `O1` kernel
             // is the one just checked.
             if k0.instrs.len() > OPT_BUDGET {
                 continue;
             }
-            let k1 = &entry(s.name, &s.f, &s.dom, OptLevel::O1).batch.program;
+            let e1 = entry(s.name, &s.f, &s.dom, OptLevel::O1);
+            let k1 = &e1.batch.get().unwrap().program;
             assert_clean(&format!("map({}) at O1", s.name), k1);
         }
     });
@@ -94,7 +96,8 @@ fn use_before_def_in_a_large_kernel_is_caught() {
             .into_iter()
             .find(|g| g.0 == "classify")
             .expect("examples/classify.nsc");
-        let kernel = &entry(name, f, dom, OptLevel::O1).batch.program;
+        let entry = entry(name, f, dom, OptLevel::O1);
+        let kernel = &entry.batch.get().unwrap().program;
         assert!(kernel.instrs.len() > 100_000, "workload choice");
         let n_defs = |r: Reg| {
             kernel
