@@ -283,45 +283,57 @@ impl Instr {
     /// Jump targets are left untouched.
     pub fn rename_regs(&mut self, mut f: impl FnMut(Reg) -> Reg) {
         match self {
-            Instr::Move { dst, src }
-            | Instr::Length { dst, src }
-            | Instr::Enumerate { dst, src }
-            | Instr::Select { dst, src } => {
-                *dst = f(*dst);
-                *src = f(*src);
-            }
-            Instr::Arith { dst, a, b, .. } | Instr::Append { dst, a, b } => {
-                *dst = f(*dst);
+            Instr::Move { dst, .. }
+            | Instr::Arith { dst, .. }
+            | Instr::Empty { dst }
+            | Instr::Singleton { dst, .. }
+            | Instr::Append { dst, .. }
+            | Instr::Length { dst, .. }
+            | Instr::Enumerate { dst, .. }
+            | Instr::BmRoute { dst, .. }
+            | Instr::SbmRoute { dst, .. }
+            | Instr::Select { dst, .. } => *dst = f(*dst),
+            Instr::Goto { .. } | Instr::IfEmptyGoto { .. } | Instr::Halt => {}
+        }
+        self.rename_inputs(f);
+    }
+
+    /// Rewrites the registers this instruction reads, in [`Instr::inputs`]
+    /// order, through `f`.
+    pub fn rename_inputs(&mut self, mut f: impl FnMut(Reg) -> Reg) {
+        match self {
+            Instr::Move { src, .. }
+            | Instr::Length { src, .. }
+            | Instr::Enumerate { src, .. }
+            | Instr::Select { src, .. } => *src = f(*src),
+            Instr::Arith { a, b, .. } | Instr::Append { a, b, .. } => {
                 *a = f(*a);
                 *b = f(*b);
             }
-            Instr::Empty { dst } | Instr::Singleton { dst, .. } => *dst = f(*dst),
             Instr::BmRoute {
-                dst,
                 bound,
                 counts,
                 values,
+                ..
             } => {
-                *dst = f(*dst);
                 *bound = f(*bound);
                 *counts = f(*counts);
                 *values = f(*values);
             }
             Instr::SbmRoute {
-                dst,
                 bound,
                 counts,
                 data,
                 segs,
+                ..
             } => {
-                *dst = f(*dst);
                 *bound = f(*bound);
                 *counts = f(*counts);
                 *data = f(*data);
                 *segs = f(*segs);
             }
             Instr::IfEmptyGoto { reg, .. } => *reg = f(*reg),
-            Instr::Goto { .. } | Instr::Halt => {}
+            Instr::Empty { .. } | Instr::Singleton { .. } | Instr::Goto { .. } | Instr::Halt => {}
         }
     }
 

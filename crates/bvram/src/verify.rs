@@ -473,13 +473,18 @@ fn uninit_reads(prog: &Program, cfg: &Cfg) -> Vec<(usize, Reg)> {
     let mut slot = vec![NONE; prog.n_regs];
     let mut n = 0;
     let mut open: Vec<(usize, Reg)> = Vec::new();
+    // The block of each register's latest definition so far: a
+    // definition earlier in the read's own block dominates the read,
+    // which decides most reads before any search of `more`.
+    let mut def_block = vec![NONE; prog.n_regs];
     for pc in reachable() {
+        let block = cfg.block_of(pc) as u32;
         let reads = match &prog.instrs[pc] {
             Instr::Halt => (0..prog.r_out as Reg).collect(),
             ins => ins.inputs().to_vec(),
         };
         for r in reads {
-            if (r as usize) < prog.r_in || dominated(r, pc) {
+            if (r as usize) < prog.r_in || def_block[r as usize] == block || dominated(r, pc) {
                 continue;
             }
             open.push((pc, r));
@@ -487,6 +492,9 @@ fn uninit_reads(prog: &Program, cfg: &Cfg) -> Vec<(usize, Reg)> {
                 slot[r as usize] = n as u32;
                 n += 1;
             }
+        }
+        if let Some(d) = prog.instrs[pc].output() {
+            def_block[d as usize] = block;
         }
     }
 

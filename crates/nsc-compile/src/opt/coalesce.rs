@@ -8,183 +8,86 @@
 //! more profitably, the loop-carried `state ← body-result` moves inside
 //! `while`/scan loops, which cost `Θ(register length)` *per iteration*.
 //!
-//! Compiled programs have tens of thousands of registers but only a few
-//! hundred appear in moves, so the analysis runs over the *move-related*
-//! registers only: block-level backward liveness on that small universe,
-//! then one backward sweep per block building the interference graph, and
-//! union-find with adjacency merging for the coalescing itself.
-//!
-//! A register cannot be renamed away ("pinned") when it is positionally
-//! pinned — an input or output register — or when some path reads it
-//! before any definition (its implicit entry value, input contents or the
-//! empty vector, would change under renaming).  Two pinned registers
-//! never merge.
+//! The analysis runs over the *move-related* registers only, with the
+//! shared block liveness of [`super::regs`]; then one backward sweep per
+//! block builds the interference graph, and union-find with adjacency
+//! merging does the coalescing.  A `pinned` register cannot be renamed
+//! away: two pinned registers never merge, and a pinned one is always
+//! its group's representative.
 
+use super::regs::{liveness, positional, rename, uses_of, Universe};
 use super::remove_marked;
 use bvram::analysis::RegSet;
 use bvram::cfg::Cfg;
-use bvram::{Instr, Program, Reg};
+use bvram::{Instr, Program, Reg, TripBound};
+use std::collections::HashSet;
 
 /// Pass name used by translation-validation diagnostics.
 pub const NAME: &str = "coalesce";
 
-/// Registers read by `ins`, plus `Halt`'s implicit use of the outputs.
-fn uses_of(ins: &Instr, r_out: usize) -> Vec<Reg> {
-    match ins {
-        Instr::Halt => (0..r_out as Reg).collect(),
-        _ => ins.inputs().to_vec(),
+/// The root of `x`'s union-find tree, halving the path on the way.
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        parent[x as usize] = parent[parent[x as usize] as usize];
+        x = parent[x as usize];
     }
+    x
 }
 
-struct UnionFind {
-    parent: Vec<u32>,
-}
-
-impl UnionFind {
-    fn find(&mut self, x: u32) -> u32 {
-        let mut root = x;
-        while self.parent[root as usize] != root {
-            root = self.parent[root as usize];
-        }
-        let mut cur = x;
-        while self.parent[cur as usize] != root {
-            let next = self.parent[cur as usize];
-            self.parent[cur as usize] = root;
-            cur = next;
-        }
-        root
-    }
+/// Which registers of `u` keep their names: the positional ones, those
+/// live into the entry block (the entry gives them their input or the
+/// empty vector), and those a `TripBound::Len` certificate names.
+fn pinned(prog: &Program, u: &Universe, entry_live: &RegSet) -> Vec<bool> {
+    let certified: HashSet<Reg> = (prog.trip_hints.iter())
+        .filter_map(|h| match h.bound {
+            TripBound::Len { reg } => Some(reg),
+            TripBound::Const(_) => None,
+        })
+        .collect();
+    let pin = |(c, r): (usize, &Reg)| {
+        (*r as usize) < positional(prog) || entry_live.contains(c as u32) || certified.contains(r)
+    };
+    u.regs.iter().enumerate().map(pin).collect()
 }
 
 /// Coalesces move-related registers.  Returns `true` if anything changed.
 pub fn coalesce_moves(prog: &mut Program) -> bool {
-    let n = prog.instrs.len();
-    if n == 0 {
-        return false;
-    }
     // 1. Candidate universe: registers appearing in a Move.
-    let moves: Vec<(usize, Reg, Reg)> = prog
-        .instrs
-        .iter()
-        .enumerate()
-        .filter_map(|(pc, ins)| match ins {
-            Instr::Move { dst, src } => Some((pc, *dst, *src)),
-            _ => None,
-        })
-        .collect();
+    let mut moves = Vec::new();
+    for (pc, ins) in prog.instrs.iter().enumerate() {
+        if let Instr::Move { dst, src } = *ins {
+            moves.push((pc, dst, src));
+        }
+    }
     if moves.is_empty() {
         return false;
     }
-    let mut cand_of: Vec<u32> = vec![u32::MAX; prog.n_regs];
-    let mut reg_of: Vec<Reg> = Vec::new();
-    for &(_, d, s) in &moves {
-        for r in [d, s] {
-            if cand_of[r as usize] == u32::MAX {
-                cand_of[r as usize] = reg_of.len() as u32;
-                reg_of.push(r);
-            }
-        }
-    }
-    let ncand = reg_of.len();
-    let cand = |r: Reg| -> Option<u32> {
-        let c = cand_of[r as usize];
-        (c != u32::MAX).then_some(c)
-    };
+    let u = Universe::of(prog.n_regs, moves.iter().flat_map(|&(_, d, s)| [d, s]));
+    let ncand = u.regs.len();
 
-    // 2. Block structure.
+    // 2. Block structure and liveness over the candidates.
     let cfg = Cfg::build(prog);
-    let nblocks = cfg.n_blocks();
+    let (live_in, live_out) = liveness(prog, &cfg, &u);
 
-    // 3. Block-level backward liveness over the candidate universe.
-    let mut gen = vec![RegSet::new(ncand); nblocks];
-    let mut kill = vec![RegSet::new(ncand); nblocks];
-    for b in 0..nblocks {
-        for pc in cfg.range(b) {
-            let ins = &prog.instrs[pc];
-            for u in uses_of(ins, prog.r_out) {
-                if let Some(c) = cand(u) {
-                    if !kill[b].contains(c) {
-                        gen[b].insert(c);
-                    }
-                }
-            }
-            if let Some(d) = ins.output() {
-                if let Some(c) = cand(d) {
-                    kill[b].insert(c);
-                }
-            }
-        }
-    }
-    // A length-relative trip certificate reads its register at loop
-    // entry: model that as a phantom read at the top of the loop-head
-    // block (the back edge's target), so the register stays live across
-    // the loop and nothing merges over its certified value.
-    for h in &prog.trip_hints {
-        if let bvram::TripBound::Len { reg } = h.bound {
-            if let Some(c) = cand(reg) {
-                if let Some(Instr::Goto { target } | Instr::IfEmptyGoto { target, .. }) =
-                    prog.instrs.get(h.pc as usize)
-                {
-                    let t = *target as usize;
-                    if t < n {
-                        gen[cfg.block_of(t)].insert(c);
-                    }
-                }
-            }
-        }
-    }
-    // Predecessor-driven worklist fixpoint: a block is revisited only
-    // when a successor's live-in grows.  (The CFG has no edge for a jump
-    // one past the end, and none out of unreachable blocks: nothing a
-    // dead block reads stays live on its account.)
-    let mut live_in = vec![RegSet::new(ncand); nblocks];
-    let mut live_out = vec![RegSet::new(ncand); nblocks];
-    let mut on_list = vec![true; nblocks];
-    let mut worklist: Vec<usize> = (0..nblocks).collect();
-    let mut inn = RegSet::new(ncand);
-    while let Some(b) = worklist.pop() {
-        on_list[b] = false;
-        let mut out = std::mem::replace(&mut live_out[b], RegSet::new(0));
-        for &s in cfg.succs(b) {
-            out.union_with(&live_in[s as usize]);
-        }
-        inn.clone_from_set(&out);
-        live_out[b] = out;
-        inn.difference_with(&kill[b]);
-        inn.union_with(&gen[b]);
-        if inn != live_in[b] {
-            live_in[b].clone_from_set(&inn);
-            for &p in cfg.preds(b) {
-                if !on_list[p as usize] {
-                    on_list[p as usize] = true;
-                    worklist.push(p as usize);
-                }
-            }
-        }
-    }
-
-    // 4. Interference graph over candidates: a def of one while the other
+    // 3. Interference graph over candidates: a def of one while the other
     // is live, except at the move between exactly that pair.  Only pairs
     // inside the same *move-relation component* can ever merge, so edges
     // are recorded for those pairs only — this keeps the walk linear even
     // when thousands of candidates are simultaneously live.
-    let mut comp = UnionFind {
-        parent: (0..ncand as u32).collect(),
-    };
+    let mut comp: Vec<u32> = (0..ncand as u32).collect();
     for &(_, d, s) in &moves {
-        let (cd, cs) = (cand(d).unwrap(), cand(s).unwrap());
-        let (rd, rs) = (comp.find(cd), comp.find(cs));
+        let (cd, cs) = (u.slot(d).unwrap(), u.slot(s).unwrap());
+        let (rd, rs) = (find(&mut comp, cd), find(&mut comp, cs));
         if rd != rs {
-            comp.parent[rd as usize] = rs;
+            comp[rd as usize] = rs;
         }
     }
     let mut members: Vec<Vec<u32>> = vec![Vec::new(); ncand];
     for c in 0..ncand as u32 {
-        members[comp.find(c) as usize].push(c);
+        members[find(&mut comp, c) as usize].push(c);
     }
-    let mut adj: Vec<std::collections::HashSet<u32>> =
-        vec![std::collections::HashSet::new(); ncand];
-    fn add_edge(adj: &mut [std::collections::HashSet<u32>], a: u32, b: u32) {
+    let mut adj = vec![HashSet::new(); ncand];
+    fn add_edge(adj: &mut [HashSet<u32>], a: u32, b: u32) {
         if a != b {
             adj[a as usize].insert(b);
             adj[b as usize].insert(a);
@@ -195,12 +98,12 @@ pub fn coalesce_moves(prog: &mut Program) -> bool {
         for pc in cfg.range(b).rev() {
             let ins = &prog.instrs[pc];
             if let Some(d) = ins.output() {
-                if let Some(cd) = cand(d) {
+                if let Some(cd) = u.slot(d) {
                     let excluded = match ins {
-                        Instr::Move { src, .. } => cand(*src),
+                        Instr::Move { src, .. } => u.slot(*src),
                         _ => None,
                     };
-                    let rep = comp.find(cd) as usize;
+                    let rep = find(&mut comp, cd) as usize;
                     for &c in &members[rep] {
                         if c != cd && Some(c) != excluded && live.contains(c) {
                             add_edge(&mut adj, cd, c);
@@ -209,37 +112,20 @@ pub fn coalesce_moves(prog: &mut Program) -> bool {
                     live.remove(cd);
                 }
             }
-            for u in uses_of(ins, prog.r_out) {
-                if let Some(c) = cand(u) {
-                    live.insert(c);
-                }
+            for c in uses_of(ins, prog.r_out).filter_map(|r| u.slot(r)) {
+                live.insert(c);
             }
         }
     }
     // The entry implicitly defines every register (inputs get their
     // values, the rest become empty) while the entry block's live-in
-    // candidates hold those very values: pin the read-before-def ones and
-    // make the input registers interfere with them.
-    let entry_live = live_in[0].clone();
-    let mut pinned = vec![false; ncand];
-    for (c, &r) in reg_of.iter().enumerate() {
-        if (r as usize) < prog.r_in.max(prog.r_out) || entry_live.contains(c as u32) {
-            pinned[c] = true;
-        }
-    }
-    // Registers named by length-relative trip certificates must keep
-    // their names (a pinned candidate is always its group's
-    // representative, so the certificate stays valid after renaming).
-    for h in &prog.trip_hints {
-        if let bvram::TripBound::Len { reg } = h.bound {
-            if let Some(c) = cand(reg) {
-                pinned[c as usize] = true;
-            }
-        }
-    }
+    // candidates hold those very values: make the input registers
+    // interfere with them.
+    let entry_live = &live_in[0];
+    let mut pinned = pinned(prog, &u, entry_live);
     for r in 0..prog.r_in as Reg {
-        if let Some(cr) = cand(r) {
-            let rep = comp.find(cr) as usize;
+        if let Some(cr) = u.slot(r) {
+            let rep = find(&mut comp, cr) as usize;
             for &c in &members[rep] {
                 if entry_live.contains(c) {
                     add_edge(&mut adj, cr, c);
@@ -248,16 +134,14 @@ pub fn coalesce_moves(prog: &mut Program) -> bool {
         }
     }
 
-    // 5. Conservative coalescing: union move-related, non-interfering
+    // 4. Conservative coalescing: union move-related, non-interfering
     // groups; a pinned register must stay the representative.
-    let mut uf = UnionFind {
-        parent: (0..ncand as u32).collect(),
-    };
-    let mut delete = vec![false; n];
+    let mut uf: Vec<u32> = (0..ncand as u32).collect();
+    let mut delete = vec![false; prog.instrs.len()];
     let mut did = false;
     for &(pc, d, s) in &moves {
-        let (cd, cs) = (cand(d).unwrap(), cand(s).unwrap());
-        let (rd, rs) = (uf.find(cd), uf.find(cs));
+        let (cd, cs) = (u.slot(d).unwrap(), u.slot(s).unwrap());
+        let (rd, rs) = (find(&mut uf, cd), find(&mut uf, cs));
         if rd == rs {
             // Already the same register (or a literal self-move): the
             // move is a no-op.
@@ -273,7 +157,7 @@ pub fn coalesce_moves(prog: &mut Program) -> bool {
         } else {
             (rs, rd)
         };
-        uf.parent[gone as usize] = rep;
+        uf[gone as usize] = rep;
         pinned[rep as usize] |= pinned[gone as usize];
         // Merge adjacency: everything touching `gone` now touches `rep`.
         let gone_adj: Vec<u32> = adj[gone as usize].iter().copied().collect();
@@ -288,13 +172,11 @@ pub fn coalesce_moves(prog: &mut Program) -> bool {
         return false;
     }
 
-    // 6. Apply: rename every candidate to its representative register.
-    for ins in prog.instrs.iter_mut() {
-        ins.rename_regs(|r| match cand(r) {
-            Some(c) => reg_of[uf.find(c) as usize],
-            None => r,
-        });
-    }
+    // 5. Apply: rename every candidate to its representative register.
+    let n_regs = prog.n_regs;
+    rename(prog, n_regs, |r| {
+        Some(u.slot(r).map_or(r, |c| u.regs[find(&mut uf, c) as usize]))
+    });
     remove_marked(prog, &delete);
     true
 }

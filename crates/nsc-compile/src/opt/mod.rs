@@ -21,8 +21,9 @@
 //!   plus fallthrough `goto` removal;
 //! * [`coalesce`] — move coalescing: merging the live ranges of
 //!   move-related registers so staging and loop-carried `Move`s vanish;
-//! * register compaction, shrinking `n_regs` to the registers actually
-//!   used.
+//! * [`regs`] — register allocation after the last round: a linear scan
+//!   over live intervals shrinks `n_regs` to about the most registers
+//!   live at once.  The module owns every register name.
 //!
 //! Every pass preserves semantics *exactly*: optimized programs produce
 //! bit-identical outputs (and identical machine errors) on every input,
@@ -40,6 +41,7 @@
 
 pub mod coalesce;
 pub mod dce;
+pub mod regs;
 pub mod vn;
 
 use bvram::{cost_program, verify_program, CostBound, CostReport, Instr, Program, Report};
@@ -56,16 +58,12 @@ pub enum OptLevel {
     O1,
 }
 
-/// Pass name for the register-compaction step (the rewrite passes
-/// export their own `NAME` consts).
-pub const COMPACT_NAME: &str = "compact_registers";
-
 /// A translation-validation failure: the named stage left the program
 /// in a state the static verifier rejects.
 #[derive(Debug, Clone)]
 pub struct PassError {
     /// The stage that broke the invariant (`"codegen"`, a pass `NAME`,
-    /// or [`COMPACT_NAME`]).
+    /// or [`regs::NAME`]).
     pub pass: &'static str,
     /// The violated invariant(s), rendered with pc + instruction.
     pub detail: String,
@@ -247,7 +245,7 @@ fn validate_input(p: &Program, input_stage: &'static str) -> Result<Option<Basel
 }
 
 /// The round loop: runs `passes` in order until a round changes nothing
-/// (or stops paying), then compacts registers.  In a debug build every
+/// (or stops paying), then allocates registers.  In a debug build every
 /// stage's output is validated against the input's baseline.
 fn run_rounds(
     mut p: Program,
@@ -288,8 +286,8 @@ fn run_rounds(
             break;
         }
     }
-    compact_registers(&mut p);
-    after(COMPACT_NAME, &p)?;
+    regs::allocate(&mut p);
+    after(regs::NAME, &p)?;
     Ok(p)
 }
 
@@ -336,60 +334,6 @@ pub(crate) fn remove_marked(prog: &mut Program, delete: &[bool]) -> bool {
         h.pc = new_index[pc];
         true
     });
-    true
-}
-
-/// Renumbers registers densely: positional registers (inputs and outputs,
-/// `0 .. max(r_in, r_out)`) keep their indices, everything else is packed
-/// in first-use order.  Shrinks `n_regs` to the registers actually
-/// referenced.
-pub fn compact_registers(prog: &mut Program) -> bool {
-    let fixed = prog.r_in.max(prog.r_out);
-    let mut used = vec![false; prog.n_regs];
-    for ins in &prog.instrs {
-        for r in ins.inputs() {
-            used[r as usize] = true;
-        }
-        if let Some(r) = ins.output() {
-            used[r as usize] = true;
-        }
-    }
-    let mut map = vec![u32::MAX; prog.n_regs];
-    let mut next = fixed as u32;
-    for (r, m) in map.iter_mut().enumerate() {
-        if r < fixed {
-            *m = r as u32;
-        } else if used[r] {
-            *m = next;
-            next += 1;
-        }
-    }
-    let new_n = next as usize;
-    if new_n == prog.n_regs
-        && map
-            .iter()
-            .enumerate()
-            .all(|(r, m)| *m == u32::MAX || *m == r as u32)
-    {
-        return false;
-    }
-    for ins in prog.instrs.iter_mut() {
-        ins.rename_regs(|r| map[r as usize]);
-    }
-    // Length-relative trip certificates name a register; rename it with
-    // the rest (an unused hint register means the loop body no longer
-    // reads it — the certificate is stale, so drop it).
-    prog.trip_hints.retain_mut(|h| {
-        if let bvram::TripBound::Len { reg } = &mut h.bound {
-            let m = map[*reg as usize];
-            if m == u32::MAX {
-                return false;
-            }
-            *reg = m;
-        }
-        true
-    });
-    prog.n_regs = new_n;
     true
 }
 

@@ -111,44 +111,6 @@ fn commutative(op: Op) -> bool {
     matches!(op, Op::Add | Op::Mul | Op::Min | Op::Max | Op::Eq)
 }
 
-/// Rewrites the registers `ins` reads, in [`Instr::inputs`] order.
-fn map_inputs(ins: &mut Instr, mut f: impl FnMut(Reg) -> Reg) {
-    match ins {
-        Instr::Move { src, .. }
-        | Instr::Length { src, .. }
-        | Instr::Enumerate { src, .. }
-        | Instr::Select { src, .. } => *src = f(*src),
-        Instr::Arith { a, b, .. } | Instr::Append { a, b, .. } => {
-            *a = f(*a);
-            *b = f(*b);
-        }
-        Instr::BmRoute {
-            bound,
-            counts,
-            values,
-            ..
-        } => {
-            *bound = f(*bound);
-            *counts = f(*counts);
-            *values = f(*values);
-        }
-        Instr::SbmRoute {
-            bound,
-            counts,
-            data,
-            segs,
-            ..
-        } => {
-            *bound = f(*bound);
-            *counts = f(*counts);
-            *data = f(*data);
-            *segs = f(*segs);
-        }
-        Instr::IfEmptyGoto { reg, .. } => *reg = f(*reg),
-        Instr::Empty { .. } | Instr::Singleton { .. } | Instr::Goto { .. } | Instr::Halt => {}
-    }
-}
-
 /// The key of a value-computing instruction over its operand numbers
 /// (`v`, in [`Instr::inputs`] order).
 fn key_of(ins: &Instr, v: &[u32]) -> Option<Key> {
@@ -457,7 +419,7 @@ pub fn number(prog: &mut Program) -> bool {
         for pc in cfg.range(b as usize) {
             let ins = &mut prog.instrs[pc];
             v.clear();
-            map_inputs(ins, |r| {
+            ins.rename_inputs(|r| {
                 let (h, x) = st.read(r, pc);
                 v.push(x);
                 changed |= h != r;

@@ -243,3 +243,53 @@ pub fn assert_sound(what: &str, report: &CostReport, lens: &[u64], stats: &Stats
         );
     }
 }
+
+/// The most registers live at once before any instruction of `prog`, by
+/// the textbook backward liveness over *all* `n_regs` registers at every
+/// block (`Halt` reads the outputs): the floor for any register
+/// allocation.  Affordable once registers are allocated, as they are at
+/// `O1`.
+pub fn max_live(prog: &Program) -> usize {
+    let cfg = Cfg::build(prog);
+    let step = |live: &mut RegSet, ins: &Instr| {
+        if let Some(d) = ins.output() {
+            live.remove(d);
+        }
+        let reads = match ins {
+            Instr::Halt => (0..prog.r_out as Reg).collect(),
+            _ => ins.inputs().to_vec(),
+        };
+        for r in reads {
+            live.insert(r);
+        }
+    };
+    let live_out = |live_in: &[RegSet], b: usize| {
+        let mut live = RegSet::new(prog.n_regs);
+        for &s in cfg.succs(b) {
+            live.union_with(&live_in[s as usize]);
+        }
+        live
+    };
+    let mut live_in = vec![RegSet::new(prog.n_regs); cfg.n_blocks()];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for b in (0..cfg.n_blocks()).rev() {
+            let mut live = live_out(&live_in, b);
+            for pc in cfg.range(b).rev() {
+                step(&mut live, &prog.instrs[pc]);
+            }
+            changed |= live != live_in[b];
+            live_in[b] = live;
+        }
+    }
+    let mut most = 0;
+    for b in 0..cfg.n_blocks() {
+        let mut live = live_out(&live_in, b);
+        for pc in cfg.range(b).rev() {
+            step(&mut live, &prog.instrs[pc]);
+            most = most.max(live.iter().count());
+        }
+    }
+    most
+}

@@ -6,7 +6,8 @@
 //! every sweep reads the same entries, so the batch and serving sweeps
 //! run the very programs the verification sweeps checked.
 //!
-//! One module per property, named after the binary its tests came from.
+//! One module per property, named after the binary its tests came from
+//! (`registers` began here).
 //! Tests that compile nothing from these lists (fuzz programs, mutations,
 //! hand-built CFGs, the TCP and protocol properties) stay in their own
 //! binaries.  The compiler recurses with program depth, so every sweep
@@ -20,6 +21,7 @@ mod batch_equiv;
 mod batch_rule;
 mod cfg_reference;
 mod cost_soundness;
+mod registers;
 mod serve_equiv;
 mod static_verify;
 

@@ -10,6 +10,7 @@
 use super::common::reference::assert_init_matches_reference;
 use super::common::{on_big_stack, roster};
 use super::{entry, goldens};
+use bvram::cfg::Cfg;
 use bvram::instr::{Instr, Reg};
 use bvram::{verify_program, Program};
 use nsc::compile::{OptLevel, OPT_BUDGET};
@@ -99,28 +100,35 @@ fn use_before_def_in_a_large_kernel_is_caught() {
         let entry = entry(name, f, dom, OptLevel::O1);
         let kernel = &entry.batch.get().unwrap().program;
         assert!(kernel.instrs.len() > 100_000, "workload choice");
-        let n_defs = |r: Reg| {
-            kernel
-                .instrs
-                .iter()
-                .filter(|i| i.output() == Some(r))
-                .count()
-        };
-        let (pc, tmp) = (kernel.instrs.len() / 2..)
+        // The optimizer reuses register numbers, so take a register's
+        // first definition, read later in its own block before any other
+        // write: with it gone, no path from the entry writes the register
+        // before that read.
+        let mut first_def = vec![None; kernel.n_regs];
+        for (pc, ins) in kernel.instrs.iter().enumerate() {
+            if let Some(d) = ins.output() {
+                first_def[d as usize].get_or_insert(pc);
+            }
+        }
+        let cfg = Cfg::build(kernel);
+        let (pc, tmp, def) = (0..kernel.instrs.len())
+            .rev()
             .find_map(|pc| match kernel.instrs[pc] {
-                Instr::Arith { a, .. } if n_defs(a) == 1 => Some((pc, a)),
+                Instr::Arith { a, .. } if a as usize >= kernel.r_in => first_def[a as usize]
+                    .filter(|&d| d < pc && cfg.block_of(d) == cfg.block_of(pc))
+                    .filter(|&d| {
+                        kernel.instrs[d + 1..pc]
+                            .iter()
+                            .all(|i| i.output() != Some(a))
+                    })
+                    .map(|d| (pc, a, d)),
                 _ => None,
             })
-            .expect("an Arith reading a single-definition temporary");
+            .expect("an Arith reading its operand's first definition");
 
-        // Its one definition never runs (a jump to the next pc keeps
-        // every other pc where it was).
+        // That definition never runs (a jump to the next pc keeps every
+        // other pc where it was).
         let mut bad = kernel.clone();
-        let def = bad
-            .instrs
-            .iter()
-            .position(|i| i.output() == Some(tmp))
-            .unwrap();
         bad.instrs[def] = Instr::Goto {
             target: def as u32 + 1,
         };

@@ -573,18 +573,17 @@ fn cli_lint_matches_goldens() {
 
 /// `⊤` is the analyzer giving up, not a proof of unbounded work: the
 /// `superlinear-work` lint says so and passes on the analyzer's pc and
-/// reason.  The stdlib `index` mapped over a sequence of pairs, at `O1`,
-/// is over the analysis budget.
+/// reason.  A countdown `while` carries no trip certificate (the front
+/// end certifies only halving counters and shrinking sequences).
 #[test]
 fn cli_lint_words_top_as_uncertified_not_unbounded() {
     let bin = nsc_bin();
-    let index = a::map(a::lam(
-        "p",
-        stdlib::index(a::fst(a::var("p")), a::snd(a::var("p")), &Type::Nat),
-    ));
-    let dom = Type::seq(Type::prod(Type::seq(Type::Nat), Type::seq(Type::Nat)));
-    let path = std::env::temp_dir().join(format!("__nsc_index_{}.nsc", std::process::id()));
-    std::fs::write(&path, format!("fn main : {dom} -> [[N]] = {index}")).unwrap();
+    let path = std::env::temp_dir().join(format!("__nsc_countdown_{}.nsc", std::process::id()));
+    std::fs::write(
+        &path,
+        "fn main : N -> N = while((\\x. (0 < x)), (\\x. (x -. 1)))\n",
+    )
+    .unwrap();
     let out = std::process::Command::new(&bin)
         .arg("lint")
         .arg(&path)
@@ -596,7 +595,7 @@ fn cli_lint_words_top_as_uncertified_not_unbounded() {
     assert!(
         stdout.contains(
             "warning[superlinear-work]: in `main`: no finite work bound certified \
-             (pc 0: over analysis budget)"
+             (pc 24: no trip certificate for back edge)"
         ),
         "{stdout}"
     );
